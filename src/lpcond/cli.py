@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import harness, samplers
-from .errors import ConfigError, ConvergenceError, InstanceTooLargeError
+from .errors import ConfigError, ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from .harness import ExperimentConfig
 from .sic import Instance, cond_and_class, sic_solve
 
@@ -237,7 +237,8 @@ def _add_common(parser):
     parser.add_argument("--center", help="center instance: random | file:PATH | "
                                          "equal-rows | great-circle")
     parser.add_argument("--out", help="output directory (default lpcond-out)")
-    parser.add_argument("--workers", type=int, help="worker cap (default 1)")
+    parser.add_argument("--workers", type=int,
+                        help="worker cap (default: the number of CPUs)")
     parser.add_argument("--delta-mode", dest="delta_mode",
                         choices=["lemma", "beta0-remark"],
                         help="tolerance formula (default lemma)")
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, ConvergenceError, InstanceTooLargeError,
+    except (ConfigError, ConvergenceError, DegenerateHullError, InstanceTooLargeError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

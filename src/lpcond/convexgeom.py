@@ -12,69 +12,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .errors import ConvergenceError, DegenerateHullError, DualEmptyError
+from .sic import strictly_feasible
 from .sphere import Cap, SpherePoint, angular_distance, clipped_arccos
 
 # A point is treated as a member of a hull when its hull distance is below
 # this; chosen so NNLS roundoff never flips membership of true members.
 MEMBER_TOL = 1e-9
-
-_KKT_TOL = 1e-12
-
-
-def nnls(A: np.ndarray, b: np.ndarray, kkt_tol: float = _KKT_TOL, max_iter: int | None = None):
-    """Lawson-Hanson active-set solver for min ||A x - b|| s.t. x >= 0.
-
-    Returns (x, residual_vector).  Columns are normalized internally so the
-    entering test uses one homogeneous tolerance; sized for small dense
-    problems, with an iteration cap of 100 per column by default.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d, k = A.shape
-    if max_iter is None:
-        max_iter = 100 * k
-    col_scale = np.linalg.norm(A, axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    A = A / col_scale
-    # Gradient roundoff grows with ||b||; keep the entering test above it.
-    w_tol = kkt_tol * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    x = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
-    resid = b.copy()
-    w = A.T @ resid
-    iters = 0
-    while True:
-        candidates = ~passive & (w > w_tol)
-        if not candidates.any():
-            break
-        j = int(np.argmax(np.where(candidates, w, -np.inf)))
-        passive[j] = True
-        while True:
-            iters += 1
-            if iters > max_iter:
-                raise ConvergenceError(f"nnls exceeded {max_iter} iterations")
-            idx = np.flatnonzero(passive)
-            z, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
-            if np.all(z > 0):
-                x[:] = 0.0
-                x[idx] = z
-                break
-            # Step toward z until the first passive variable hits zero,
-            # then demote it and re-solve.
-            cur = x[idx]
-            neg = z <= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(neg, cur / (cur - z), np.inf)
-            step = float(np.min(ratios))
-            cur = cur + step * (z - cur)
-            x[:] = 0.0
-            x[idx] = np.maximum(cur, 0.0)
-            passive[idx[cur <= w_tol]] = False
-        resid = b - A @ x
-        w = A.T @ resid
-    return x / col_scale, resid
 
 
 @dataclass(eq=False)
@@ -108,16 +54,9 @@ class SpherePolytope:
     def rank(self) -> int:
         return int(np.linalg.matrix_rank(self.generators, tol=1e-10))
 
-    def properly_convex(self, tol: float = 1e-8) -> bool:
+    def properly_convex(self) -> bool:
         """True iff the origin is outside conv(generators) (pointed cone)."""
-        # Penalty form of min ||sum(lam_i b_i)|| over the simplex; the
-        # constraint weight only distorts the distance by O(dist^2/scale).
-        scale = 100.0
-        A = np.vstack([self.generators.T, scale * np.ones((1, self.k))])
-        b = np.zeros(self.ambient_dim + 1)
-        b[-1] = scale
-        lam, resid = nnls(A, b)
-        return float(np.linalg.norm(resid[:-1])) > tol
+        return strictly_feasible(self.generators)
 
     def facet_normals(self) -> np.ndarray:
         """Inward unit normals of the facets of the full-dimensional cone.
@@ -162,8 +101,12 @@ def project_onto_cone(x: SpherePoint, P: SpherePolytope):
     xv = np.asarray(x.coords if isinstance(x, SpherePoint) else x, dtype=float)
     if xv.size != P.ambient_dim:
         raise ValueError("point and polytope dimensions differ")
-    lam, resid = nnls(P.generators.T, xv)
-    z = xv - resid
+    try:
+        lam, _ = nnls(P.generators.T, xv)
+    except RuntimeError as exc:
+        raise ConvergenceError(f"cone projection NNLS failed: {exc}") from exc
+    z = P.generators.T @ lam
+    resid = xv - z
     grad = P.generators @ resid
     if np.max(grad, initial=0.0) > 1e-10 or abs(float(lam @ grad)) > 1e-10:
         raise ConvergenceError("cone projection failed its KKT certificate")

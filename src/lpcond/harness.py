@@ -23,8 +23,8 @@ import numpy as np
 
 from . import convexgeom, samplers, sic
 from .convexgeom import SpherePolytope, cap_distances_batch
-from .errors import ConfigError
-from .lp import FeasibilityClass, gordan_classify
+from .errors import ConfigError, ConvergenceError, DegenerateHullError
+from .lp import FeasibilityClass
 from .samplers import (
     PURPOSE_CENTER,
     PURPOSE_CHECK,
@@ -238,32 +238,28 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
                            center: Instance):
     """Sample N instances from the product law and solve each for rho.
 
-    Returns (records, counts).  Chunked batch enumeration with a scalar
-    fallback for rows the vectorized path cannot certify.
+    Returns (records, counts).  A sample whose solve raises one of the
+    solver's typed errors is counted as failed; any other error propagates.
     """
-    n, m = cfg.n, cfg.m
 
     def do_chunk(lo, hi):
         count = hi - lo
-        mats = np.empty((count, n, m + 1))
+        rho = np.empty(count)
+        failed = np.zeros(count, dtype=bool)
         seeds = []
         disp = np.empty(count)
         for i in range(count):
             s = stream(cfg.master_seed, PURPOSE_SAMPLE, lo + i)
             inst = samplers.sample_instance(center, params, s)
-            mats[i] = inst.matrix
             seeds.append((cfg.master_seed, s.index))
             disp[i] = float(
                 np.max(clipped_arccos(np.sum(inst.matrix * center.matrix, axis=1)))
             )
-        rho, _, exact = sic.sic_rho_batch(mats)
-        failed = np.zeros(count, dtype=bool)
-        for i in np.flatnonzero(~exact):
             try:
-                rho[i] = sic.sic_solve(Instance(mats[i])).rho
-            except Exception:
+                rho[i] = sic.sic_solve(inst).rho
+            except (ConvergenceError, DegenerateHullError):
                 failed[i] = True
-        return rho, exact | ~failed, seeds, disp
+        return rho, ~failed, seeds, disp
 
     records: list[SampleRecord] = []
     counts = {"sf": 0, "ip": 0, "if": 0, "overflow": 0, "failed": 0}
@@ -392,48 +388,15 @@ def run_expectation_experiment(cfg: ExperimentConfig):
     return records, summary
 
 
-def _feasible_batch_small_m(mats: np.ndarray) -> np.ndarray:
-    """Vectorized hemisphere feasibility for m in {1, 2}.
-
-    A witness direction for A x <= 0 can a.s. be taken orthogonal to m of
-    the rows, so candidate rays are signed row normals (m=1) or signed
-    pairwise cross products (m=2).
-    """
-    B, k, d = mats.shape
-    tol = 1e-12
-    if d == 2:
-        rays = np.stack([-mats[..., 1], mats[..., 0]], axis=-1)  # (B, k, 2)
-    elif d == 3:
-        iu, ju = np.triu_indices(k, k=1)
-        rays = np.cross(mats[:, iu], mats[:, ju])  # (B, P, 3)
-        norms = np.linalg.norm(rays, axis=2, keepdims=True)
-        rays = np.where(norms > 1e-12, rays / np.maximum(norms, 1e-300), 0.0)
-    else:
-        raise ValueError("fast path only covers m = 1 and m = 2")
-    dots = np.einsum("bkd,bpd->bpk", mats, rays)
-    ok_plus = np.max(dots, axis=2) <= tol
-    ok_minus = np.min(dots, axis=2) >= -tol
-    nonzero = np.linalg.norm(rays, axis=2) > 0.5
-    return np.any((ok_plus | ok_minus) & nonzero, axis=1)
-
-
 def feasible_fraction(m: int, k: int, N: int, master_seed: int, workers: int = 1):
     """Empirical probability that k uniform rows on S^m are feasible."""
 
     def do_chunk(lo, hi):
-        count = hi - lo
-        mats = np.empty((count, k, m + 1))
-        for i in range(count):
-            gen = stream(master_seed, PURPOSE_WENDEL, lo + i).generator()
-            mats[i] = samplers.uniform_sphere_block(m, gen, count=k)
-        if m in (1, 2):
-            feas = _feasible_batch_small_m(mats)
-        else:
-            feas = np.array([
-                gordan_classify(mats[i]) is not FeasibilityClass.INFEASIBLE
-                for i in range(count)
-            ])
-        return int(np.sum(feas))
+        hits = 0
+        for i in range(lo, hi):
+            gen = stream(master_seed, PURPOSE_WENDEL, i).generator()
+            hits += sic.strictly_feasible(samplers.uniform_sphere_block(m, gen, count=k))
+        return hits
 
     hits = sum(_run_chunks(N, workers, do_chunk))
     return hits / N
@@ -548,10 +511,13 @@ def _af_check(cfg: ExperimentConfig, target: int = 250, pool: int = 6000):
     eps = (m + 1) / 12.0  # qualify at C(A) >= 12
     phi = math.asin(eps)
     mats = _uniform_instances(cfg.master_seed, 1, m, n, pool)
-    rho, _, exact = sic.sic_rho_batch(mats)
-    conds = np.array([cond_from_rho(r) for r in rho])
-    sf = np.array([classify_rho(r) is FeasibilityClass.STRICTLY_FEASIBLE for r in rho])
-    qualify_idx = np.flatnonzero(sf & exact & (conds >= (m + 1) / eps))[:target]
+    qualify_idx = []
+    for i in range(pool):
+        res = sic.sic_solve(Instance(mats[i]))
+        if res.cls is FeasibilityClass.STRICTLY_FEASIBLE and res.cond >= (m + 1) / eps:
+            qualify_idx.append(i)
+            if len(qualify_idx) == target:
+                break
     violations = 0
     for i in qualify_idx:
         found = False
@@ -564,7 +530,7 @@ def _af_check(cfg: ExperimentConfig, target: int = 250, pool: int = 6000):
                 break
         if not found:
             violations += 1
-    q = int(qualify_idx.size)
+    q = len(qualify_idx)
     return {"check": "feasible-witness", "qualifying": q, "violations": violations,
             "phi": phi, "status": _status(q, violations)}
 
@@ -573,14 +539,14 @@ def _if_check(cfg: ExperimentConfig, target: int = 220, pool: int = 2000):
     """Appending a point of the reflected hull caps the new condition number."""
     m, n = cfg.m, cfg.n
     mats = _uniform_instances(cfg.master_seed, 2, m, n, pool)
-    rho, _, exact = sic.sic_rho_batch(mats)
     qualifying = 0
     violations = 0
     skipped = 0
     for i in range(pool):
         if qualifying >= target:
             break
-        if not exact[i] or classify_rho(rho[i]) is not FeasibilityClass.STRICTLY_FEASIBLE:
+        res_a = sic.sic_solve(Instance(mats[i]))
+        if res_a.cls is not FeasibilityClass.STRICTLY_FEASIBLE:
             continue
         gen = _prop_stream(cfg.master_seed, 3, i).generator()
         neg = -mats[i]
@@ -597,8 +563,8 @@ def _if_check(cfg: ExperimentConfig, target: int = 220, pool: int = 2000):
             continue
         poly = SpherePolytope(neg)
         d_bd = convexgeom.distance_to_boundary(SpherePoint(b), poly)
-        res_ab = sic.sic_bruteforce(Instance(np.vstack([mats[i], b])))
-        cond_a = cond_from_rho(rho[i])
+        res_ab = sic.sic_solve(Instance(np.vstack([mats[i], b])))
+        cond_a = res_a.cond
         if not math.isfinite(res_ab.cond):
             skipped += 1
             continue

@@ -1,29 +1,35 @@
-"""Smallest-including-cap solvers and the derived condition number.
+"""Smallest-including-cap solver and the derived condition number.
 
 The cap of minimal angular radius rho containing all rows of an instance
 determines the feasibility class (rho vs pi/2) and the condition number
-1/|cos rho|.  Two routes are provided: an exhaustive support-subset
-enumeration (`sic_bruteforce`, the reference oracle) and a multistart
-subgradient solver with active-set polish (`sic_solve`), plus a vectorized
-batch enumeration for Monte Carlo work.
+1/|cos rho|.  `sic_rho` is the one production solver, and `sic_solve` its
+typed view: it reads rho off the convex hull of the rows (Cheung and
+Cucker's characterization; one NNLS least-distance solve when the origin
+is outside the hull, the nearest Qhull facet when it is inside) and
+re-solves the support rows where that answer is imprecise.  The same NNLS
+is the package's feasibility test, `strictly_feasible`.  `sic_bruteforce`,
+the exhaustive support-subset enumeration, is the reference oracle the
+solver is checked against.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     ConvergenceError,
+    DegenerateHullError,
     DegenerateSubsetError,
     InstanceTooLargeError,
 )
 from .lp import FeasibilityClass
-from .sphere import Cap, SpherePoint, clipped_arccos, unit_vector
+from .sphere import Cap, SpherePoint
 
 # |rho - pi/2| at or below this band counts as ill-posed.
 ILL_POSED_BAND = 1e-8
@@ -32,7 +38,22 @@ COND_OVERFLOW = 1e15
 
 _CONTAIN_TOL = 1e-9
 _SUBSET_GUARD = 10**7
-_GRAM_COND_LIMIT = 1e12
+# dist(0, conv A) at or below this puts the origin in the hull; far inside
+# the ill-posed band, so either branch of sic_rho classifies alike.
+_ORIGIN_TOL = 1e-12
+# Rows whose smallest singular value is below this span a great subsphere.
+_FLAT_TOL = 1e-10
+# Below this dist(0, conv A) the NNLS center, read off a cancelling sum,
+# is re-solved from the support rows; above it the NNLS's own
+# least-squares solve on the support already gives the equidistant cap.
+_POLISH_DIST = 1e-3
+# The NNLS center is off by up to ~1e-14/rho rad: for caps above
+# _TINY_CAP the exact support lies within _NEAR_TOL of the first cap's rim,
+# below it every row is a candidate.  Up to _NEAR_SUBSETS support subsets
+# of those rows are enumerated.
+_TINY_CAP = 1e-5
+_NEAR_TOL = 1e-7
+_NEAR_SUBSETS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +142,30 @@ def cond_from_rho(rho: float) -> float:
     return 1.0 / abs(math.cos(rho))
 
 
-def _make_result(mat: np.ndarray, center: np.ndarray, rho: float, support) -> SicResult:
-    angles = clipped_arccos(mat @ center)
-    if float(np.max(angles)) > rho + 1e-9:
-        raise ConvergenceError("cap fails to contain all instance points")
-    sup_list = tuple(int(i) for i in support)
-    if sup_list and float(np.max(np.abs(angles[list(sup_list)] - rho))) > 1e-8:
-        raise ConvergenceError("support points are off the cap boundary")
+def _angles(mat: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Angles from center to each row, from chord lengths.
+
+    2 atan2(|a - c|, |a + c|) keeps full precision for tiny angles, where
+    arccos(1 - eps) loses half the digits.
+    """
+    diff, summ = mat - center, mat + center
+    return 2.0 * np.arctan2(np.sqrt(np.einsum("...i,...i->...", diff, diff)),
+                            np.sqrt(np.einsum("...i,...i->...", summ, summ)))
+
+
+def _covers(mat: np.ndarray, center: np.ndarray, radius: float) -> bool:
+    """Every row within radius + _CONTAIN_TOL of center, compared on chords."""
+    diff = mat - center
+    reach = 2.0 * math.sin(min(radius + _CONTAIN_TOL, math.pi) / 2.0)
+    return float(np.einsum("ij,ij->i", diff, diff).max()) <= reach * reach
+
+
+def _make_result(center: np.ndarray, rho: float, support) -> SicResult:
+    """The typed view of a cap both solvers have checked to contain every row."""
     return SicResult(
         center=SpherePoint(center),
         rho=float(rho),
-        support=sup_list,
+        support=tuple(int(i) for i in support),
         cls=classify_rho(rho),
         cond=cond_from_rho(rho),
         dist_to_sigma=abs(math.pi / 2 - rho),
@@ -139,12 +173,7 @@ def _make_result(mat: np.ndarray, center: np.ndarray, rho: float, support) -> Si
 
 
 def circumcap(points, sign: int = 1) -> Cap:
-    """Equidistant cap through 1..m+1 points, center on the `sign` side.
-
-    Solves G lam = 1 for the Gram matrix G; the center is
-    sign * normalize(sum lam_i a_i) and every input point sits at the
-    common inner product sign/||v|| from it.
-    """
+    """Equidistant cap through 1..m+1 points, center on the `sign` side."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if hasattr(points, "coords"):
@@ -155,65 +184,69 @@ def circumcap(points, sign: int = 1) -> Cap:
     k, d = B.shape
     if not 1 <= k <= d:
         raise ValueError(f"need between 1 and m+1={d} points, got {k}")
-    G = B @ B.T
-    evals = np.linalg.eigvalsh(G)
-    if evals[0] <= 0.0 or evals[-1] >= _GRAM_COND_LIMIT * evals[0]:
-        raise DegenerateSubsetError("support subset has a singular Gram matrix")
-    lam = np.linalg.solve(G, np.ones(k))
-    v = B.T @ lam
-    nv = float(np.linalg.norm(v))
-    center = sign * v / nv
-    c = sign / nv
-    return Cap(SpherePoint(center), float(clipped_arccos(c)))
+    cap = _equidistant(B)
+    if cap is None:
+        raise DegenerateSubsetError("the points have no equidistant center")
+    center, radius = cap
+    return Cap(SpherePoint(sign * center), radius if sign > 0 else math.pi - radius)
+
+
+def _equidistant(sub: np.ndarray):
+    """(center, radius) of the cap through the rows of sub, center in their span.
+
+    The center direction v solves <a_0, v> = 1 and <u_i, v> = 0 for the
+    unit chords u_i from a_0 to the other rows.  Unit chords keep each
+    equation's backward error at eps, so the angles stay equal to full
+    precision for tiny caps and near pi/2 alike.  None when the rows admit
+    no common positive inner product (their affine hull holds the origin).
+    """
+    chords = sub[1:] - sub[0]
+    lengths = np.sqrt(np.einsum("ij,ij->i", chords, chords))
+    rows = np.concatenate([sub[:1], chords / np.maximum(lengths, 1e-300)[:, None]])
+    rhs = np.zeros(rows.shape[0])
+    rhs[0] = 1.0
+    v, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+    if rank < rows.shape[0] and float(np.max(np.abs(rows @ v - rhs))) > 1e-9:
+        return None
+    center = v / math.sqrt(float(v @ v))
+    return center, float(np.max(_angles(sub, center)))
 
 
 def _subset_candidates(sub: np.ndarray):
-    """Yield (center, radius) equidistant candidates for one subset.
+    """(center, radius) equidistant candidates for one subset.
 
-    Consistent systems give the two signed circumcap centers.  Rank
-    deficient subsets whose common inner product can only be zero (e.g. an
-    antipodal pair) yield hemisphere candidates from the nullspace; this
-    keeps the enumeration complete on exactly ill-posed instances.
+    The two signed caps of `_equidistant`.  Subsets whose common inner
+    product can only be zero (e.g. an antipodal pair) yield hemisphere
+    candidates from the nullspace; this keeps the enumeration complete on
+    exactly ill-posed instances.
     """
-    k, d = sub.shape
-    ones = np.ones(k)
-    q, _, rank, svals = np.linalg.lstsq(sub, ones, rcond=None)
-    if rank == k or float(np.max(np.abs(sub @ q - ones))) <= 1e-9:
-        nq = float(np.linalg.norm(q))
-        if nq < 1e-12:
-            return []
-        center = q / nq
-        c = 1.0 / nq
-        return [
-            (center, float(clipped_arccos(c))),
-            (-center, float(clipped_arccos(-c))),
-        ]
+    cap = _equidistant(sub)
+    if cap is not None:
+        center, radius = cap
+        return [(center, radius), (-center, math.pi - radius)]
+    _, svals, vt = np.linalg.svd(sub)
+    rank = int(np.sum(svals > svals[0] * max(sub.shape) * np.finfo(float).eps))
     caps = []
-    null_basis = np.linalg.svd(sub)[2][rank:]
-    for u in null_basis:
+    for u in vt[rank:]:
         caps.append((u, math.pi / 2))
         caps.append((-u, math.pi / 2))
     return caps
 
 
-def _check_guard(n: int, m: int):
-    total = sum(math.comb(n, k) for k in range(1, m + 2))
-    if total > _SUBSET_GUARD:
-        raise InstanceTooLargeError(
-            f"{total} support subsets exceed the {_SUBSET_GUARD} guard"
-        )
+def _subsets(rows, d: int):
+    """Every subset of 1..d of the given row indices, and how many there are."""
+    count = sum(math.comb(len(rows), k) for k in range(1, d + 1))
+    return itertools.chain.from_iterable(
+        itertools.combinations(rows, k) for k in range(1, d + 1)), count
 
 
 def _best_candidate(mat: np.ndarray, subsets):
     """Scan (subset, center, radius) candidates; smallest containing cap wins."""
     best = None
     for subset in subsets:
-        sub = mat[list(subset)]
-        for center, radius in _subset_candidates(sub):
-            cover = float(clipped_arccos(float(np.min(mat @ center))))
-            if cover <= radius + _CONTAIN_TOL:
-                if best is None or radius < best[0]:
-                    best = (radius, center, subset)
+        for center, radius in _subset_candidates(mat[list(subset)]):
+            if (best is None or radius < best[0]) and _covers(mat, center, radius):
+                best = (radius, center, subset)
     return best
 
 
@@ -225,157 +258,110 @@ def sic_bruteforce(A: Instance) -> SicResult:
     """
     mat = A.matrix
     n, d = mat.shape
-    _check_guard(n, d - 1)
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(n), size) for size in range(1, d + 1)
-    )
+    subsets, count = _subsets(range(n), d)
+    if count > _SUBSET_GUARD:
+        raise InstanceTooLargeError(f"{count} support subsets exceed the {_SUBSET_GUARD} guard")
     best = _best_candidate(mat, subsets)
     if best is None:
         raise ConvergenceError("no containing candidate cap found")
     radius, center, subset = best
-    return _make_result(mat, center, radius, subset)
+    return _make_result(center, radius, subset)
 
 
-def _instance_seed(mat: np.ndarray) -> int:
-    digest = hashlib.blake2b(mat.tobytes(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def _least_distance(mat: np.ndarray):
+    """Nearest point of conv(rows) to the origin, with its NNLS weights.
 
-
-def sic_solve(A: Instance, restarts: int = 50, iterations: int = 2000) -> SicResult:
-    """Projected subgradient ascent on min_i <a_i, p> with multistart.
-
-    After the ascent phase the most active points at the best local optima
-    form a pool; equidistant caps of its subsets are polished candidates.
-    The pool widens to the full instance if no candidate cap covers the
-    points, so the result always matches the brute-force enumeration at
-    desk scale.
+    The least-distance program min ||x|| s.t. mat x >= 1 in the NNLS form
+    of Lawson and Hanson (Solving Least Squares Problems, ch. 23):
+    minimize ||E u - f|| over u >= 0 with E = [mat^T; 1^T], f = e_{m+2}.
+    The nearest point is mat^T u / sum(u), read off the weights rather than
+    the residual, whose last entry cancels near ill-posed inputs.  Rows
+    with u > 0 are the support of the nearest face.
     """
-    mat = A.matrix
     n, d = mat.shape
-    m = d - 1
-    rng = np.random.Generator(np.random.Philox(key=_instance_seed(mat)))
-
-    starts = [mat]
-    g = rng.standard_normal((restarts, d))
-    starts.append(g / np.linalg.norm(g, axis=1, keepdims=True))
-    sums = mat[None, :, :] + mat[:, None, :]
-    iu = np.triu_indices(n, k=1)
-    pair_sums = sums[iu]
-    keep = np.linalg.norm(pair_sums, axis=1) > 1e-12
-    mids = pair_sums[keep] / np.linalg.norm(pair_sums[keep], axis=1, keepdims=True)
-    starts.extend([mids, -mids])
-    P = np.vstack(starts)
-
-    for t in range(1, iterations + 1):
-        dots = P @ mat.T
-        gidx = np.argmin(dots, axis=1)
-        P = P + (0.5 / math.sqrt(t)) * mat[gidx]
-        P /= np.linalg.norm(P, axis=1, keepdims=True)
-
-    fvals = np.min(P @ mat.T, axis=1)
-    order = np.argsort(-fvals)
-    tops = []
-    for idx in order:
-        p = P[idx]
-        if any(float(p @ q) > 1.0 - 1e-6 for q in tops):
-            continue  # same optimum reached from another start
-        tops.append(p)
-        if len(tops) == 3:
-            break
-
-    pool_subsets = []
-    seen = set()
-    for p in tops:
-        active = np.argsort(mat @ p)[: min(n, m + 3)]
-        for size in range(1, m + 2):
-            for subset in itertools.combinations(sorted(active.tolist()), size):
-                if subset not in seen:
-                    seen.add(subset)
-                    pool_subsets.append(subset)
-    pool_subsets.sort(key=lambda s: (len(s), s))
-
-    best = _best_candidate(mat, pool_subsets)
-    if best is None:
-        # Widen to the full enumeration; always admits the true support.
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(n), size) for size in range(1, m + 2)
-        )
-        best = _best_candidate(mat, subsets)
-    if best is None:
-        pairwise = clipped_arccos(mat @ mat.T)
-        raise ConvergenceError(
-            "smallest-cap polish found no covering candidate",
-            lower=float(np.max(pairwise)) / 2.0,
-            upper=math.pi,
-        )
-    radius, center, subset = best
-    return _make_result(mat, center, radius, subset)
+    E = np.ones((d + 1, n))
+    E[:d] = mat.T
+    f = np.zeros(d + 1)
+    f[-1] = 1.0
+    try:
+        u, _ = nnls(E, f)
+    except RuntimeError as exc:
+        raise ConvergenceError(f"least-distance NNLS failed: {exc}") from exc
+    return mat.T @ u / float(u.sum()), u
 
 
-def _combo_index_arrays(n: int, m: int):
-    return [
-        np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
-        for size in range(1, m + 2)
-    ]
+def strictly_feasible(mat: np.ndarray) -> bool:
+    """True iff the origin is outside conv(rows), i.e. rho < pi/2."""
+    z, _ = _least_distance(np.asarray(mat, dtype=float))
+    return float(z @ z) > _ORIGIN_TOL * _ORIGIN_TOL
 
 
-def sic_rho_batch(mats: np.ndarray):
-    """Vectorized brute-force radii for a stack of instances.
+def _nearest_facet(mat: np.ndarray):
+    """(center, support, cos rho) from the hull facet nearest the enclosed origin.
 
-    mats: (B, n, m+1).  Returns (rho, centers, exact) where `exact` flags
-    rows certified by an equidistant candidate; the remaining rows (near
-    degenerate, vanishingly rare for sampled data) carry a pointwise cover
-    radius and should be re-solved scalar for full precision.
+    |cos rho| = dist(0, bd conv A) when the origin is in the hull; the
+    center is the facet's inward normal and the support its vertices.  A
+    flat hull around the origin is exactly ill-posed: its center is the
+    rows' null vector, all rows on the boundary.
     """
-    mats = np.asarray(mats, dtype=float)
-    B, n, d = mats.shape
-    m = d - 1
-    _check_guard(n, m)
+    try:
+        hull = ConvexHull(mat)
+    except QhullError as exc:
+        _, svals, vt = np.linalg.svd(mat)
+        if svals.size == mat.shape[1] and svals[-1] > _FLAT_TOL:
+            raise DegenerateHullError(f"Qhull failed on a full-rank instance: {exc}") from exc
+        return vt[-1], np.arange(mat.shape[0]), 0.0
+    f = int(np.argmax(hull.equations[:, -1]))
+    return -hull.equations[f, :-1], np.sort(hull.simplices[f]), float(hull.equations[f, -1])
 
-    best_radius = np.full(B, np.inf)
-    best_center = np.zeros((B, d))
 
-    # Pointwise cover caps (center at a row): valid bounds, never below rho.
-    gram_all = np.einsum("bnd,bkd->bnk", mats, mats)
-    cover_angles = clipped_arccos(np.min(gram_all, axis=2))  # (B, n) max angle per center row
-    cover_idx = np.argmin(cover_angles, axis=1)
-    cover_radius = cover_angles[np.arange(B), cover_idx]
-    cover_center = mats[np.arange(B), cover_idx]
+def sic_rho(mat):
+    """(rho, center, support) of the smallest cap containing the rows of mat.
 
-    for combos in _combo_index_arrays(n, m):
-        S, size = combos.shape
-        sub = mats[:, combos]  # (B, S, size, d)
-        G = np.einsum("bskd,bsld->bskl", sub, sub)
-        if size == 1:
-            ok = np.ones((B, S), dtype=bool)
-            lam = np.ones((B, S, 1))
-        else:
-            evals = np.linalg.eigvalsh(G)
-            ok = (evals[..., 0] > 0.0) & (evals[..., -1] < _GRAM_COND_LIMIT * evals[..., 0])
-            Gsafe = np.where(ok[..., None, None], G, np.eye(size))
-            lam = np.linalg.solve(Gsafe, np.ones(size))
-        v = np.einsum("bsk,bskd->bsd", lam, sub)
-        nv = np.linalg.norm(v, axis=2)
-        ok &= nv > 1e-12
-        nv_safe = np.where(ok, nv, 1.0)
-        centers = v / nv_safe[..., None]
-        dots = np.einsum("bnd,bsd->bsn", mats, centers)
-        worst_plus = clipped_arccos(np.min(dots, axis=2))  # (B, S)
-        worst_minus = clipped_arccos(np.min(-dots, axis=2))
-        for sign, worst in ((1.0, worst_plus), (-1.0, worst_minus)):
-            radius = clipped_arccos(sign / nv_safe)
-            valid = ok & (worst <= radius + _CONTAIN_TOL)
-            radius = np.where(valid, radius, np.inf)
-            sidx = np.argmin(radius, axis=1)
-            rmin = radius[np.arange(B), sidx]
-            better = rmin < best_radius
-            best_radius = np.where(better, rmin, best_radius)
-            best_center[better] = sign * centers[np.arange(B), sidx][better]
+    Cheung and Cucker (Math. Program. 91, 2001): cos rho = dist(0, conv A)
+    when the origin is outside the hull, else |cos rho| = dist(0, bd conv A).
+    The first comes from one NNLS solve, the second from the nearest Qhull
+    facet; either is the equidistant cap of its support rows.  Where that
+    first answer is imprecise -- the NNLS center near pi/2 and the NNLS
+    support of tiny caps -- the support rows are re-solved with the
+    oracle's equidistant-cap solve, and failing that the rows near the rim
+    are enumerated like the oracle does.
+    """
+    mat = np.asarray(mat, dtype=float)
+    d = mat.shape[1]
+    z, u = _least_distance(mat)
+    dist = math.sqrt(float(z @ z))
+    if dist > _ORIGIN_TOL:
+        center, support, sign = z / dist, np.flatnonzero(u > 0.0), 1.0
+        rho, precise = math.acos(min(dist, 1.0)), dist >= _POLISH_DIST
+    else:
+        center, support, cos_rho = _nearest_facet(mat)
+        sign, rho, precise = -1.0, math.acos(cos_rho), True
+    if precise and rho >= _TINY_CAP and _covers(mat, center, rho):
+        return rho, center, tuple(int(i) for i in support)
+    angles = _angles(mat, center)
+    rho = float(np.max(angles))
+    cap = _equidistant(mat[support])
+    if cap is not None:
+        polished = sign * cap[0]
+        radius = cap[1] if sign > 0 else math.pi - cap[1]
+        if _TINY_CAP <= radius <= rho + _CONTAIN_TOL and _covers(mat, polished, radius):
+            return radius, polished, tuple(int(i) for i in support)
+    # The support itself is wrong where the NNLS cannot resolve it (tiny
+    # caps); the true one is among the rows near the rim of the first cap.
+    slack = _NEAR_TOL if rho >= _TINY_CAP else math.inf
+    subsets, count = _subsets(np.flatnonzero(angles >= rho - slack), d)
+    if count <= _NEAR_SUBSETS:
+        best = _best_candidate(mat, subsets)
+        if best is not None and best[0] <= rho + _CONTAIN_TOL:
+            return best[0], best[1], tuple(int(i) for i in best[2])
+    return rho, center, (int(np.argmax(angles)),)
 
-    exact = best_radius <= cover_radius + _CONTAIN_TOL
-    rho = np.where(exact, best_radius, cover_radius)
-    centers_out = np.where(exact[:, None], best_center, cover_center)
-    return rho, centers_out, exact
+
+def sic_solve(A: Instance) -> SicResult:
+    """Smallest including cap of an instance, by `sic_rho`, as a SicResult."""
+    rho, center, support = sic_rho(A.matrix)
+    return _make_result(center, rho, support)
 
 
 def cond_and_class(A: Instance):
@@ -385,9 +371,9 @@ def cond_and_class(A: Instance):
 
 
 def prefix_cond_profile(A: Instance):
-    """[(k, cond(A_k), class(A_k))] for k = m+2..n, via the exact oracle."""
+    """[(k, cond(A_k), class(A_k))] for k = m+2..n."""
     out = []
     for k in range(A.m + 2, A.n + 1):
-        res = sic_bruteforce(A.prefix(k))
+        res = sic_solve(A.prefix(k))
         out.append((k, res.cond, res.cls))
     return out

@@ -108,11 +108,9 @@ def test_c04_perturbation_class_stability():
         perturbed = np.empty((200, 5, 3))
         for j in range(200):
             perturbed[j] = perturb_rows(mat, delta, gen)
-        rho, _, exact = sic.sic_rho_batch(perturbed)
-        assert exact.all()
-        for r in rho:
+        for mat_p in perturbed:
             checked += 1
-            if sic.classify_rho(float(r)) is not res.cls:
+            if sic.classify_rho(sic.sic_rho(mat_p)[0]) is not res.cls:
                 violations += 1
     ok = violations == 0 and checked == 20000
     report(4, ok, f"perturbations at 0.9 d(A, Sigma): {violations} class flips "

@@ -15,7 +15,6 @@ from lpcond.convexgeom import (
     distance_to_dual,
     distance_to_sconv,
     in_neighborhood,
-    nnls,
     project_onto_cone,
 )
 from lpcond.errors import DegenerateHullError
@@ -45,33 +44,19 @@ def cap_cloud(rng, count, radius, d=3):
 
 class TestNnls:
     def test_kkt_certificate_random(self):
+        # project_onto_cone raises unless its NNLS meets the 1e-10 KKT
+        # certificate; check the certificate here as well.
         rng = np.random.default_rng(1)
         for _ in range(200):
             d, k = rng.integers(2, 7), rng.integers(1, 8)
-            A = rng.standard_normal((d, k))
-            b = rng.standard_normal(d)
-            x, resid = nnls(A, b)
-            w = A.T @ resid
-            assert np.all(x >= 0)
+            P = SpherePolytope(random_units(rng, k, d))
+            x = unit(rng.standard_normal(d))
+            z, lam = project_onto_cone(x, P)
+            w = P.generators @ (x - z)
+            assert np.all(lam >= 0)
             assert np.max(w) <= 1e-9  # no ascent direction among active vars
-            assert abs(float(x @ w)) <= 1e-9  # complementarity
-            assert np.allclose(resid, b - A @ x, atol=1e-12)
-
-    def test_no_worse_than_scipy(self):
-        # scipy's reported optimum is occasionally loose; compare actual
-        # objective values, not its rnorm.
-        from scipy.optimize import nnls as scipy_nnls
-
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            d, k = rng.integers(2, 7), rng.integers(1, 8)
-            A = rng.standard_normal((d, k))
-            b = rng.standard_normal(d)
-            x1, _ = nnls(A, b)
-            x2, _ = scipy_nnls(A, b)
-            mine = np.linalg.norm(A @ x1 - b)
-            theirs = np.linalg.norm(A @ x2 - b)
-            assert mine <= theirs + 1e-8
+            assert abs(float(lam @ w)) <= 1e-9  # complementarity
+            assert np.allclose(z, P.generators.T @ lam, atol=1e-12)
 
 
 class TestProjection:

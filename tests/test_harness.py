@@ -7,8 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lpcond import harness
-from lpcond.errors import ConfigError
+from lpcond import harness, sic
+from lpcond.errors import ConfigError, ConvergenceError
 from lpcond.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -35,7 +35,8 @@ from lpcond.harness import (
     wendel_p_pascal,
 )
 from lpcond.lp import FeasibilityClass, gordan_classify
-from lpcond.samplers import make_adversarial_params
+from lpcond.samplers import RngStream, make_adversarial_params, sample_instance
+from lpcond.sic import strictly_feasible
 
 
 PARAMS = make_adversarial_params(2, math.pi / 6, 0.0)
@@ -131,6 +132,50 @@ def suite():
     return run_property_suite(cfg)[1]["property_suite"]
 
 
+class TestDrawConditionRecords:
+    @staticmethod
+    def draw(m, n, N):
+        cfg = ExperimentConfig(kind="tail", m=m, n=n, N=N, master_seed=7)
+        params = harness.params_from_config(cfg)
+        center = harness.resolve_center(cfg, params)
+        return cfg, params, center, harness.draw_condition_records(cfg, params, center)
+
+    def test_typed_solver_error_counts_as_failed(self, monkeypatch):
+        solve = sic.sic_solve
+        calls = []
+
+        def failing_once(inst):
+            calls.append(inst)
+            if len(calls) == 3:
+                raise ConvergenceError("simulated solver failure")
+            return solve(inst)
+
+        monkeypatch.setattr(sic, "sic_solve", failing_once)
+        _, _, _, (records, counts) = self.draw(2, 5, 1000)
+        assert counts["failed"] == 1
+        assert records[2].rho is None and records[2].cls is None
+        assert counts["sf"] + counts["ip"] + counts["if"] == 999
+
+    def test_untyped_error_propagates(self, monkeypatch):
+        def buggy(inst):
+            raise ZeroDivisionError("simulated bug")
+
+        monkeypatch.setattr(sic, "sic_solve", buggy)
+        with pytest.raises(ZeroDivisionError):
+            self.draw(2, 5, 3)
+
+    def test_many_rows_give_cap_certificates(self):
+        # m=2, n=200: an enumeration would build 1.3M support subsets.
+        _, params, center, (records, counts) = self.draw(2, 200, 2)
+        assert counts["failed"] == 0
+        for rec in records:
+            inst = sample_instance(center, params, RngStream(rec.seed_hi, rec.seed_lo))
+            rho, cap_center, _ = sic.sic_rho(inst.matrix)
+            assert rho == rec.rho
+            angles = np.arccos(np.clip(inst.matrix @ cap_center, -1.0, 1.0))
+            assert np.max(angles) <= rec.rho + 1e-9
+
+
 class TestTail:
     def test_class_frequencies_sum_to_one(self, tail_run):
         _, records, summary = tail_run
@@ -213,12 +258,12 @@ class TestWendelExperiment:
         with pytest.raises(ConfigError):
             run_wendel_experiment(cfg)
 
-    def test_fast_path_matches_gordan(self):
+    def test_nnls_feasibility_matches_gordan(self):
         rng = np.random.default_rng(11)
-        for m in (1, 2):
+        for m in (1, 2, 3, 4):
             mats = rng.standard_normal((200, m + 3, m + 1))
             mats /= np.linalg.norm(mats, axis=2, keepdims=True)
-            fast = harness._feasible_batch_small_m(mats)
+            fast = np.array([strictly_feasible(mats[i]) for i in range(200)])
             slow = np.array([
                 gordan_classify(mats[i]) is not FeasibilityClass.INFEASIBLE
                 for i in range(200)

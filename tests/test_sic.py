@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from lpcond.errors import DegenerateSubsetError, InstanceTooLargeError
-from lpcond.lp import FeasibilityClass
+from scipy.spatial import QhullError
+
+from lpcond import sic
+from lpcond.errors import (
+    ConvergenceError,
+    DegenerateHullError,
+    DegenerateSubsetError,
+    InstanceTooLargeError,
+)
+from lpcond.lp import FeasibilityClass, gordan_classify
 from lpcond.sic import (
     Instance,
     circumcap,
@@ -12,7 +20,7 @@ from lpcond.sic import (
     cond_from_rho,
     prefix_cond_profile,
     sic_bruteforce,
-    sic_rho_batch,
+    sic_rho,
     sic_solve,
 )
 from lpcond.sphere import SpherePoint, angular_distance
@@ -188,18 +196,142 @@ class TestSolve:
         )
 
 
-class TestBatch:
+class TestSicRho:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(7)
         mats = rng.standard_normal((60, 6, 3))
         mats /= np.linalg.norm(mats, axis=2, keepdims=True)
-        rho, centers, exact = sic_rho_batch(mats)
-        assert exact.all()
         for i in range(60):
+            rho, center, _ = sic_rho(mats[i])
             ref = sic_bruteforce(Instance(mats[i]))
-            assert rho[i] == pytest.approx(ref.rho, abs=1e-10)
-            angles = np.arccos(np.clip(mats[i] @ centers[i], -1, 1))
-            assert np.max(angles) <= rho[i] + 1e-9
+            assert rho == pytest.approx(ref.rho, abs=1e-10)
+            angles = np.arccos(np.clip(mats[i] @ center, -1, 1))
+            assert np.max(angles) <= rho + 1e-9
+
+    def test_support_with_near_singular_gram(self):
+        # Sample 5 of the m=2, n=5 tail run at master seed 25: strictly
+        # feasible 8.1e-7 below pi/2, with support rows 2, 3, 4 whose Gram
+        # matrix has condition above 1e12.  The deleted batch enumeration
+        # dropped that subset and reported rho = pi/2 + 0.12 (infeasible).
+        mat = np.array([
+            [0.8312017271772602, -0.5192591404755296, 0.19867972662089634],
+            [0.609301528885807, -0.6639012125164702, -0.43357447678176214],
+            [-0.8840177454769634, -0.4448300443734997, -0.14366230300429286],
+            [-0.4367772176460783, 0.8568339597251664, -0.2739730417523636],
+            [0.9367566653093142, -0.2092272777871434, 0.2805546225396317],
+        ])
+        rho, _, support = sic_rho(mat)
+        assert rho == pytest.approx(math.pi / 2 - 8.119368e-7, abs=1e-12)
+        assert sorted(support) == [2, 3, 4]
+        assert gordan_classify(mat) is FeasibilityClass.STRICTLY_FEASIBLE
+
+    def test_flat_hull_around_origin_is_ill_posed(self):
+        # Rows on the equator of S^2 surrounding the origin: exactly
+        # ill-posed, with the pole (the rows' null vector) as center.
+        mat = np.zeros((5, 3))
+        mat[:, :2] = circle_points(*np.linspace(0.0, 2 * math.pi, 5, endpoint=False))
+        rho, center, _ = sic_rho(mat)
+        assert rho == pytest.approx(math.pi / 2, abs=1e-12)
+        assert abs(center[2]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_qhull_failure_is_typed(self, monkeypatch):
+        def broken_hull(points):
+            raise QhullError("QH6154 simulated precision error")
+
+        monkeypatch.setattr(sic, "ConvexHull", broken_hull)
+        with pytest.raises(DegenerateHullError):
+            sic_rho(np.vstack([SYM_TRIPLE, SYM_TRIPLE[:1]]))
+
+    def test_nnls_failure_is_typed(self, monkeypatch):
+        def broken_nnls(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(sic, "nnls", broken_nnls)
+        with pytest.raises(ConvergenceError):
+            sic_rho(SIMPLEX_WITH_CENTER)
+
+    def test_large_instance_in_small_memory(self):
+        # n=200 on S^2 would be 1.3M support subsets for an enumeration.
+        rng = np.random.default_rng(12)
+        inst = random_instance(rng, 200, 2)
+        res = sic_solve(inst)
+        angles = np.arccos(np.clip(inst.matrix @ res.center.coords, -1, 1))
+        assert np.max(angles) <= res.rho + 1e-9
+        assert gordan_classify(inst.matrix) is res.cls
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def chord_angles(mat, center):
+    return 2.0 * np.arctan2(np.linalg.norm(mat - center, axis=1),
+                            np.linalg.norm(mat + center, axis=1))
+
+
+def adversarial_instance(rng, family, m):
+    """One seeded instance of an adversarial family on S^m."""
+    d = m + 1
+    n = int(rng.integers(m + 2, m + 6))
+    mat = unit_rows(rng.standard_normal((n, d)))
+    if family == "duplicate-rows":
+        k = int(rng.integers(1, n))
+        mat = mat[rng.integers(0, k, size=n)]
+    elif family == "antipodal-pairs":
+        k = n // 2
+        mat[k:2 * k] = -mat[:k]
+        mat = mat[rng.permutation(n)]
+    elif family == "great-circle":
+        mat[:, 2:] = 0.0
+        mat = unit_rows(mat)
+    elif family in ("tilt-one-side", "tilt-both-sides"):
+        # Rows 1e-9 off the great sphere x_m = 0: strictly feasible when
+        # all lean one way, either side of pi/2 when they lean both ways.
+        mat[:, -1] = 0.0
+        mat = unit_rows(mat)
+        if family == "tilt-one-side":
+            mat[:, -1] = 1e-9
+        else:
+            mat[:, -1] = 1e-9 * rng.choice([-1.0, 1.0], size=n)
+        mat = unit_rows(mat)
+    elif family == "tiny-cap":
+        center = unit_rows(rng.standard_normal(d))
+        radius = 10.0 ** rng.uniform(-6, -3)
+        tangent = rng.standard_normal((n, d))
+        tangent = unit_rows(tangent - np.outer(tangent @ center, center))
+        ang = radius * rng.uniform(0.0, 1.0, size=n)
+        mat = np.cos(ang)[:, None] * center + np.sin(ang)[:, None] * tangent
+    return mat
+
+
+ADVERSARIAL_FAMILIES = ("duplicate-rows", "antipodal-pairs", "great-circle",
+                        "tilt-one-side", "tilt-both-sides", "tiny-cap")
+
+
+class TestAdversarial:
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("family", ADVERSARIAL_FAMILIES)
+    def test_matches_oracle(self, family, m):
+        rng = np.random.default_rng([m, ADVERSARIAL_FAMILIES.index(family)])
+        for _ in range(25):
+            mat = adversarial_instance(rng, family, m)
+            rho, center, _ = sic_rho(mat)
+            assert rho == pytest.approx(sic_bruteforce(Instance(mat)).rho, abs=1e-8)
+            assert np.max(chord_angles(mat, center)) <= rho + 1e-9
+
+    @pytest.mark.parametrize("m", (2, 3))
+    def test_center_exact_near_ill_posed(self, m):
+        # Within 1e-3 of pi/2 the NNLS center comes from a cancelling sum;
+        # the center returned must still put the farthest row at rho.
+        rng = np.random.default_rng(m)
+        for tilt in np.geomspace(1e-11, 1e-3, 17):
+            mat = unit_rows(rng.standard_normal((m + 5, m + 1)))
+            mat[:, -1] = tilt * rng.uniform(0.2, 1.0, size=m + 5)
+            mat = unit_rows(mat)
+            rho, center, _ = sic_rho(mat)
+            assert rho < math.pi / 2
+            assert abs(np.max(chord_angles(mat, center)) - rho) <= 1e-12
+            assert rho == pytest.approx(sic_bruteforce(Instance(mat)).rho, abs=1e-8)
 
 
 class TestDerived:
