@@ -16,7 +16,7 @@ import sys
 from . import harness, samplers
 from .errors import ConfigError, ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from .harness import ExperimentConfig
-from .sic import Instance, cond_and_class, sic_solve
+from .sic import Instance, cond_and_class, sic_solve, unit_rows
 
 _PI_OVER = re.compile(r"^piOver(\d+)$")
 
@@ -168,14 +168,15 @@ def _cmd_sample(args) -> int:
     params = harness.params_from_config(cfg)
     center = harness.resolve_center(cfg, params)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for idx in range(cfg.N):
-        s = samplers.stream(cfg.master_seed, samplers.PURPOSE_SAMPLE, idx)
-        inst = samplers.sample_instance(center, params, s)
-        path = os.path.join(cfg.out_dir, f"instance_{idx:06d}.txt")
-        with open(path, "w") as fh:
-            fh.write(f"{inst.n} {inst.m}\n")
-            for row in inst.matrix:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    for lo, hi in samplers.sample_ranges(0, cfg.N, center.n):
+        indices = samplers.stream_indices(samplers.PURPOSE_SAMPLE, lo, hi)
+        mats = unit_rows(samplers.cap_batch(center, params, cfg.master_seed, indices))
+        for idx, mat in enumerate(mats, start=lo):
+            path = os.path.join(cfg.out_dir, f"instance_{idx:06d}.txt")
+            with open(path, "w") as fh:
+                fh.write(f"{center.n} {center.m}\n")
+                for row in mat:
+                    fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
     print(f"wrote {cfg.N} instance file(s) under {cfg.out_dir}")
     return 0
 

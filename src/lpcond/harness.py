@@ -40,6 +40,9 @@ from .sic import Instance, classify_rho, cond_from_rho
 from .sphere import SpherePoint, clipped_arccos, rotation_to
 
 CHUNK = 4096  # fixed work-item granularity; never depends on worker count
+# Slack of the prefix-monotonicity check in rho: far above the solver's
+# roundoff (~1e-15), far below any real inversion.
+_PREFIX_RHO_TOL = 1e-12
 
 CSV_HEADER = "sample_index,seed_hi,seed_lo,class,rho,cond,ln_cond,ipm_proxy"
 
@@ -88,7 +91,6 @@ class SampleRecord:
     cond: float | None
     ln_cond: float | None
     ipm_proxy: float | None
-    displacement: float | None = None
 
 
 @dataclass
@@ -238,40 +240,40 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
                            center: Instance):
     """Sample N instances from the product law and solve each for rho.
 
-    Returns (records, counts).  A sample whose solve raises one of the
-    solver's typed errors is counted as failed; any other error propagates.
+    Each chunk draws its samples with `samplers.cap_batch`, in blocks of
+    at most `samplers.BLOCK_ROWS` rows, normalized as `Instance` does, so
+    `sample_instance(center, params, RngStream(seed_hi, seed_lo))` replays
+    exactly the rows solved for a record.  Returns (records, counts).  A
+    sample whose solve raises one of the solver's typed errors is counted
+    as failed; any other error propagates.
     """
 
     def do_chunk(lo, hi):
-        count = hi - lo
-        rho = np.empty(count)
-        failed = np.zeros(count, dtype=bool)
+        rho = np.empty(hi - lo)
+        solved = np.ones(hi - lo, dtype=bool)
         seeds = []
-        disp = np.empty(count)
-        for i in range(count):
-            s = stream(cfg.master_seed, PURPOSE_SAMPLE, lo + i)
-            inst = samplers.sample_instance(center, params, s)
-            seeds.append((cfg.master_seed, s.index))
-            disp[i] = float(
-                np.max(clipped_arccos(np.sum(inst.matrix * center.matrix, axis=1)))
-            )
-            try:
-                rho[i] = sic.sic_solve(inst).rho
-            except (ConvergenceError, DegenerateHullError):
-                failed[i] = True
-        return rho, ~failed, seeds, disp
+        for start, stop in samplers.sample_ranges(lo, hi, center.n):
+            indices = samplers.stream_indices(PURPOSE_SAMPLE, start, stop)
+            mats = sic.unit_rows(samplers.cap_batch(center, params, cfg.master_seed, indices))
+            seeds.extend(indices.tolist())
+            for j, mat in enumerate(mats, start=start - lo):
+                try:
+                    rho[j] = sic.sic_rho(mat)[0]
+                except (ConvergenceError, DegenerateHullError):
+                    solved[j] = False
+        return rho, solved, seeds
 
     records: list[SampleRecord] = []
     counts = {"sf": 0, "ip": 0, "if": 0, "overflow": 0, "failed": 0}
     results = _run_chunks(cfg.N, cfg.workers, do_chunk)
     idx = 0
-    for rho, solved, seeds, disp in results:
+    for rho, solved, seeds in results:
         for j in range(rho.size):
-            seed_hi, seed_lo = seeds[j]
+            seed_hi, seed_lo = cfg.master_seed, seeds[j]
             if not solved[j]:
                 counts["failed"] += 1
                 records.append(SampleRecord(idx, seed_hi, seed_lo, None, None,
-                                            None, None, None, float(disp[j])))
+                                            None, None, None))
                 idx += 1
                 continue
             r = float(rho[j])
@@ -286,7 +288,7 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
                 ln_c = None
                 ipm = None
             records.append(SampleRecord(idx, seed_hi, seed_lo, cls, r,
-                                        cond, ln_c, ipm, float(disp[j])))
+                                        cond, ln_c, ipm))
             idx += 1
     if counts["failed"] > 0.001 * cfg.N:
         raise ConfigError(f"{counts['failed']} solver failures exceed the 0.1% budget")
@@ -393,9 +395,10 @@ def feasible_fraction(m: int, k: int, N: int, master_seed: int, workers: int = 1
 
     def do_chunk(lo, hi):
         hits = 0
-        for i in range(lo, hi):
-            gen = stream(master_seed, PURPOSE_WENDEL, i).generator()
-            hits += sic.strictly_feasible(samplers.uniform_sphere_block(m, gen, count=k))
+        for start, stop in samplers.sample_ranges(lo, hi, k):
+            indices = samplers.stream_indices(PURPOSE_WENDEL, start, stop)
+            for mat in samplers.uniform_sphere_batch(m, master_seed, indices, k):
+                hits += sic.strictly_feasible(mat)
         return hits
 
     hits = sum(_run_chunks(N, workers, do_chunk))
@@ -492,11 +495,12 @@ def _prop_stream(master: int, check_id: int, index: int) -> RngStream:
 
 
 def _uniform_instances(master: int, check_id: int, m: int, n: int, count: int):
-    mats = np.empty((count, n, m + 1))
-    for i in range(count):
-        gen = _prop_stream(master, check_id, i).generator()
-        mats[i] = samplers.uniform_sphere_block(m, gen, n)
-    return mats
+    lo = check_id << 32  # sample i is _prop_stream(master, check_id, i)
+    return np.concatenate([
+        samplers.uniform_sphere_batch(
+            m, master, samplers.stream_indices(PURPOSE_PROPERTY, start, stop), n)
+        for start, stop in samplers.sample_ranges(lo, lo + count, n)
+    ])
 
 
 def _status(qualifying: int, violations: int) -> str:
@@ -579,7 +583,13 @@ def _if_check(cfg: ExperimentConfig, target: int = 220, pool: int = 2000):
 
 
 def _ccine_check(cfg: ExperimentConfig, target: int = 250, pool: int = 400):
-    """Condition numbers of infeasible prefixes dominate the full instance."""
+    """Condition numbers of infeasible prefixes dominate the full instance.
+
+    Compared in rho: a superset's cap cannot be smaller, and for infeasible
+    caps C = 1/|cos rho| falls as rho grows.  C itself is no scale for
+    roundoff, since dC/drho = C^2 |sin rho| turns a 2e-16 error in rho
+    into 3e-10 at C = 1e3.
+    """
     m = cfg.m
     n = max(cfg.n, m + 6)
     mats = _uniform_instances(cfg.master_seed, 4, m, n, pool)
@@ -589,19 +599,15 @@ def _ccine_check(cfg: ExperimentConfig, target: int = 250, pool: int = 400):
         if qualifying >= target:
             break
         inst = Instance(mats[i])
-        profile = sic.prefix_cond_profile(inst)
-        full_cond = profile[-1][1]
-        prefix_if = [
-            (k, cond) for k, cond, cls in profile[:-1]
-            if cls is FeasibilityClass.INFEASIBLE
-        ]
+        profile = [sic.sic_solve(inst.prefix(k)) for k in range(m + 2, n + 1)]
+        full_rho = profile[-1].rho
+        prefix_if = [res.rho for res in profile[:-1]
+                     if res.cls is FeasibilityClass.INFEASIBLE]
         if not prefix_if:
             continue
         qualifying += 1
-        for _, cond_k in prefix_if:
-            if cond_k < full_cond - 1e-8:
-                violations += 1
-                break
+        if max(prefix_if) > full_rho + _PREFIX_RHO_TOL:
+            violations += 1
     return {"check": "prefix-monotonicity", "qualifying": qualifying,
             "violations": violations, "status": _status(qualifying, violations)}
 

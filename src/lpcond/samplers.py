@@ -6,6 +6,18 @@ on scheduling.  Gaussians come from the inverse-normal transform of
 uniforms: each variate consumes exactly one uniform, keeping streams
 aligned.  Perturbation laws are the radially symmetric cap distributions
 with density C r^(-beta) h(r) in r = sin(colatitude).
+
+Bulk draws never build a generator per stream.  numpy's Philox is
+Philox4x64-10, a pure function of (key, counter), so `keyed_uniforms`
+computes the uniforms of many streams at once, bit for bit those of
+`RngStream(master, index).generator().random(count)`.  `cap_batch` draws
+whole instances from it: row i of sample s is the row-i stream of s, its
+colatitude the inverse CDF of the stream's first uniform, its direction the
+normalized inverse-normal transform of the next m.  Every step is
+elementwise (the rotation to each center row is an explicit per-coordinate
+sum, never a matrix product), so a draw is the same bits in any batch: the
+single-instance view `sample_instance` replays exactly the rows a batch of
+any size drew for that sample.
 """
 
 from __future__ import annotations
@@ -20,11 +32,21 @@ from scipy.special import ndtri
 
 from .errors import ConfigError
 from .sic import Instance
-from .sphere import SpherePoint, integral_I, rotation_to
+from .sphere import SpherePoint, integral_I, rotation_to, row_norms
 
 _MASK64 = (1 << 64) - 1
 _ROW_BITS = 16
 _SAMPLE_BITS = 40
+# Rows drawn at once by the batch samplers, bounding their working set.
+# One instance always fits: a sample has at most 2^_ROW_BITS row streams.
+BLOCK_ROWS = 1 << _ROW_BITS
+
+# Philox4x64-10 (Salmon et al., SC'11): multipliers and Weyl key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 PURPOSE_SAMPLE = 1
 PURPOSE_CENTER = 2
@@ -60,13 +82,60 @@ def stream(master: int, purpose: int, sample: int = 0, row: int = 0) -> RngStrea
     return RngStream(master, index)
 
 
-def _generator(rng) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngStream) else rng
+def stream_indices(purpose: int, lo: int, hi: int) -> np.ndarray:
+    """Packed indices of the (row 0) streams of samples lo..hi-1, as uint64."""
+    if not 0 <= lo <= hi <= (1 << _SAMPLE_BITS):
+        raise ValueError("sample index out of stream range")
+    samples = np.arange(lo, hi, dtype=np.uint64) << np.uint64(_ROW_BITS)
+    return samples | np.uint64(purpose << (_SAMPLE_BITS + _ROW_BITS))
+
+
+def sample_ranges(lo: int, hi: int, rows_per_sample: int):
+    """Consecutive (start, stop) sample ranges of lo..hi-1, each of at most
+    BLOCK_ROWS rows (a single sample when one has more)."""
+    step = max(1, BLOCK_ROWS // rows_per_sample)
+    return [(s, min(s + step, hi)) for s in range(lo, hi, step)]
+
+
+def _mulhilo(a: np.ndarray, b: int):
+    """(high, low) 64-bit words of the 128-bit products a * b, from 32-bit halves."""
+    b_lo, b_hi = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
+    a_lo, a_hi = a & _LO32, a >> _SHIFT32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
+    hi = a_hi * b_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * np.uint64(b)
+
+
+def keyed_uniforms(master: int, indices, count: int) -> np.ndarray:
+    """(len(indices), count) uniforms; row j is, bit for bit,
+    Generator(Philox(key=(master << 64) | indices[j])).random(count).
+
+    numpy's Philox keys word 0 with the low and word 1 with the high half
+    of the key and fills a 4-word buffer per counter value, counters
+    starting at 1; random() keeps the top 53 bits of each word.
+    """
+    k0 = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
+    blocks = -(-count // 4)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (k0.shape[0], blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        ka = k0 + np.uint64(r * _PHILOX_W[0] & _MASK64)
+        kb = np.uint64((master + r * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ ka, lo1, hi0 ^ c3 ^ kb, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(k0.shape[0], 4 * blocks)
+    return (words[:, :count] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _open_unit(u: np.ndarray) -> np.ndarray:
+    # random() lives in [0, 1); clip away exact zero for ndtri.
+    return np.clip(u, 1e-300, None)
 
 
 def _uniforms(gen: np.random.Generator, size) -> np.ndarray:
-    # random() lives in [0, 1); clip away exact zero for ndtri.
-    return np.clip(gen.random(size), 1e-300, None)
+    return _open_unit(gen.random(size))
 
 
 def gaussians(gen: np.random.Generator, size) -> np.ndarray:
@@ -78,13 +147,23 @@ def uniform_sphere(m: int, rng) -> SpherePoint:
     """Uniform point of S^m: a normalized (m+1)-vector of Gaussians."""
     if m < 1:
         raise ValueError("sphere dimension must be at least 1")
-    g = gaussians(_generator(rng), m + 1)
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    g = gaussians(gen, m + 1)
     return SpherePoint(g / np.linalg.norm(g))
 
 
 def uniform_sphere_block(m: int, gen: np.random.Generator, count: int) -> np.ndarray:
     g = gaussians(gen, (count, m + 1))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    return g / row_norms(g)[:, None]
+
+
+def uniform_sphere_batch(m: int, master: int, indices, count: int) -> np.ndarray:
+    """(len(indices), count, m+1): `count` uniform points of S^m per stream,
+    entry j bit for bit uniform_sphere_block(m, RngStream(master,
+    indices[j]).generator(), count)."""
+    u = keyed_uniforms(master, indices, count * (m + 1))
+    g = ndtri(_open_unit(u)).reshape(-1, count, m + 1)
+    return g / row_norms(g)[..., None]
 
 
 @dataclass(frozen=True)
@@ -318,44 +397,83 @@ def build_radial_cdf(params: AdversarialParams, node_count: int = 4096) -> Radia
                      p_exponent=p, node_count=node_count)
 
 
-def _assemble_cap_points(center_vec: np.ndarray, thetas: np.ndarray, dirs: np.ndarray):
-    """Pole-frame points (cos theta, sin theta * w) rotated to the center."""
-    m = center_vec.size - 1
-    w = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = np.empty((thetas.size, m + 1))
-    pts[:, 0] = np.cos(thetas)
-    pts[:, 1:] = np.sin(thetas)[:, None] * w
-    pole = SpherePoint(np.eye(m + 1)[0])
-    R = rotation_to(pole, SpherePoint(center_vec))
-    return pts @ R.T
+def _pole_frame(thetas: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Points (cos theta, sin theta * dirs/|dirs|) around the pole e_0."""
+    w = dirs / row_norms(dirs)[..., None]
+    pts = np.empty(thetas.shape + (w.shape[-1] + 1,))
+    pts[..., 0] = np.cos(thetas)
+    pts[..., 1:] = np.sin(thetas)[..., None] * w
+    return pts
 
 
-def sample_cap(abar: SpherePoint, params: AdversarialParams, rng) -> SpherePoint:
-    """One draw from the adversarial law centered at abar.
+def _rotations(centers: np.ndarray) -> np.ndarray:
+    """(n, d, d) stack of the rotations taking the pole e_0 to each center row."""
+    pole = SpherePoint(np.eye(centers.shape[1])[0])
+    return np.stack([rotation_to(pole, SpherePoint(c)) for c in centers])
 
-    Colatitude by inverse CDF, direction uniform on the orthogonal
-    S^{m-1}; the draw count per sample is fixed at m+1 uniforms.
+
+def _rotate(pts: np.ndarray, rots: np.ndarray) -> np.ndarray:
+    """rots[i] @ pts[..., i, :] for each center row i, as an explicit sum over
+    coordinates: each output is the same elementwise sequence whatever the
+    batch shape, which a matrix product does not promise."""
+    out = pts[..., 0:1] * rots[:, :, 0]
+    for k in range(1, rots.shape[-1]):
+        out = out + pts[..., k:k + 1] * rots[:, :, k]
+    return out
+
+
+def _keyed_cap_points(rots: np.ndarray, params: AdversarialParams, master: int,
+                      keys: np.ndarray) -> np.ndarray:
+    """One cap draw per row stream keys[..., i], around center row i.
+
+    Each stream gives m+1 uniforms: the colatitude's by inverse CDF, then
+    the direction's by inverse-normal transform.  Rows come out unit to
+    rounding; `sic.unit_rows` (as `Instance` does) normalizes them.
     """
-    m = params.m
-    if abar.dim != m:
+    d = rots.shape[-1]
+    u = _open_unit(keyed_uniforms(master, keys.ravel(), d)).reshape(keys.shape + (d,))
+    thetas = build_radial_cdf(params).theta_of_u(u[..., 0])
+    return _rotate(_pole_frame(thetas, ndtri(u[..., 1:])), rots)
+
+
+def cap_batch(center: Instance, params: AdversarialParams, master: int,
+              indices) -> np.ndarray:
+    """(B, n, m+1) rows of the samples whose streams are `indices`.
+
+    Row i of a sample is drawn around center row i from the sample's
+    row-i stream.  A sample's rows do not depend on the other samples of
+    the batch; callers bound a batch to BLOCK_ROWS rows (`sample_ranges`).
+    """
+    if center.m != params.m:
         raise ValueError("center dimension does not match params")
-    gen = _generator(rng)
-    u = _uniforms(gen, m + 1)
-    theta = float(build_radial_cdf(params).theta_of_u(u[0]))
-    dirs = ndtri(u[1:])[None, :]
-    pt = _assemble_cap_points(abar.coords, np.array([theta]), dirs)[0]
-    return SpherePoint(pt / np.linalg.norm(pt))
+    if center.n > 1 << _ROW_BITS:
+        raise ValueError("row index out of stream range")
+    row_mask = np.uint64((1 << _ROW_BITS) - 1)
+    samples = np.asarray(indices, dtype=np.uint64).reshape(-1, 1) & ~row_mask
+    keys = samples | np.arange(center.n, dtype=np.uint64)
+    return _keyed_cap_points(_rotations(center.matrix), params, master, keys)
+
+
+def sample_cap(abar: SpherePoint, params: AdversarialParams, rng: RngStream) -> SpherePoint:
+    """One draw from the adversarial law centered at abar, from stream rng.
+
+    The one-row view of the batch draw: m+1 uniforms per sample.
+    """
+    if abar.dim != params.m:
+        raise ValueError("center dimension does not match params")
+    keys = np.array([[rng.index & _MASK64]], dtype=np.uint64)
+    return SpherePoint(_keyed_cap_points(_rotations(abar.coords[None, :]), params,
+                                         rng.master, keys)[0, 0])
 
 
 def cap_block(center_vec: np.ndarray, params: AdversarialParams,
               gen: np.random.Generator, count: int) -> np.ndarray:
     """Vectorized draws around one fixed center from a single stream."""
     table = build_radial_cdf(params)
-    u = _uniforms(gen, count)
-    thetas = table.theta_of_u(u)
+    thetas = table.theta_of_u(_uniforms(gen, count))
     dirs = gaussians(gen, (count, params.m))
-    pts = _assemble_cap_points(center_vec, thetas, dirs)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = _rotate(_pole_frame(thetas, dirs)[:, None, :], _rotations(center_vec[None, :]))[:, 0]
+    return pts / row_norms(pts)[:, None]
 
 
 def rejection_cap_block(center_vec: np.ndarray, alpha: float, m: int,
@@ -373,12 +491,9 @@ def rejection_cap_block(center_vec: np.ndarray, alpha: float, m: int,
 
 
 def sample_instance(center: Instance, params: AdversarialParams, rng: RngStream) -> Instance:
-    """Independent per-row draws; row i comes from the row-i substream."""
-    rows = [
-        sample_cap(center.row(i), params, rng.with_row(i))
-        for i in range(center.n)
-    ]
-    return Instance.from_points(rows)
+    """The instance of sample stream rng: the one-instance view of
+    `cap_batch`, bit for bit the rows any batch holding it draws."""
+    return Instance(cap_batch(center, params, rng.master, [rng.index & _MASK64])[0])
 
 
 def perturb_rows(mat: np.ndarray, delta: float, gen: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,7 @@ from .errors import (
     InstanceTooLargeError,
 )
 from .lp import FeasibilityClass
-from .sphere import Cap, SpherePoint
+from .sphere import Cap, SpherePoint, row_norms
 
 # |rho - pi/2| at or below this band counts as ill-posed.
 ILL_POSED_BAND = 1e-8
@@ -56,6 +56,23 @@ _NEAR_TOL = 1e-7
 _NEAR_SUBSETS = 1000
 
 
+def unit_rows(mats: np.ndarray) -> np.ndarray:
+    """Rows (the last axis) of one instance or a stack of them, scaled to unit norm.
+
+    The normalization `Instance` applies, by elementwise operations only,
+    so a row of a stack comes out bit for bit as in its own Instance.
+    Rows whose norm is off 1 by more than 1e-6 are rejected as corrupt.
+    """
+    norms = row_norms(mats)
+    bad = np.argwhere(np.abs(norms - 1.0) > 1e-6)
+    if bad.size:
+        first = tuple(bad[0])
+        raise ValueError(
+            f"row {first[-1] + 1} has norm {norms[first]:.9g}, not unit to 1e-6"
+        )
+    return mats / norms[..., None]
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """n unit rows in R^{m+1} with n > m+1, i.e. a point of (S^m)^n."""
@@ -69,13 +86,7 @@ class Instance:
             raise ValueError("ambient dimension must be at least 2")
         if n <= d:
             raise ValueError(f"need n > m+1 rows, got n={n} with m+1={d}")
-        norms = np.linalg.norm(mat, axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
-        if bad.size:
-            raise ValueError(
-                f"row {bad[0] + 1} has norm {norms[bad[0]]:.9g}, not unit to 1e-6"
-            )
-        mat = mat / norms[:, None]
+        mat = unit_rows(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -241,12 +252,20 @@ def _subsets(rows, d: int):
 
 
 def _best_candidate(mat: np.ndarray, subsets):
-    """Scan (subset, center, radius) candidates; smallest containing cap wins."""
+    """Scan (subset, center, radius) candidates; smallest containing cap wins.
+
+    A candidate's nominal radius need contain the rows only to
+    _CONTAIN_TOL, so the containing candidates are ranked, and the winner
+    reported, by their covering radius: the largest angle from the center
+    to any row.
+    """
     best = None
     for subset in subsets:
         for center, radius in _subset_candidates(mat[list(subset)]):
-            if (best is None or radius < best[0]) and _covers(mat, center, radius):
-                best = (radius, center, subset)
+            if (best is None or radius <= best[0]) and _covers(mat, center, radius):
+                cover = float(np.max(_angles(mat, center)))
+                if best is None or cover < best[0]:
+                    best = (cover, center, subset)
     return best
 
 

@@ -40,6 +40,21 @@ def clipped_arccos(c):
     return np.arccos(np.clip(c, -1.0, 1.0))
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, as an explicit per-coordinate sum.
+
+    Every norm is the same sequence of elementwise operations whatever the
+    shape of the stack it sits in, so a row's norm never depends on the
+    batch that holds it (a reduction may reorder its sum by shape).  numpy
+    sums rows of fewer than 8 coordinates in order, so there it also
+    matches np.linalg.norm bit for bit.
+    """
+    sq = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        sq = sq + x[..., k] * x[..., k]
+    return np.sqrt(sq)
+
+
 @dataclass(frozen=True, eq=False)
 class SpherePoint:
     """A unit vector in R^{m+1}, i.e. a point of the sphere S^m."""

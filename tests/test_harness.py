@@ -141,26 +141,26 @@ class TestDrawConditionRecords:
         return cfg, params, center, harness.draw_condition_records(cfg, params, center)
 
     def test_typed_solver_error_counts_as_failed(self, monkeypatch):
-        solve = sic.sic_solve
+        solve = sic.sic_rho
         calls = []
 
-        def failing_once(inst):
-            calls.append(inst)
+        def failing_once(mat):
+            calls.append(mat)
             if len(calls) == 3:
                 raise ConvergenceError("simulated solver failure")
-            return solve(inst)
+            return solve(mat)
 
-        monkeypatch.setattr(sic, "sic_solve", failing_once)
+        monkeypatch.setattr(sic, "sic_rho", failing_once)
         _, _, _, (records, counts) = self.draw(2, 5, 1000)
         assert counts["failed"] == 1
         assert records[2].rho is None and records[2].cls is None
         assert counts["sf"] + counts["ip"] + counts["if"] == 999
 
     def test_untyped_error_propagates(self, monkeypatch):
-        def buggy(inst):
+        def buggy(mat):
             raise ZeroDivisionError("simulated bug")
 
-        monkeypatch.setattr(sic, "sic_solve", buggy)
+        monkeypatch.setattr(sic, "sic_rho", buggy)
         with pytest.raises(ZeroDivisionError):
             self.draw(2, 5, 3)
 
@@ -174,6 +174,17 @@ class TestDrawConditionRecords:
             assert rho == rec.rho
             angles = np.arccos(np.clip(inst.matrix @ cap_center, -1.0, 1.0))
             assert np.max(angles) <= rec.rho + 1e-9
+
+    def test_outputs_identical_for_one_and_two_workers(self, tmp_path):
+        # N = 8200 spans three fixed chunks, so two workers split the draw.
+        blobs = []
+        for workers in (1, 2):
+            cfg = ExperimentConfig(kind="tail", m=2, n=5, N=8200, master_seed=12,
+                                   workers=workers)
+            records, summary = run_tail_experiment(cfg)
+            paths = persist(records, summary, cfg, os.fspath(tmp_path / f"w{workers}"))
+            blobs.append([open(path, "rb").read() for path in paths])
+        assert blobs[0] == blobs[1]
 
 
 class TestTail:
@@ -313,6 +324,20 @@ class TestPropertySuite:
     def test_qualifying_counts(self, suite):
         for check in suite.values():
             assert check["qualifying"] >= 20
+
+
+class TestPrefixMonotonicity:
+    def test_roundoff_in_rho_is_no_violation(self, suite):
+        # Master seed 23, pool sample 290: the first infeasible prefix and
+        # the full instance share one cap; their rho differ by roundoff,
+        # which moves C ~ 1.2e3 by about 3e-10.
+        m, n = 2, 8
+        inst = sic.Instance(harness._uniform_instances(23, 4, m, n, 291)[290])
+        prefix, full = sic.sic_solve(inst.prefix(m + 2)), sic.sic_solve(inst)
+        assert prefix.cls is full.cls is FeasibilityClass.INFEASIBLE
+        assert abs(prefix.rho - full.rho) <= 1e-15
+        assert abs(prefix.cond - full.cond) > 1e-10
+        assert suite["ccine"]["violations"] == 0
 
 
 class TestSamplerCheck:

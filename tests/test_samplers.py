@@ -3,27 +3,57 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
+from lpcond import sic
 from lpcond.errors import ConfigError
 from lpcond.samplers import (
+    BLOCK_ROWS,
+    PURPOSE_CENTER,
     PURPOSE_SAMPLE,
+    PURPOSE_WENDEL,
     HTable,
     RngStream,
     build_radial_cdf,
+    cap_batch,
     cap_block,
     compute_delta_c,
+    keyed_uniforms,
     make_adversarial_params,
     perturb_rows,
     radial_density,
     rejection_cap_block,
     sample_cap,
     sample_instance,
+    sample_ranges,
     stream,
+    stream_indices,
     uniform_sphere,
+    uniform_sphere_batch,
     uniform_sphere_block,
 )
 from lpcond.sic import Instance
-from lpcond.sphere import SpherePoint
+from lpcond.sphere import SpherePoint, rotation_to
+
+
+def per_row_instance(center: Instance, params, rng: RngStream) -> Instance:
+    """Reference draw: one numpy generator per row stream, scalar colatitude,
+    a BLAS rotation and a SpherePoint per row."""
+    table = build_radial_cdf(params)
+    pole = SpherePoint(np.eye(params.m + 1)[0])
+    rows = []
+    for i in range(center.n):
+        u = np.clip(rng.with_row(i).generator().random(params.m + 1), 1e-300, None)
+        theta = float(table.theta_of_u(u[0]))
+        w = ndtri(u[1:])
+        pt = np.concatenate([[math.cos(theta)], math.sin(theta) * w / np.linalg.norm(w)])
+        pt = rotation_to(pole, center.row(i)) @ pt
+        rows.append(SpherePoint(pt / np.linalg.norm(pt)))
+    return Instance.from_points(rows)
+
+
+def random_center(m: int, n: int, seed: int) -> Instance:
+    return Instance(uniform_sphere_block(m, stream(seed, PURPOSE_CENTER).generator(), n))
 
 
 class TestStreams:
@@ -48,6 +78,86 @@ class TestStreams:
             stream(1, PURPOSE_SAMPLE, -1)
         with pytest.raises(ValueError):
             RngStream(1, 0).with_row(1 << 20)
+
+
+class TestKeyedUniforms:
+    # Uniform counts of one row stream for m = 1..6, one to four 4-word blocks.
+    COUNTS = sorted({c for m in range(1, 7) for c in (1, m + 1, 2 * (m + 1))})
+
+    @staticmethod
+    def numpy_philox(key: int, count: int) -> np.ndarray:
+        return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+    def test_matches_numpy_philox_on_random_keys(self):
+        rng = np.random.default_rng(2024)
+        words = rng.integers(0, 1 << 64, size=(200, 2), dtype=np.uint64)
+        for master, index in words.tolist():
+            for count in self.COUNTS:
+                got = keyed_uniforms(master, [index], count)[0]
+                assert np.array_equal(got, self.numpy_philox((master << 64) | index, count))
+
+    def test_extreme_key_words(self):
+        extremes = [0, 1, 1 << 63, (1 << 64) - 1]
+        for master in extremes:
+            got = keyed_uniforms(master, extremes, 12)
+            for row, index in zip(got, extremes):
+                assert np.array_equal(row, self.numpy_philox((master << 64) | index, 12))
+
+    def test_stream_indices_match_streams(self):
+        idx = stream_indices(PURPOSE_WENDEL, 5, 9)
+        assert idx.tolist() == [stream(0, PURPOSE_WENDEL, i).index for i in range(5, 9)]
+
+    @pytest.mark.parametrize("k", [5, 7, 9])
+    def test_sphere_batch_matches_generator(self, k):
+        m, idx = 3, stream_indices(PURPOSE_WENDEL, 100, 110)
+        batch = uniform_sphere_batch(m, 4, idx, k)
+        for row, index in zip(batch, idx.tolist()):
+            gen = RngStream(4, index).generator()
+            assert np.array_equal(row, uniform_sphere_block(m, gen, k))
+
+
+class TestCapBatch:
+    def test_batch_size_invariance(self):
+        center = random_center(2, 5, 1)
+        p = make_adversarial_params(2, math.pi / 6, 0.5)
+        idx = stream_indices(PURPOSE_SAMPLE, 0, 4096)
+        big = cap_batch(center, p, 7, idx)
+        for j in (0, 1, 2047, 4095):
+            assert np.array_equal(cap_batch(center, p, 7, idx[j:j + 1])[0], big[j])
+        split = [cap_batch(center, p, 7, idx[a:b]) for a, b in ((0, 37), (37, 1000), (1000, 4096))]
+        assert np.array_equal(np.concatenate(split), big)
+
+    @pytest.mark.parametrize("m,n", [(2, 5), (8, 11)])
+    def test_sample_instance_replays_batch(self, m, n):
+        center = random_center(m, n, 2)
+        p = make_adversarial_params(m, math.pi / 6, 0.0)
+        idx = stream_indices(PURPOSE_SAMPLE, 100, 612)
+        mats = sic.unit_rows(cap_batch(center, p, 3, idx))
+        for j in (0, 17, 511):
+            inst = sample_instance(center, p, RngStream(3, int(idx[j])))
+            assert np.array_equal(inst.matrix, mats[j])
+
+    def test_sample_ranges_bound_rows(self):
+        ranges = sample_ranges(10, 5000, 200)
+        assert ranges[0][0] == 10 and ranges[-1][1] == 5000
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all((hi - lo) * 200 <= BLOCK_ROWS for lo, hi in ranges)
+        assert sample_ranges(0, 3, BLOCK_ROWS + 1) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("m,n,beta", [(1, 3, 0.0), (2, 5, 0.5), (3, 12, 0.0)])
+    def test_agrees_with_per_row_draw(self, m, n, beta):
+        center = random_center(m, n, 3)
+        p = make_adversarial_params(m, math.pi / 6, beta)
+        idx = stream_indices(PURPOSE_SAMPLE, 0, 200)
+        mats = sic.unit_rows(cap_batch(center, p, 5, idx))
+        for mat, index in zip(mats, idx.tolist()):
+            ref = per_row_instance(center, p, RngStream(5, index))
+            assert np.max(np.abs(mat - ref.matrix)) <= 1e-15
+            assert sic.sic_solve(Instance(mat)).cls is sic.sic_solve(ref).cls
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            cap_batch(random_center(3, 6, 4), make_adversarial_params(2, 0.5), 1, [0])
 
 
 class TestUniformSphere:

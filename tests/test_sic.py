@@ -333,6 +333,21 @@ class TestAdversarial:
             assert abs(np.max(chord_angles(mat, center)) - rho) <= 1e-12
             assert rho == pytest.approx(sic_bruteforce(Instance(mat)).rho, abs=1e-8)
 
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_oracle_reports_its_covering_radius(self, m):
+        # Near pi/2 a candidate cap may contain the rows only to the
+        # containment tolerance; the oracle must still report the radius
+        # that actually covers them from its own center.
+        rng = np.random.default_rng([m, 99])
+        for tilt in np.geomspace(1e-12, 1e-2, 21):
+            mat = unit_rows(rng.standard_normal((m + 4, m + 1)))
+            mat[:, -1] = tilt * rng.choice([-1.0, 1.0], size=m + 4) * rng.uniform(0.2, 1.0, size=m + 4)
+            inst = Instance(unit_rows(mat))
+            oracle = sic_bruteforce(inst)
+            cover = np.max(chord_angles(inst.matrix, oracle.center.coords))
+            assert abs(oracle.rho - cover) <= 1e-15
+            assert abs(oracle.rho - sic_rho(inst.matrix)[0]) <= 1e-12
+
 
 class TestDerived:
     def test_cond_and_class_triple(self):
