@@ -5,15 +5,18 @@ determines the feasibility class (rho vs pi/2) and the condition number
 1/|cos rho|.  `sic_rho` is the one production solver, and `sic_solve` its
 typed view: it reads rho off the convex hull of the rows (Cheung and
 Cucker's characterization; one NNLS least-distance solve when the origin
-is outside the hull, the nearest Qhull facet when it is inside) and
-re-solves the support rows where that answer is imprecise.  The same NNLS
-is the package's feasibility test, `strictly_feasible`.  `sic_bruteforce`,
-the exhaustive support-subset enumeration, is the reference oracle the
-solver is checked against.
+is outside the hull, the nearest hull facet when it is inside) and
+re-solves the support rows where that answer is imprecise.  The nearest
+facet of small instances comes from `facet_scan`, which scans every
+subset's hyperplane for a whole stack at once; larger hulls come from
+Qhull.  The same NNLS is the package's feasibility test,
+`strictly_feasible`.  `sic_bruteforce`, the exhaustive support-subset
+enumeration, is the reference oracle the solver is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,6 +57,14 @@ _POLISH_DIST = 1e-3
 _TINY_CAP = 1e-5
 _NEAR_TOL = 1e-7
 _NEAR_SUBSETS = 1000
+# Up to this many d-subsets of rows, and this many coordinates (a normal
+# takes d 2^(d-1) products), the facet stage scans every subset's
+# hyperplane (`facet_scan`); beyond them Qhull builds the hull.  At 4
+# coordinates a scan of 512 subsets costs about one Qhull call.
+_SCAN_SUBSETS = 512
+_SCAN_MAX_DIM = 4
+# A scan holds at most this many (instance, subset) pairs per array.
+_SCAN_PAIRS = 1 << 13
 
 
 def unit_rows(mats: np.ndarray) -> np.ndarray:
@@ -315,14 +326,100 @@ def strictly_feasible(mat: np.ndarray) -> bool:
     return float(z @ z) > _ORIGIN_TOL * _ORIGIN_TOL
 
 
+def _scans(n: int, d: int) -> bool:
+    """Whether the facet stage of an n x d instance is a `facet_scan`."""
+    return d <= _SCAN_MAX_DIM and math.comb(n, d) <= _SCAN_SUBSETS
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_index(n: int, d: int) -> np.ndarray:
+    idx = np.array(list(itertools.combinations(range(n), d)), dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
+
+
+def _normals(diffs, d: int):
+    """Normal of the hyperplane through d points, from their d-1 differences.
+
+    `diffs` yields the differences one at a time, each as d coordinate
+    arrays of one shape.  Normal coordinate j is the signed minor of the
+    difference matrix without column j (a Laplace expansion, like Qhull's
+    determinant hyperplanes in up to 4 dimensions), so it is orthogonal to
+    every difference and zero where the points are affinely dependent.
+    """
+    diffs = iter(diffs)
+    minors = {(c,): x for c, x in enumerate(next(diffs))}
+    for size, row in enumerate(diffs, start=2):
+        grown = {}
+        for cols in itertools.combinations(range(d), size):
+            acc = row[cols[0]] * minors[cols[1:]]
+            for t in range(1, size):
+                term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
+                acc = acc - term if t % 2 else acc + term
+            grown[cols] = acc
+        minors = grown
+    every = tuple(range(d))
+    return [minors[every[:j] + every[j + 1:]] * (-1.0 if j % 2 else 1.0) for j in range(d)]
+
+
+def facet_scan(mats: np.ndarray) -> list:
+    """The facet stage of `sic_rho` for a stack (B, n, d) of instances.
+
+    For each d-subset of rows, with normal y of its hyperplane taken both
+    ways, h(y) = max_i <a_i, y> is a cap certificate: every row lies within
+    pi - acos(h) of -y.  Where the origin is inside the hull, the least
+    h(y) over all subsets is dist(0, bd conv A) (the nearest facet is one of
+    them), so it gives (center, support, cos rho) = (-y, subset, -h) as
+    Qhull's nearest facet does.  Every instance is scanned, whatever its
+    class, so a stack costs the same however many hulls hold the origin.
+    Elementwise operations and one matrix product per instance: an
+    instance's result does not depend on the stack it sits in.  An entry
+    is None where no subset spans a hyperplane, and every entry is None
+    for instances too large to scan (`_nearest_facet` then runs Qhull).
+    """
+    B, n, d = mats.shape
+    if not _scans(n, d):
+        return [None] * B
+    idx = _subset_index(n, d)
+    step = max(1, _SCAN_PAIRS // len(idx))
+    found = []
+    for lo in range(0, B, step):
+        part = mats[lo:lo + step]
+        pairs = [x[:, :, None] - x[:, None, :] for x in np.moveaxis(part, -1, 0)]
+        diffs = ([p[:, idx[:, k], idx[:, 0]] for p in pairs] for k in range(1, d))
+        normal = _normals(diffs, d)
+        length = normal[0] * normal[0]
+        for y in normal[1:]:
+            length = length + y * y
+        length = np.sqrt(length)
+        # <a_i, y> for every row and subset: one matrix product per
+        # instance, the same BLAS call whatever the stack.
+        dots = part @ np.stack(normal, axis=1)
+        top, bottom = dots.max(axis=1), dots.min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up, down = top / length, -bottom / length
+            h = np.where(length > 0.0, np.minimum(up, down), np.inf)
+            at = (np.arange(h.shape[0]), np.argmin(h, axis=1))
+            scale = np.where(up[at] <= down[at], -1.0, 1.0) / length[at]
+            centers = np.stack([y[at] for y in normal], axis=1) * scale[:, None]
+        for center, s, dist in zip(centers, at[1], h[at].tolist()):
+            found.append((center, idx[s], -dist) if math.isfinite(dist) else None)
+    return found
+
+
 def _nearest_facet(mat: np.ndarray):
     """(center, support, cos rho) from the hull facet nearest the enclosed origin.
 
     |cos rho| = dist(0, bd conv A) when the origin is in the hull; the
-    center is the facet's inward normal and the support its vertices.  A
-    flat hull around the origin is exactly ill-posed: its center is the
+    center is the facet's inward normal and the support its vertices.
+    Small instances are scanned (`facet_scan`), larger ones go to Qhull.
+    A flat hull around the origin is exactly ill-posed: its center is the
     rows' null vector, all rows on the boundary.
     """
+    if _scans(*mat.shape):
+        found = facet_scan(mat[None])[0]
+        if found is not None:
+            return found
     try:
         hull = ConvexHull(mat)
     except QhullError as exc:
@@ -334,17 +431,18 @@ def _nearest_facet(mat: np.ndarray):
     return -hull.equations[f, :-1], np.sort(hull.simplices[f]), float(hull.equations[f, -1])
 
 
-def sic_rho(mat):
+def sic_rho(mat, facet=None):
     """(rho, center, support) of the smallest cap containing the rows of mat.
 
     Cheung and Cucker (Math. Program. 91, 2001): cos rho = dist(0, conv A)
     when the origin is outside the hull, else |cos rho| = dist(0, bd conv A).
-    The first comes from one NNLS solve, the second from the nearest Qhull
-    facet; either is the equidistant cap of its support rows.  Where that
-    first answer is imprecise -- the NNLS center near pi/2 and the NNLS
-    support of tiny caps -- the support rows are re-solved with the
-    oracle's equidistant-cap solve, and failing that the rows near the rim
-    are enumerated like the oracle does.
+    The first comes from one NNLS solve, the second from the nearest hull
+    facet (`_nearest_facet`, or `facet` when the caller has it from a
+    `facet_scan` of a stack holding mat); either is the equidistant cap of
+    its support rows.  Where that first answer is imprecise -- the NNLS
+    center near pi/2 and the NNLS support of tiny caps -- the support rows
+    are re-solved with the oracle's equidistant-cap solve, and failing that
+    the rows near the rim are enumerated like the oracle does.
     """
     mat = np.asarray(mat, dtype=float)
     d = mat.shape[1]
@@ -354,7 +452,7 @@ def sic_rho(mat):
         center, support, sign = z / dist, np.flatnonzero(u > 0.0), 1.0
         rho, precise = math.acos(min(dist, 1.0)), dist >= _POLISH_DIST
     else:
-        center, support, cos_rho = _nearest_facet(mat)
+        center, support, cos_rho = facet if facet is not None else _nearest_facet(mat)
         sign, rho, precise = -1.0, math.acos(cos_rho), True
     if precise and rho >= _TINY_CAP and _covers(mat, center, rho):
         return rho, center, tuple(int(i) for i in support)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from lpcond import sic
 from lpcond.errors import (
@@ -239,8 +239,9 @@ class TestSicRho:
             raise QhullError("QH6154 simulated precision error")
 
         monkeypatch.setattr(sic, "ConvexHull", broken_hull)
+        # 40 rows around S^1: 780 row pairs, past the facet scan, so Qhull runs.
         with pytest.raises(DegenerateHullError):
-            sic_rho(np.vstack([SYM_TRIPLE, SYM_TRIPLE[:1]]))
+            sic_rho(circle_points(*np.linspace(0.0, 2 * math.pi, 40, endpoint=False)))
 
     def test_nnls_failure_is_typed(self, monkeypatch):
         def broken_nnls(A, b):
@@ -258,6 +259,56 @@ class TestSicRho:
         angles = np.arccos(np.clip(inst.matrix @ res.center.coords, -1, 1))
         assert np.max(angles) <= res.rho + 1e-9
         assert gordan_classify(inst.matrix) is res.cls
+
+
+class TestFacetScan:
+    @staticmethod
+    def enclosing(rng, count, n, d):
+        """count random instances of n rows on S^(d-1) whose hull holds the origin."""
+        mats = unit_rows(rng.standard_normal((4 * count, n, d)))
+        inside = [mat for mat in mats if not sic.strictly_feasible(mat)]
+        return np.array(inside[:count])
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (6, 2), (5, 3), (9, 3), (7, 4), (12, 4)])
+    def test_matches_qhull_nearest_facet(self, n, d):
+        rng = np.random.default_rng(n * 10 + d)
+        mats = self.enclosing(rng, 40, n, d)
+        for mat, (center, support, cos_rho) in zip(mats, sic.facet_scan(mats)):
+            eq = ConvexHull(mat).equations
+            f = int(np.argmax(eq[:, -1]))
+            assert cos_rho == pytest.approx(eq[f, -1], abs=1e-12)
+            assert np.allclose(center, -eq[f, :-1], atol=1e-9)
+            # The support rows lie on the facet's hyperplane.
+            assert np.allclose(mat[support] @ center, cos_rho, atol=1e-12)
+
+    def test_result_does_not_depend_on_the_stack(self):
+        rng = np.random.default_rng(5)
+        mats = unit_rows(rng.standard_normal((3000, 5, 3)))
+        stack = sic.facet_scan(mats)
+        for i in range(0, 3000, 37):
+            center, support, cos_rho = sic.facet_scan(mats[i:i + 1])[0]
+            assert np.array_equal(center, stack[i][0])
+            assert np.array_equal(support, stack[i][1]) and cos_rho == stack[i][2]
+            assert sic_rho(mats[i])[0] == sic_rho(mats[i], stack[i])[0]
+
+    def test_scan_and_qhull_agree_in_sic_rho(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        mats = self.enclosing(rng, 60, 6, 3)
+        scanned = [sic_rho(mat)[0] for mat in mats]
+        monkeypatch.setattr(sic, "_SCAN_SUBSETS", 0)
+        assert sic.facet_scan(mats) == [None] * len(mats)
+        hulled = [sic_rho(mat)[0] for mat in mats]
+        assert np.max(np.abs(np.subtract(scanned, hulled))) <= 1e-12
+
+    def test_affinely_dependent_rows_fall_back(self):
+        # Two antipodal directions only: no 3 rows span a plane, so the scan
+        # finds nothing and the flat-hull branch answers pi/2.
+        p = np.array([1.0, 0.0, 0.0])
+        mat = np.array([p, -p, p, -p, p])
+        assert sic.facet_scan(mat[None]) == [None]
+        rho, center, _ = sic_rho(mat)
+        assert rho == pytest.approx(math.pi / 2, abs=1e-12)
+        assert abs(center @ p) <= 1e-12
 
 
 def unit_rows(x):
