@@ -332,10 +332,12 @@ def _scans(n: int, d: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_index(n: int, d: int) -> np.ndarray:
-    idx = np.array(list(itertools.combinations(range(n), d)), dtype=np.intp)
+def _subset_index(n: int, d: int):
+    """The d-subsets of n rows, as tuples and as an (S, d) index array."""
+    combos = list(itertools.combinations(range(n), d))
+    idx = np.array(combos, dtype=np.intp)
     idx.flags.writeable = False
-    return idx
+    return combos, idx
 
 
 def _normals(diffs, d: int):
@@ -380,7 +382,7 @@ def facet_scan(mats: np.ndarray) -> list:
     B, n, d = mats.shape
     if not _scans(n, d):
         return [None] * B
-    idx = _subset_index(n, d)
+    combos, idx = _subset_index(n, d)
     step = max(1, _SCAN_PAIRS // len(idx))
     found = []
     for lo in range(0, B, step):
@@ -403,7 +405,7 @@ def facet_scan(mats: np.ndarray) -> list:
             scale = np.where(up[at] <= down[at], -1.0, 1.0) / length[at]
             centers = np.stack([y[at] for y in normal], axis=1) * scale[:, None]
         for center, s, dist in zip(centers, at[1], h[at].tolist()):
-            found.append((center, idx[s], -dist) if math.isfinite(dist) else None)
+            found.append((center, combos[s], -dist) if math.isfinite(dist) else None)
     return found
 
 
@@ -426,9 +428,10 @@ def _nearest_facet(mat: np.ndarray):
         _, svals, vt = np.linalg.svd(mat)
         if svals.size == mat.shape[1] and svals[-1] > _FLAT_TOL:
             raise DegenerateHullError(f"Qhull failed on a full-rank instance: {exc}") from exc
-        return vt[-1], np.arange(mat.shape[0]), 0.0
+        return vt[-1], tuple(range(mat.shape[0])), 0.0
     f = int(np.argmax(hull.equations[:, -1]))
-    return -hull.equations[f, :-1], np.sort(hull.simplices[f]), float(hull.equations[f, -1])
+    support = tuple(sorted(int(i) for i in hull.simplices[f]))
+    return -hull.equations[f, :-1], support, float(hull.equations[f, -1])
 
 
 def sic_rho(mat, facet=None):
@@ -448,22 +451,25 @@ def sic_rho(mat, facet=None):
     d = mat.shape[1]
     z, u = _least_distance(mat)
     dist = math.sqrt(float(z @ z))
+    # The NNLS cap is read off whether or not the hull holds the origin, so
+    # that an instance's class does not change its cost.
+    center = z / max(dist, _ORIGIN_TOL)
+    support = tuple(i for i, w in enumerate(u.tolist()) if w > 0.0)
     if dist > _ORIGIN_TOL:
-        center, support, sign = z / dist, np.flatnonzero(u > 0.0), 1.0
-        rho, precise = math.acos(min(dist, 1.0)), dist >= _POLISH_DIST
+        sign, rho, precise = 1.0, math.acos(min(dist, 1.0)), dist >= _POLISH_DIST
     else:
         center, support, cos_rho = facet if facet is not None else _nearest_facet(mat)
         sign, rho, precise = -1.0, math.acos(cos_rho), True
     if precise and rho >= _TINY_CAP and _covers(mat, center, rho):
-        return rho, center, tuple(int(i) for i in support)
+        return rho, center, support
     angles = _angles(mat, center)
     rho = float(np.max(angles))
-    cap = _equidistant(mat[support])
+    cap = _equidistant(mat[list(support)])
     if cap is not None:
         polished = sign * cap[0]
         radius = cap[1] if sign > 0 else math.pi - cap[1]
         if _TINY_CAP <= radius <= rho + _CONTAIN_TOL and _covers(mat, polished, radius):
-            return radius, polished, tuple(int(i) for i in support)
+            return radius, polished, support
     # The support itself is wrong where the NNLS cannot resolve it (tiny
     # caps); the true one is among the rows near the rim of the first cap.
     slack = _NEAR_TOL if rho >= _TINY_CAP else math.inf

@@ -279,7 +279,7 @@ class TestFacetScan:
             assert cos_rho == pytest.approx(eq[f, -1], abs=1e-12)
             assert np.allclose(center, -eq[f, :-1], atol=1e-9)
             # The support rows lie on the facet's hyperplane.
-            assert np.allclose(mat[support] @ center, cos_rho, atol=1e-12)
+            assert np.allclose(mat[list(support)] @ center, cos_rho, atol=1e-12)
 
     def test_result_does_not_depend_on_the_stack(self):
         rng = np.random.default_rng(5)
