@@ -387,24 +387,22 @@ def facet_scan(mats: np.ndarray) -> list:
     found = []
     for lo in range(0, B, step):
         part = mats[lo:lo + step]
-        pairs = [x[:, :, None] - x[:, None, :] for x in np.moveaxis(part, -1, 0)]
-        diffs = ([p[:, idx[:, k], idx[:, 0]] for p in pairs] for k in range(1, d))
-        normal = _normals(diffs, d)
-        length = normal[0] * normal[0]
-        for y in normal[1:]:
-            length = length + y * y
-        length = np.sqrt(length)
+        # diffs[k][j]: coordinate j of each subset's row k+1 minus its row 0.
+        diffs = np.ascontiguousarray(
+            np.moveaxis(part[:, idx[:, 1:]] - part[:, idx[:, :1]], (2, 3), (0, 1)))
+        normal = np.stack(_normals(diffs, d), axis=1)
+        length = row_norms(np.moveaxis(normal, 1, -1))
         # <a_i, y> for every row and subset: one matrix product per
         # instance, the same BLAS call whatever the stack.
-        dots = part @ np.stack(normal, axis=1)
-        top, bottom = dots.max(axis=1), dots.min(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up, down = top / length, -bottom / length
-            h = np.where(length > 0.0, np.minimum(up, down), np.inf)
-            at = (np.arange(h.shape[0]), np.argmin(h, axis=1))
-            scale = np.where(up[at] <= down[at], -1.0, 1.0) / length[at]
-            centers = np.stack([y[at] for y in normal], axis=1) * scale[:, None]
-        for center, s, dist in zip(centers, at[1], h[at].tolist()):
+        dots = part @ normal
+        top, bottom = dots.max(axis=1), -dots.min(axis=1)
+        h = np.divide(np.minimum(top, bottom), length, out=np.full_like(length, np.inf),
+                      where=length > 0.0)
+        at = (np.arange(len(part)), np.argmin(h, axis=1))
+        flip = np.where(top[at] <= bottom[at], -1.0, 1.0)
+        scale = np.divide(flip, length[at], out=flip, where=length[at] > 0.0)
+        centers = normal[at[0], :, at[1]] * scale[:, None]
+        for center, s, dist in zip(centers, at[1].tolist(), h[at].tolist()):
             found.append((center, combos[s], -dist) if math.isfinite(dist) else None)
     return found
 
