@@ -361,7 +361,8 @@ def _normals(diffs, d: int):
             grown[cols] = acc
         minors = grown
     every = tuple(range(d))
-    return [minors[every[:j] + every[j + 1:]] * (-1.0 if j % 2 else 1.0) for j in range(d)]
+    normal = [minors[every[:j] + every[j + 1:]] for j in range(d)]
+    return [-y if j % 2 else y for j, y in enumerate(normal)]
 
 
 def facet_scan(mats: np.ndarray) -> list:
@@ -387,9 +388,10 @@ def facet_scan(mats: np.ndarray) -> list:
     found = []
     for lo in range(0, B, step):
         part = mats[lo:lo + step]
-        # diffs[k][j]: coordinate j of each subset's row k+1 minus its row 0.
-        diffs = np.ascontiguousarray(
-            np.moveaxis(part[:, idx[:, 1:]] - part[:, idx[:, :1]], (2, 3), (0, 1)))
+        coords = np.ascontiguousarray(np.moveaxis(part, -1, 0))
+        base = coords[:, :, idx[:, 0]]
+        # Coordinate j of each subset's row k minus its row 0, for k = 1..d-1.
+        diffs = (coords[:, :, idx[:, k]] - base for k in range(1, d))
         normal = np.stack(_normals(diffs, d), axis=1)
         length = row_norms(np.moveaxis(normal, 1, -1))
         # <a_i, y> for every row and subset: one matrix product per
