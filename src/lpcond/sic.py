@@ -334,7 +334,7 @@ def _scans(n: int, d: int) -> bool:
 @functools.lru_cache(maxsize=None)
 def _subset_index(n: int, d: int):
     """The d-subsets of n rows, as tuples and as an (S, d) index array."""
-    combos = list(itertools.combinations(range(n), d))
+    combos = tuple(itertools.combinations(range(n), d))
     idx = np.array(combos, dtype=np.intp)
     idx.flags.writeable = False
     return combos, idx
