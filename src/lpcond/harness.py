@@ -243,9 +243,9 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
     Each chunk draws its samples with `samplers.cap_batch`, in blocks of
     at most `samplers.BLOCK_ROWS` rows, normalized as `Instance` does, so
     `sample_instance(center, params, RngStream(seed_hi, seed_lo))` replays
-    exactly the rows solved for a record.  The facet stage of every sample
-    of a block is one `sic.facet_scan`, so a block costs the same whatever
-    its share of infeasible samples.  Returns (records, counts).  A
+    exactly the rows solved for a record.  The facet stage runs on every
+    sample of a block (`sic.nearest_facets`), so a block costs the same
+    whatever its share of infeasible samples.  Returns (records, counts).  A
     sample whose solve raises one of the solver's typed errors is counted
     as failed; any other error propagates.
     """
@@ -258,7 +258,7 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
             indices = samplers.stream_indices(PURPOSE_SAMPLE, start, stop)
             mats = sic.unit_rows(samplers.cap_batch(center, params, cfg.master_seed, indices))
             seeds.extend(indices.tolist())
-            facets = sic.facet_scan(mats)
+            facets = sic.nearest_facets(mats)
             for j, (mat, facet) in enumerate(zip(mats, facets), start=start - lo):
                 try:
                     rho[j] = sic.sic_rho(mat, facet)[0]

@@ -9,7 +9,8 @@ is outside the hull, the nearest hull facet when it is inside) and
 re-solves the support rows where that answer is imprecise.  The nearest
 facet of small instances comes from `facet_scan`, which scans every
 subset's hyperplane for a whole stack at once; larger hulls come from
-Qhull.  The same NNLS is the package's feasibility test,
+Qhull.  `nearest_facets` runs that stage for every instance of a stack,
+whatever its class.  The same NNLS is the package's feasibility test,
 `strictly_feasible`.  `sic_bruteforce`, the exhaustive support-subset
 enumeration, is the reference oracle the solver is checked against.
 """
@@ -59,9 +60,10 @@ _NEAR_TOL = 1e-7
 _NEAR_SUBSETS = 1000
 # Up to this many d-subsets of rows, and this many coordinates (a normal
 # takes d 2^(d-1) products), the facet stage scans every subset's
-# hyperplane (`facet_scan`); beyond them Qhull builds the hull.  At 4
-# coordinates a scan of 512 subsets costs about one Qhull call.
-_SCAN_SUBSETS = 512
+# hyperplane (`facet_scan`), at most about half the cost of a Qhull call;
+# beyond them Qhull builds the hull.  At 4 coordinates a scan of 512
+# subsets costs about one Qhull call.
+_SCAN_SUBSETS = 256
 _SCAN_MAX_DIM = 4
 # A scan holds at most this many (instance, subset) pairs per array.
 _SCAN_PAIRS = 1 << 13
@@ -377,12 +379,10 @@ def facet_scan(mats: np.ndarray) -> list:
     class, so a stack costs the same however many hulls hold the origin.
     Elementwise operations and one matrix product per instance: an
     instance's result does not depend on the stack it sits in.  An entry
-    is None where no subset spans a hyperplane, and every entry is None
-    for instances too large to scan (`_nearest_facet` then runs Qhull).
+    is None where no subset spans a hyperplane.  Meant for the sizes
+    `_scans` accepts: the work grows with the number of subsets.
     """
     B, n, d = mats.shape
-    if not _scans(n, d):
-        return [None] * B
     combos, idx = _subset_index(n, d)
     step = max(1, _SCAN_PAIRS // len(idx))
     found = []
@@ -409,19 +409,46 @@ def facet_scan(mats: np.ndarray) -> list:
     return found
 
 
+def nearest_facets(mats: np.ndarray) -> list:
+    """The facet stage of `sic_rho` for every instance of a stack (B, n, d).
+
+    One `facet_scan` for small instances, one Qhull call per instance
+    otherwise.  Every instance gets its facet whatever its class, so a
+    stack costs the same however many hulls hold the origin.  An entry is
+    None where the stage finds no facet or Qhull fails; `sic_rho` redoes
+    the stage for such an instance if it needs it, raising the typed error.
+    """
+    if _scans(*mats.shape[1:]):
+        return facet_scan(mats)
+    found = []
+    for mat in mats:
+        try:
+            found.append(_hull_facet(mat))
+        except DegenerateHullError:
+            found.append(None)
+    return found
+
+
 def _nearest_facet(mat: np.ndarray):
     """(center, support, cos rho) from the hull facet nearest the enclosed origin.
 
     |cos rho| = dist(0, bd conv A) when the origin is in the hull; the
     center is the facet's inward normal and the support its vertices.
     Small instances are scanned (`facet_scan`), larger ones go to Qhull.
-    A flat hull around the origin is exactly ill-posed: its center is the
-    rows' null vector, all rows on the boundary.
     """
     if _scans(*mat.shape):
         found = facet_scan(mat[None])[0]
         if found is not None:
             return found
+    return _hull_facet(mat)
+
+
+def _hull_facet(mat: np.ndarray):
+    """`_nearest_facet` by Qhull.
+
+    A flat hull around the origin is exactly ill-posed: its center is the
+    rows' null vector, all rows on the boundary.
+    """
     try:
         hull = ConvexHull(mat)
     except QhullError as exc:
@@ -440,8 +467,8 @@ def sic_rho(mat, facet=None):
     Cheung and Cucker (Math. Program. 91, 2001): cos rho = dist(0, conv A)
     when the origin is outside the hull, else |cos rho| = dist(0, bd conv A).
     The first comes from one NNLS solve, the second from the nearest hull
-    facet (`_nearest_facet`, or `facet` when the caller has it from a
-    `facet_scan` of a stack holding mat); either is the equidistant cap of
+    facet (`_nearest_facet`, or `facet` when the caller has it from
+    `nearest_facets` of a stack holding mat); either is the equidistant cap of
     its support rows.  Where that first answer is imprecise -- the NNLS
     center near pi/2 and the NNLS support of tiny caps -- the support rows
     are re-solved with the oracle's equidistant-cap solve, and failing that

@@ -294,11 +294,23 @@ class TestFacetScan:
     def test_scan_and_qhull_agree_in_sic_rho(self, monkeypatch):
         rng = np.random.default_rng(9)
         mats = self.enclosing(rng, 60, 6, 3)
-        scanned = [sic_rho(mat)[0] for mat in mats]
+        scanned = [sic_rho(mat, facet)[0] for mat, facet in zip(mats, sic.nearest_facets(mats))]
         monkeypatch.setattr(sic, "_SCAN_SUBSETS", 0)
-        assert sic.facet_scan(mats) == [None] * len(mats)
-        hulled = [sic_rho(mat)[0] for mat in mats]
+        hulled = [sic_rho(mat, facet)[0] for mat, facet in zip(mats, sic.nearest_facets(mats))]
         assert np.max(np.abs(np.subtract(scanned, hulled))) <= 1e-12
+
+    def test_every_instance_of_a_large_stack_gets_a_hull_facet(self):
+        # 20 rows on S^2: 1140 row triples, past the scan, so Qhull runs
+        # for every instance, whether or not its hull holds the origin.
+        rng = np.random.default_rng(4)
+        mats = unit_rows(rng.standard_normal((30, 20, 3)))
+        mats[:15, :, 0] = np.abs(mats[:15, :, 0]) + 1.0
+        mats = unit_rows(mats)
+        assert [sic.strictly_feasible(mat) for mat in mats].count(True) >= 15
+        facets = sic.nearest_facets(mats)
+        assert all(facet is not None for facet in facets)
+        for mat, facet in zip(mats, facets):
+            assert sic_rho(mat, facet)[0] == sic_rho(mat)[0]
 
     def test_affinely_dependent_rows_fall_back(self):
         # Two antipodal directions only: no 3 rows span a plane, so the scan
