@@ -11,10 +11,9 @@ from .convexgeom import (
     distance_to_boundary,
     distance_to_dual,
     distance_to_sconv,
-    in_neighborhood,
     project_onto_cone,
 )
-from .lp import FeasibilityClass, SimplexProblem, gordan_classify, origin_in_conv, simplex_solve
+from .lp import FeasibilityClass
 from .samplers import (
     AdversarialParams,
     HTable,
@@ -31,9 +30,7 @@ from .samplers import (
 from .sic import (
     Instance,
     SicResult,
-    circumcap,
     cond_and_class,
-    prefix_cond_profile,
     sic_bruteforce,
     sic_solve,
 )
@@ -43,7 +40,6 @@ from .sphere import (
     angular_distance,
     integral_I,
     integral_J,
-    projective_distance,
     rotation_to,
     sphere_volume,
 )
@@ -52,13 +48,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversarialParams", "Cap", "FeasibilityClass", "HTable", "Instance",
-    "RngStream", "SicResult", "SimplexProblem", "SpherePoint", "SpherePolytope",
-    "angular_distance", "build_radial_cdf", "cap_distance_suite", "circumcap",
+    "RngStream", "SicResult", "SpherePoint", "SpherePolytope",
+    "angular_distance", "build_radial_cdf", "cap_distance_suite",
     "compute_delta_c", "cond_and_class", "distance_to_boundary",
-    "distance_to_dual", "distance_to_sconv", "gordan_classify", "in_neighborhood",
-    "integral_I", "integral_J", "make_adversarial_params", "origin_in_conv",
-    "prefix_cond_profile", "project_onto_cone", "projective_distance",
-    "radial_density", "rotation_to", "sample_cap", "sample_instance",
-    "sic_bruteforce", "sic_solve", "simplex_solve", "sphere_volume", "stream",
-    "uniform_sphere",
+    "distance_to_dual", "distance_to_sconv", "integral_I", "integral_J",
+    "make_adversarial_params", "project_onto_cone", "radial_density",
+    "rotation_to", "sample_cap", "sample_instance", "sic_bruteforce",
+    "sic_solve", "sphere_volume", "stream", "uniform_sphere",
 ]

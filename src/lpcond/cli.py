@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (all bound checks passing or informational),
 2 on any bound-check failure, 1 on usage, I/O, or solver errors.
-Flags override values from an optional key=value config file.
+Flags override values from an optional key=value config file.  Every
+command runs serially on one thread; `--workers` and a config file's
+`workers` key are accepted and ignored, so scripts that pass them still run.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ _PI_OVER = re.compile(r"^piOver(\d+)$")
 _DEFAULTS = {
     "m": 2, "n": 5, "alpha": math.pi / 6, "beta": 0.0, "h_table": None,
     "N": 100_000, "seed": 0, "t_grid": None, "phi": None, "center": "random",
-    "out": "lpcond-out", "workers": os.cpu_count() or 1, "delta_mode": "lemma",
+    "out": "lpcond-out", "delta_mode": "lemma",
     "k": None, "cap_radius": None, "offset": 0.0,
 }
 
@@ -100,7 +102,7 @@ def _experiment_config(kind, opt) -> ExperimentConfig:
         h_path=opt["h_table"], delta_mode=opt["delta_mode"], N=opt["N"],
         master_seed=opt["seed"], center=opt["center"], t_grid=opt["t_grid"],
         k_values=opt["k"], phi=opt["phi"], cap_radius=opt["cap_radius"],
-        placement_offset=opt["offset"], workers=opt["workers"], out_dir=opt["out"],
+        placement_offset=opt["offset"], out_dir=opt["out"],
     )
 
 
@@ -136,10 +138,8 @@ def _finish(records, summary, cfg) -> int:
 
 
 def _cmd_classify(args) -> int:
-    inst = Instance.from_file(args.instance)
-    from .lp import gordan_classify
-
-    print(f"class={gordan_classify(inst).short}")
+    _, cls, _ = cond_and_class(Instance.from_file(args.instance))
+    print(f"class={cls.short}")
     return 0
 
 
@@ -239,7 +239,7 @@ def _add_common(parser):
                                          "equal-rows | great-circle")
     parser.add_argument("--out", help="output directory (default lpcond-out)")
     parser.add_argument("--workers", type=int,
-                        help="worker cap (default: the number of CPUs)")
+                        help="accepted and ignored: every run is serial")
     parser.add_argument("--delta-mode", dest="delta_mode",
                         choices=["lemma", "beta0-remark"],
                         help="tolerance formula (default lemma)")

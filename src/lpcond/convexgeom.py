@@ -1,8 +1,8 @@
 """Spherical convex hulls as polyhedral cones.
 
 Membership, nearest-point projection (nonnegative least squares), distances
-to hulls, duals and boundaries, plus the outer/inner neighborhood indicator
-used by the volume experiments.
+to hulls, duals and boundaries, plus the closed-form cap distances used by
+the volume experiments.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class SpherePolytope:
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("generators must be unit vectors")
         self.generators = gens / norms[:, None]
-
-    @classmethod
-    def from_points(cls, points) -> "SpherePolytope":
-        return cls(np.array([p.coords for p in points]))
 
     @property
     def k(self) -> int:
@@ -162,26 +158,6 @@ def distance_to_boundary(x: SpherePoint, P: SpherePolytope) -> float:
     if P.rank() < P.ambient_dim:
         raise DegenerateHullError("hull spans a proper subspace; boundary distance undefined")
     return _interior_boundary_distance(xv, P)
-
-
-def in_neighborhood(x: SpherePoint, P: SpherePolytope, phi: float, side: str = "both") -> bool:
-    """Strict phi-neighborhood indicator of the hull boundary.
-
-    side: "outer" (x outside K, d(x, bd K) < phi), "inner" (x in K,
-    d(x, bd K) < phi), or "both".
-    """
-    if not 0.0 < phi <= math.pi / 2:
-        raise ValueError(f"phi={phi} outside (0, pi/2]")
-    if side not in ("outer", "inner", "both"):
-        raise ValueError(f"unknown side {side!r}")
-    xv = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
-    d_hull = distance_to_sconv(x, P)
-    if d_hull > MEMBER_TOL:
-        outer = d_hull < phi
-        return outer and side in ("outer", "both")
-    if side == "outer":
-        return False
-    return _interior_boundary_distance(xv, P) < phi
 
 
 def cap_distance_suite(x: SpherePoint, C: Cap):

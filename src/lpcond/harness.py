@@ -6,8 +6,11 @@ runs the exact-formula feasibility (Wendel) and neighborhood-volume checks,
 and persists plot-ready tables plus per-sample records.
 
 All experiments draw through counter-based streams keyed by sample index
-(or by fixed-size chunk for the bulk geometric experiments), so outputs are
-byte-identical for any worker count.
+(or by fixed-size chunk for the bulk geometric experiments), and run their
+chunks serially, in chunk order, so reruns are byte-identical.  A
+condition-number draw is kept as two columns, the stream index and rho of
+each sample; classes, condition numbers and the CSV rows are derived from
+them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,15 +38,17 @@ from .samplers import (
     RngStream,
     stream,
 )
-from .sic import Instance, classify_rho, cond_from_rho
+from .sic import Instance
 from .sphere import SpherePoint, clipped_arccos, rotation_to
 
-CHUNK = 4096  # fixed work-item granularity; never depends on worker count
+CHUNK = 4096  # fixed work-item granularity of every sampled experiment
 # Slack of the prefix-monotonicity check in rho: far above the solver's
 # roundoff (~1e-15), far below any real inversion.
 _PREFIX_RHO_TOL = 1e-12
 
 CSV_HEADER = "sample_index,seed_hi,seed_lo,class,rho,cond,ln_cond,ipm_proxy"
+# The records of an experiment that keeps none: empty (stream index, rho) columns.
+NO_RECORDS = ((), ())
 
 
 @dataclass
@@ -64,8 +68,11 @@ class ExperimentConfig:
     phi: float | None = None
     cap_radius: float | None = None
     placement_offset: float = 0.0
-    workers: int = 1
     out_dir: str | None = None
+
+    def __post_init__(self):
+        if self.N < 1:
+            raise ConfigError(f"the sample count N must be at least 1, got {self.N}")
 
     def echo(self) -> dict:
         """Config echo for summaries: scientific knobs only, no runtime ones."""
@@ -79,29 +86,6 @@ class ExperimentConfig:
             "placement_offset": self.placement_offset,
         }
         return d
-
-
-@dataclass
-class SampleRecord:
-    index: int
-    seed_hi: int
-    seed_lo: int
-    cls: FeasibilityClass | None
-    rho: float | None
-    cond: float | None
-    ln_cond: float | None
-    ipm_proxy: float | None
-
-
-@dataclass
-class BoundReport:
-    t: float
-    empirical: float
-    se: float
-    bound: float
-    vacuous: bool
-    passed: bool | None
-    covered: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +155,6 @@ def wendel_p(k: int, m: int) -> float:
     return float(wendel_p_exact(k, m))
 
 
-def wendel_p_pascal(k: int, m: int) -> Fraction:
-    """Independent evaluation: Pascal-triangle row built by additions."""
-    if k <= m:
-        raise ValueError(f"need k > m, got k={k}, m={m}")
-    row = [1]
-    for _ in range(k - 1):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return Fraction(sum(row[: m + 1]), 2 ** (k - 1))
-
-
 def pkm_partial_sum(m: int, k_max: int) -> Fraction:
     """sum_{k=4m+1}^{k_max} k p(k, m); the full series is o(1) in m."""
     total = Fraction(0)
@@ -199,18 +173,15 @@ def binomial_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def _chunk_ranges(total: int):
-    return [(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
-
-
 def _run_chunks(total: int, workers: int, fn):
-    """Apply fn(lo, hi) over fixed chunks; order of results is by chunk."""
-    ranges = _chunk_ranges(total)
-    if workers <= 1 or len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+    """[fn(lo, hi)] over the fixed chunks of 0..total-1, in chunk order,
+    on the calling thread.
+
+    `workers` is ignored: every run is serial, because threads made the
+    GIL-bound draws slower, not faster.  The parameter stays because the
+    benchmark's tracer (lpbench/tracing.py) wraps this exact signature.
+    """
+    return [fn(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
 
 
 def resolve_center(cfg: ExperimentConfig, params: AdversarialParams) -> Instance:
@@ -232,70 +203,67 @@ def resolve_center(cfg: ExperimentConfig, params: AdversarialParams) -> Instance
     raise ConfigError(f"unknown center source {cfg.center!r}")
 
 
-def _ipm_proxy(m: int, n: int, ln_cond: float) -> float:
-    return math.sqrt(m + n) * (math.log(m + n) + ln_cond)
-
-
 def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
                            center: Instance):
     """Sample N instances from the product law and solve each for rho.
 
     Each chunk draws its samples with `samplers.cap_batch`, in blocks of
     at most `samplers.BLOCK_ROWS` rows, normalized as `Instance` does, so
-    `sample_instance(center, params, RngStream(seed_hi, seed_lo))` replays
-    exactly the rows solved for a record.  The facet stage runs on every
-    sample of a block (`sic.nearest_facets`), so a block costs the same
-    whatever its share of infeasible samples.  Returns (records, counts).  A
-    sample whose solve raises one of the solver's typed errors is counted
-    as failed; any other error propagates.
+    `sample_instance(center, params, RngStream(master_seed, seeds[i]))`
+    replays exactly the rows solved for sample i.  The facet stage runs on
+    every sample of a block (`sic.nearest_facets`), so a block costs the
+    same whatever its share of infeasible samples.  Returns the columns
+    (seeds, rho): each sample's stream index and rho, NaN where the solve
+    raised one of the solver's typed errors, which counts the sample as
+    failed; any other error propagates.
     """
 
     def do_chunk(lo, hi):
         rho = np.empty(hi - lo)
-        solved = np.ones(hi - lo, dtype=bool)
-        seeds = []
         for start, stop in samplers.sample_ranges(lo, hi, center.n):
             indices = samplers.stream_indices(PURPOSE_SAMPLE, start, stop)
             mats = sic.unit_rows(samplers.cap_batch(center, params, cfg.master_seed, indices))
-            seeds.extend(indices.tolist())
             facets = sic.nearest_facets(mats)
             for j, (mat, facet) in enumerate(zip(mats, facets), start=start - lo):
                 try:
                     rho[j] = sic.sic_rho(mat, facet)[0]
                 except (ConvergenceError, DegenerateHullError):
-                    solved[j] = False
-        return rho, solved, seeds
+                    rho[j] = np.nan
+        return rho
 
-    records: list[SampleRecord] = []
-    counts = {"sf": 0, "ip": 0, "if": 0, "overflow": 0, "failed": 0}
-    results = _run_chunks(cfg.N, cfg.workers, do_chunk)
-    idx = 0
-    for rho, solved, seeds in results:
-        for j in range(rho.size):
-            seed_hi, seed_lo = cfg.master_seed, seeds[j]
-            if not solved[j]:
-                counts["failed"] += 1
-                records.append(SampleRecord(idx, seed_hi, seed_lo, None, None,
-                                            None, None, None))
-                idx += 1
-                continue
-            r = float(rho[j])
-            cls = classify_rho(r)
-            cond = cond_from_rho(r)
-            counts[cls.short.lower()] += 1
-            if math.isfinite(cond) and cond <= sic.COND_OVERFLOW:
-                ln_c = math.log(cond)
-                ipm = _ipm_proxy(cfg.m, cfg.n, ln_c)
-            else:
-                counts["overflow"] += 1
-                ln_c = None
-                ipm = None
-            records.append(SampleRecord(idx, seed_hi, seed_lo, cls, r,
-                                        cond, ln_c, ipm))
-            idx += 1
-    if counts["failed"] > 0.001 * cfg.N:
-        raise ConfigError(f"{counts['failed']} solver failures exceed the 0.1% budget")
-    return records, counts
+    seeds = samplers.stream_indices(PURPOSE_SAMPLE, 0, cfg.N)
+    rho = np.concatenate(_run_chunks(cfg.N, 1, do_chunk))
+    failed = int(np.isnan(rho).sum())
+    if failed > 0.001 * cfg.N:
+        raise ConfigError(f"{failed} solver failures exceed the 0.1% budget")
+    return seeds, rho
+
+
+def _cond_columns(rho: np.ndarray):
+    """(labels, cond, ln_cond) columns of a rho column.
+
+    The class label is SF, IP or IF as `sic.classify_rho` decides, and ""
+    for a failed (NaN) sample.  cond is `sic.cond_from_rho` and ln_cond
+    `math.log` of it, value by value, since numpy's vectorized cos and log
+    may differ from them in the last bit.  ln_cond is NaN where cond is
+    past `sic.COND_OVERFLOW` (or infinite) and for failed samples.
+    """
+    half_pi = math.pi / 2
+    ill = np.abs(rho - half_pi) <= sic.ILL_POSED_BAND
+    labels = np.where(np.isnan(rho), "", np.where(ill, "IP", np.where(rho < half_pi, "SF", "IF")))
+    cond = np.array([sic.cond_from_rho(r) for r in rho.tolist()])
+    finite = cond <= sic.COND_OVERFLOW
+    ln_cond = np.full(rho.shape, np.nan)
+    ln_cond[finite] = [math.log(c) for c in cond[finite].tolist()]
+    return labels, cond, ln_cond
+
+
+def _counts(labels: np.ndarray, ln_cond: np.ndarray) -> dict:
+    """Samples per class, overflowing condition numbers and failed solves."""
+    counts = {key: int(np.sum(labels == key.upper())) for key in ("sf", "ip", "if")}
+    failed = int(np.sum(labels == ""))
+    counts.update(overflow=int(np.isnan(ln_cond).sum()) - failed, failed=failed)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +275,17 @@ def run_tail_experiment(cfg: ExperimentConfig):
         raise ConfigError("tail experiment needs n > m+1")
     params = params_from_config(cfg)
     center = resolve_center(cfg, params)
-    records, counts = draw_condition_records(cfg, params, center)
+    seeds, rho = draw_condition_records(cfg, params, center)
     grid = tuple(cfg.t_grid) if cfg.t_grid else default_t_grid(params, cfg.n)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("t grid must be nonempty and strictly increasing")
     if grid[0] < 1.0:
         raise ConfigError("the infeasible-tail bound needs t >= 1")
-    n_eff = sum(1 for r in records if r.cls is not None)
+    labels, conds, ln_cond = _cond_columns(rho)
+    counts = _counts(labels, ln_cond)
+    n_eff = cfg.N - counts["failed"]
     t_lo = threshold_F(params, cfg.n)
-    conds = np.array([r.cond if r.cond is not None else np.nan for r in records])
-    is_sf = np.array([r.cls is FeasibilityClass.STRICTLY_FEASIBLE for r in records])
-    is_if = np.array([r.cls is FeasibilityClass.INFEASIBLE for r in records])
+    is_sf, is_if = labels == "SF", labels == "IF"
     table = []
     for t in grid:
         t = float(t)
@@ -342,24 +310,7 @@ def run_tail_experiment(cfg: ExperimentConfig):
         "property_suite": None,
         "delta_c": params.delta_c, "threshold_F": t_lo,
     }
-    return records, summary
-
-
-def tail_bound_reports(summary: dict):
-    """The tail table as typed (feasible, infeasible) BoundReport lists."""
-    reports_f, reports_i = [], []
-    for row in summary["tail_table"]:
-        reports_f.append(BoundReport(
-            t=row["t"], empirical=row["emp_F"], se=row["se_F"],
-            bound=row["bound_F"], vacuous=row["vacuous_F"],
-            passed=row["pass_F"], covered=row["covered"],
-        ))
-        reports_i.append(BoundReport(
-            t=row["t"], empirical=row["emp_I"], se=row["se_I"],
-            bound=row["bound_I"], vacuous=row["vacuous_I"],
-            passed=row["pass_I"], covered=True,
-        ))
-    return reports_f, reports_i
+    return (seeds, rho), summary
 
 
 def run_expectation_experiment(cfg: ExperimentConfig):
@@ -367,8 +318,10 @@ def run_expectation_experiment(cfg: ExperimentConfig):
         raise ConfigError("expectation experiment needs n > m+1")
     params = params_from_config(cfg)
     center = resolve_center(cfg, params)
-    records, counts = draw_condition_records(cfg, params, center)
-    lns = np.array([r.ln_cond for r in records if r.ln_cond is not None])
+    seeds, rho = draw_condition_records(cfg, params, center)
+    labels, _, ln_cond = _cond_columns(rho)
+    counts = _counts(labels, ln_cond)
+    lns = ln_cond[~np.isnan(ln_cond)]
     bound, informational = bound_Emain(params, cfg.n)
     if lns.size >= 2:
         mean = float(np.mean(lns))
@@ -390,10 +343,10 @@ def run_expectation_experiment(cfg: ExperimentConfig):
         "expectation": expectation, "wendel_table": None, "tube_table": None,
         "property_suite": None,
     }
-    return records, summary
+    return (seeds, rho), summary
 
 
-def feasible_fraction(m: int, k: int, N: int, master_seed: int, workers: int = 1):
+def feasible_fraction(m: int, k: int, N: int, master_seed: int):
     """Empirical probability that k uniform rows on S^m are feasible."""
 
     def do_chunk(lo, hi):
@@ -404,7 +357,7 @@ def feasible_fraction(m: int, k: int, N: int, master_seed: int, workers: int = 1
                 hits += sic.strictly_feasible(mat)
         return hits
 
-    hits = sum(_run_chunks(N, workers, do_chunk))
+    hits = sum(_run_chunks(N, 1, do_chunk))
     return hits / N
 
 
@@ -415,7 +368,7 @@ def run_wendel_experiment(cfg: ExperimentConfig):
         if k <= cfg.m:
             raise ConfigError(f"wendel needs k > m, got k={k}")
         p_exact = wendel_p(k, cfg.m)
-        p_hat = feasible_fraction(cfg.m, k, cfg.N, cfg.master_seed, cfg.workers)
+        p_hat = feasible_fraction(cfg.m, k, cfg.N, cfg.master_seed)
         gate = 4.0 * math.sqrt(p_exact * (1.0 - p_exact) / cfg.N)
         table.append({
             "k": k, "m": cfg.m, "p_hat": p_hat, "p_exact": p_exact,
@@ -431,7 +384,7 @@ def run_wendel_experiment(cfg: ExperimentConfig):
         "expectation": None, "wendel_table": table, "tube_table": None,
         "property_suite": None, "pkm_decay": decay,
     }
-    return [], summary
+    return NO_RECORDS, summary
 
 
 def run_tube_experiment(cfg: ExperimentConfig):
@@ -466,7 +419,7 @@ def run_tube_experiment(cfg: ExperimentConfig):
         inner = int(np.sum((d_hull <= 0.0) & (d_bd < cfg.phi)))
         return outer, inner
 
-    results = _run_chunks(cfg.N, cfg.workers, do_chunk)
+    results = _run_chunks(cfg.N, 1, do_chunk)
     outer = sum(r[0] for r in results) / cfg.N
     inner = sum(r[1] for r in results) / cfg.N
     se_o, se_i = binomial_se(outer, cfg.N), binomial_se(inner, cfg.N)
@@ -486,7 +439,7 @@ def run_tube_experiment(cfg: ExperimentConfig):
         "expectation": None, "wendel_table": None, "tube_table": [row],
         "property_suite": None,
     }
-    return [], summary
+    return NO_RECORDS, summary
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +607,7 @@ def run_property_suite(cfg: ExperimentConfig):
         "expectation": None, "wendel_table": None, "tube_table": None,
         "property_suite": suite,
     }
-    return [], summary
+    return NO_RECORDS, summary
 
 
 # ---------------------------------------------------------------------------
@@ -703,85 +656,83 @@ def oracle_radial_cdf(params: AdversarialParams, thetas: np.ndarray) -> np.ndarr
 
 def run_sampler_check(cfg: ExperimentConfig):
     """Radial-law, symmetry, support, and rejection-oracle fidelity checks."""
-    m = cfg.m
-    N = cfg.N
+    m, N, beta = cfg.m, cfg.N, cfg.beta
     gen = stream(cfg.master_seed, PURPOSE_CHECK, 0).generator()
     abar = samplers.uniform_sphere_block(m, gen, 1)[0]
-    rows = []
-    for beta in (cfg.beta,):
-        params = samplers.make_adversarial_params(m, cfg.alpha, beta,
-                                                  delta_mode=cfg.delta_mode)
-        draw_gen = stream(cfg.master_seed, PURPOSE_CHECK,
-                          1 + int(round(1000 * beta))).generator()
-        pts = samplers.cap_block(abar, params, draw_gen, N)
-        ang = clipped_arccos(pts @ abar)
-        support_ok = bool(np.max(ang) <= cfg.alpha + 1e-10)
-        theta_sorted = np.sort(ang)
-        ks_rad = ks_statistic(theta_sorted, oracle_radial_cdf(params, theta_sorted))
-        row = {
-            "beta": beta, "alpha": cfg.alpha, "N": N,
-            "ks_radial": ks_rad, "ks_radial_threshold": ks_threshold(N),
-            "pass_radial": ks_rad <= ks_threshold(N),
-            "support_ok": support_ok,
-        }
-        if m >= 2:
-            # Direction symmetry: one angular coordinate must be uniform.
-            R = rotation_to(SpherePoint(np.eye(m + 1)[0]), SpherePoint(abar))
-            back = pts @ R
-            w = back[:, 1:]
-            w /= np.linalg.norm(w, axis=1, keepdims=True)
-            angle = np.arctan2(w[:, 1], w[:, 0])
-            u_sorted = np.sort((angle + math.pi) / (2.0 * math.pi))
-            ks_dir = ks_statistic(u_sorted, u_sorted)
-            row["ks_direction"] = ks_dir
-            row["pass_direction"] = ks_dir <= ks_threshold(N)
-        if beta == 0.0:
-            rej_gen = stream(cfg.master_seed, PURPOSE_CHECK, 2).generator()
-            rej = samplers.rejection_cap_block(abar, cfg.alpha, m, rej_gen, N)
-            ks2 = ks_two_sample(ang, clipped_arccos(rej @ abar))
-            row["ks_rejection"] = ks2
-            row["ks_rejection_threshold"] = ks_two_sample_threshold(N, N)
-            row["pass_rejection"] = ks2 <= ks_two_sample_threshold(N, N)
-        rows.append(row)
+    params = samplers.make_adversarial_params(m, cfg.alpha, beta, delta_mode=cfg.delta_mode)
+    draw_gen = stream(cfg.master_seed, PURPOSE_CHECK, 1 + int(round(1000 * beta))).generator()
+    pts = samplers.cap_block(abar, params, draw_gen, N)
+    ang = clipped_arccos(pts @ abar)
+    support_ok = bool(np.max(ang) <= cfg.alpha + 1e-10)
+    theta_sorted = np.sort(ang)
+    ks_rad = ks_statistic(theta_sorted, oracle_radial_cdf(params, theta_sorted))
+    row = {
+        "beta": beta, "alpha": cfg.alpha, "N": N,
+        "ks_radial": ks_rad, "ks_radial_threshold": ks_threshold(N),
+        "pass_radial": ks_rad <= ks_threshold(N),
+        "support_ok": support_ok,
+    }
+    if m >= 2:
+        # Direction symmetry: one angular coordinate must be uniform.
+        R = rotation_to(SpherePoint(np.eye(m + 1)[0]), SpherePoint(abar))
+        back = pts @ R
+        w = back[:, 1:]
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        angle = np.arctan2(w[:, 1], w[:, 0])
+        u_sorted = np.sort((angle + math.pi) / (2.0 * math.pi))
+        ks_dir = ks_statistic(u_sorted, u_sorted)
+        row["ks_direction"] = ks_dir
+        row["pass_direction"] = ks_dir <= ks_threshold(N)
+    if beta == 0.0:
+        rej_gen = stream(cfg.master_seed, PURPOSE_CHECK, 2).generator()
+        rej = samplers.rejection_cap_block(abar, cfg.alpha, m, rej_gen, N)
+        ks2 = ks_two_sample(ang, clipped_arccos(rej @ abar))
+        row["ks_rejection"] = ks2
+        row["ks_rejection_threshold"] = ks_two_sample_threshold(N, N)
+        row["pass_rejection"] = ks2 <= ks_two_sample_threshold(N, N)
     summary = {
         "config": cfg.echo(), "counts": None, "tail_table": None,
         "expectation": None, "wendel_table": None, "tube_table": None,
-        "property_suite": None, "sampler_table": rows,
+        "property_suite": None, "sampler_table": [row],
     }
-    return [], summary
+    return NO_RECORDS, summary
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 
 
-def _fmt(value) -> str:
-    if value is None:
+def _fmt(value: float) -> str:
+    """A CSV field: repr of the float, "inf", or empty for NaN (no value)."""
+    if math.isnan(value):
         return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
-    return str(value)
+    return "inf" if math.isinf(value) else repr(value)
 
 
 def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
-    """Write the per-sample CSV and the summary JSON; returns their paths."""
+    """Write the per-sample CSV and the summary JSON; returns their paths.
+
+    `records` is the (seeds, rho) pair of columns a condition-number
+    experiment returns, or `NO_RECORDS`.  Each CSV row is derived from its
+    sample's rho by `_cond_columns`, as the experiment's counts were.
+    """
+    seeds, rho = records
+    rho = np.asarray(rho, dtype=float)
+    labels, cond, ln_cond = _cond_columns(rho)
+    ipm_proxy = math.sqrt(cfg.m + cfg.n) * (math.log(cfg.m + cfg.n) + ln_cond)
+    columns = zip(np.asarray(seeds).tolist(), labels.tolist(), rho.tolist(), cond.tolist(),
+                  ln_cond.tolist(), ipm_proxy.tolist())
+    lines = [f"{i},{cfg.master_seed},{seed},{label},{_fmt(r)},{_fmt(c)},{_fmt(ln)},{_fmt(p)}\n"
+             for i, (seed, label, r, c, ln, p) in enumerate(columns)]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "records.csv")
     json_path = os.path.join(out_dir, "summary.json")
     try:
         with open(csv_path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for r in records:
-                fields = [
-                    str(r.index), str(r.seed_hi), str(r.seed_lo),
-                    r.cls.short if r.cls is not None else "",
-                    _fmt(r.rho), _fmt(r.cond), _fmt(r.ln_cond), _fmt(r.ipm_proxy),
-                ]
-                fh.write(",".join(fields) + "\n")
+            fh.writelines(lines)
         body = dict(summary)
-        body.setdefault("N", len(records))
+        body.setdefault("N", rho.size)
         with open(json_path, "w") as fh:
             json.dump(body, fh, indent=2, sort_keys=True, allow_nan=False,
                       default=_json_default)

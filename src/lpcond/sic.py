@@ -26,14 +26,9 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import (
-    ConvergenceError,
-    DegenerateHullError,
-    DegenerateSubsetError,
-    InstanceTooLargeError,
-)
+from .errors import ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from .lp import FeasibilityClass
-from .sphere import Cap, SpherePoint, row_norms
+from .sphere import SpherePoint, row_norms
 
 # |rho - pi/2| at or below this band counts as ill-posed.
 ILL_POSED_BAND = 1e-8
@@ -104,10 +99,6 @@ class Instance:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def from_points(cls, points) -> "Instance":
-        return cls(np.array([p.coords for p in points]))
-
-    @classmethod
     def from_file(cls, path) -> "Instance":
         """Read the instance file format: header "n m", then n rows."""
         with open(path) as fh:
@@ -129,9 +120,6 @@ class Instance:
     @property
     def m(self) -> int:
         return self.matrix.shape[1] - 1
-
-    def row(self, i: int) -> SpherePoint:
-        return SpherePoint(self.matrix[i])
 
     def prefix(self, k: int) -> "Instance":
         if k < self.m + 2:
@@ -194,25 +182,6 @@ def _make_result(center: np.ndarray, rho: float, support) -> SicResult:
         cond=cond_from_rho(rho),
         dist_to_sigma=abs(math.pi / 2 - rho),
     )
-
-
-def circumcap(points, sign: int = 1) -> Cap:
-    """Equidistant cap through 1..m+1 points, center on the `sign` side."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if hasattr(points, "coords"):
-        points = [points]
-    B = np.atleast_2d(
-        np.array([p.coords if hasattr(p, "coords") else p for p in points], dtype=float)
-    )
-    k, d = B.shape
-    if not 1 <= k <= d:
-        raise ValueError(f"need between 1 and m+1={d} points, got {k}")
-    cap = _equidistant(B)
-    if cap is None:
-        raise DegenerateSubsetError("the points have no equidistant center")
-    center, radius = cap
-    return Cap(SpherePoint(sign * center), radius if sign > 0 else math.pi - radius)
 
 
 def _equidistant(sub: np.ndarray):
@@ -519,11 +488,3 @@ def cond_and_class(A: Instance):
     res = sic_solve(A)
     return res.cond, res.cls, res.dist_to_sigma
 
-
-def prefix_cond_profile(A: Instance):
-    """[(k, cond(A_k), class(A_k))] for k = m+2..n."""
-    out = []
-    for k in range(A.m + 2, A.n + 1):
-        res = sic_solve(A.prefix(k))
-        out.append((k, res.cond, res.cls))
-    return out

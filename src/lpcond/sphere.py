@@ -88,11 +88,6 @@ def angular_distance(x: SpherePoint, y: SpherePoint) -> float:
     return float(clipped_arccos(float(x.coords @ y.coords)))
 
 
-def projective_distance(x: SpherePoint, y: SpherePoint) -> float:
-    """sin of the angular distance; vanishes iff x = +/- y."""
-    return math.sin(angular_distance(x, y))
-
-
 @dataclass(frozen=True)
 class Cap:
     """Closed spherical cap: all points within `radius` of `center`."""
@@ -169,31 +164,3 @@ def integral_J(m: int, k: int, alpha: float) -> float:
                   0.0, alpha, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_ABS_TOL, limit=200)
     return val
 
-
-@dataclass(frozen=True)
-class IntegralTable:
-    """A tabulated evaluation of J_{m,k} at a fixed resolution."""
-
-    m: int
-    k: int
-    alpha: float
-    value: float
-    node_count: int
-
-
-def integral_table(m: int, k: int, alpha: float, node_count: int = 4096) -> IntegralTable:
-    """Composite-midpoint evaluation of J_{m,k}(alpha) on `node_count` cells.
-
-    The integrand is nonnegative on [0, pi/2], so the value is nonnegative
-    and monotone nondecreasing in alpha.
-    """
-    if not 1 <= k <= m:
-        raise ValueError(f"order k={k} outside 1..m={m}")
-    _validate_alpha(alpha)
-    if node_count < 1:
-        raise ValueError("node_count must be positive")
-    edges = np.linspace(0.0, alpha, node_count + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    vals = np.sin(mids) ** (k - 1) * np.cos(mids) ** (m - k)
-    value = float(np.sum(vals) * (alpha / node_count))
-    return IntegralTable(m=m, k=k, alpha=alpha, value=value, node_count=node_count)

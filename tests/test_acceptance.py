@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from lpcond import convexgeom, harness, samplers, sic
+from lpcond import cli, convexgeom, harness, samplers, sic
 from lpcond.convexgeom import SpherePolytope, cap_distance_suite
 from lpcond.harness import ExperimentConfig
-from lpcond.lp import gordan_classify
 from lpcond.samplers import PURPOSE_CHECK, make_adversarial_params, perturb_rows, stream
 from lpcond.sic import ILL_POSED_BAND, Instance
 from lpcond.sphere import Cap, SpherePoint
+from oracles import gordan_classify
 
 
 def report(criterion, ok, detail):
@@ -271,26 +271,21 @@ def test_c12_determinism_across_workers(tmp_path):
     ok = True
     details = []
     specs = [
-        ("tail", dict(kind="tail", m=2, n=5, N=2000, master_seed=1212)),
-        ("tube", dict(kind="tube", m=2, alpha=math.pi / 6, phi=math.asin(0.06),
-                      cap_radius=math.pi / 4, placement_offset=math.pi / 4,
-                      N=10_000, master_seed=1212)),
-        ("wendel", dict(kind="wendel", m=2, N=10_000, k_values=(4,),
-                        master_seed=1212)),
+        ("tail", ["exp-tail", "--m", "2", "--n", "5", "--N", "2000"]),
+        ("tube", ["exp-tube", "--m", "2", "--alpha", "piOver6",
+                  "--phi", repr(math.asin(0.06)), "--cap-radius", "piOver4",
+                  "--offset", "piOver4", "--N", "10000"]),
+        ("wendel", ["exp-wendel", "--m", "2", "--N", "10000", "--k", "4"]),
     ]
-    runners = {
-        "tail": harness.run_tail_experiment,
-        "tube": harness.run_tube_experiment,
-        "wendel": harness.run_wendel_experiment,
-    }
-    for name, kwargs in specs:
+    for name, argv in specs:
         blobs = []
         for workers in (1, 3):
-            cfg = ExperimentConfig(workers=workers, **kwargs)
-            records, summary = runners[name](cfg)
             out = os.fspath(tmp_path / f"{name}-w{workers}")
-            csv_path, json_path = harness.persist(records, summary, cfg, out)
-            blobs.append((open(csv_path, "rb").read(), open(json_path, "rb").read()))
+            code = cli.main(argv + ["--seed", "1212", "--workers", str(workers),
+                                    "--out", out])
+            ok &= code == 0
+            blobs.append(tuple(open(os.path.join(out, f), "rb").read()
+                               for f in ("records.csv", "summary.json")))
         same = blobs[0] == blobs[1]
         ok &= same
         details.append(f"{name}: byte-identical={same}")

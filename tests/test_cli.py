@@ -12,8 +12,15 @@ from lpcond.cli import (
     parse_k_values,
     parse_t_grid,
 )
+from lpcond.sic import Instance
+from oracles import gordan_classify
 
 TRIPLE = "3 1\n1 0\n-0.5 0.8660254037844386\n-0.5 -0.8660254037844386\n"
+# Strictly feasible: the coordinate frame of S^2 and its center direction.
+SIMPLEX = ("4 2\n1 0 0\n0 1 0\n0 0 1\n"
+           "0.5773502691896258 0.5773502691896258 0.5773502691896258\n")
+# Exactly ill-posed: an antipodal pair and a doubled row on S^1.
+ANTIPODAL = "4 1\n1 0\n-1 0\n0 1\n0 1\n"
 
 
 @pytest.fixture
@@ -102,6 +109,20 @@ class TestCommands:
         assert "class=IF" in out
         assert "cond=2" in out
 
+    @pytest.mark.parametrize("text,expected", [
+        (TRIPLE, "IF"), (SIMPLEX, "SF"), (ANTIPODAL, "IP"),
+    ])
+    def test_classify_agrees_with_cond(self, tmp_path, capsys, text, expected):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        classes = []
+        for command in ("classify", "cond"):
+            assert main([command, "--instance", os.fspath(path)]) == 0
+            out = capsys.readouterr().out
+            classes.append(out.split("class=", 1)[1].split()[0])
+        assert classes == [expected, expected]
+        assert gordan_classify(Instance.from_file(path)).short == expected
+
     def test_classify_bad_row_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("3 1\n1 0\n3 0\n0 1\n")
@@ -172,6 +193,23 @@ class TestExperimentsEndToEnd:
                      "--out", os.fspath(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["exp-tail", "--N", "0"],
+        ["exp-tail", "--N", "-5"],
+        ["exp-mean", "--N", "0"],
+        ["exp-wendel", "--k", "4", "--N", "0"],
+        ["exp-tube", "--phi", "0.06", "--cap-radius", "piOver4", "--offset", "piOver4",
+         "--N", "0"],
+        ["exp-properties", "--N", "0"],
+        ["validate-sampler", "--N", "0"],
+        ["sample", "--N", "0"],
+    ])
+    def test_sample_count_below_one_exit_one(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", os.fspath(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "N must be at least 1" in err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_config_file_flag(self, tmp_path):
         cfg = tmp_path / "w.cfg"

@@ -14,7 +14,6 @@ from lpcond.convexgeom import (
     distance_to_boundary,
     distance_to_dual,
     distance_to_sconv,
-    in_neighborhood,
     project_onto_cone,
 )
 from lpcond.errors import DegenerateHullError
@@ -270,44 +269,9 @@ class TestBoundaryDistance:
 
 
 class TestNeighborhood:
-    def test_boundary_point_in_both(self):
-        P = SpherePolytope(np.eye(3))
-        x = SpherePoint(unit([1.0, 1.0, 0.0]))
-        assert in_neighborhood(x, P, 0.3, "both")
-
-    def test_far_point_not_outer(self):
-        P = SpherePolytope(np.eye(3))
-        x = SpherePoint([0.0, 0.0, -1.0])  # distance pi/2 from the hull
-        assert not in_neighborhood(x, P, math.pi / 4, "outer")
-
-    def test_sides_partition(self):
-        rng = np.random.default_rng(9)
-        gens, _ = cap_cloud(rng, 5, 0.8)
-        P = SpherePolytope(gens)
-        phi = 0.3
-        for x in random_units(rng, 60):
-            p = SpherePoint(x)
-            both = in_neighborhood(p, P, phi, "both")
-            outer = in_neighborhood(p, P, phi, "outer")
-            inner = in_neighborhood(p, P, phi, "inner")
-            assert both == (outer or inner)
-            assert not (outer and inner)
-            member = distance_to_sconv(p, P) <= MEMBER_TOL
-            if outer:
-                assert not member
-            if inner:
-                assert member
-
-    def test_phi_validation(self):
-        P = SpherePolytope(np.eye(3))
-        with pytest.raises(ValueError):
-            in_neighborhood(SpherePoint([1.0, 0, 0]), P, 0.0, "outer")
-        with pytest.raises(ValueError):
-            in_neighborhood(SpherePoint([1.0, 0, 0]), P, 2.0, "outer")
-
     def test_near_facet_matches_oracle_distance(self):
-        # Indicator values around a facet agree with the independent
-        # bisection oracle's distance on both sides.
+        # Which points lie within phi of the boundary, on either side,
+        # agrees with the independent bisection oracle's distance.
         rng = np.random.default_rng(21)
         gens, _ = cap_cloud(rng, 4, 0.8)
         P = SpherePolytope(gens)
@@ -317,12 +281,12 @@ class TestNeighborhood:
             p = SpherePoint(x)
             d_hull = distance_to_sconv(p, P)
             if MEMBER_TOL < d_hull < 0.5:
-                assert in_neighborhood(p, P, phi, "outer") == (d_hull < phi)
+                assert (distance_to_boundary(p, P) < phi) == (d_hull < phi)
                 checked_out += 1
             elif d_hull <= MEMBER_TOL:
                 d_or = oracle_boundary_distance(x, gens, n_dirs=256, polish=True)
                 if abs(d_or - phi) > 1e-4:  # stay off the undecidable rim
-                    assert in_neighborhood(p, P, phi, "inner") == (d_or < phi)
+                    assert (distance_to_boundary(p, P) < phi) == (d_or < phi)
                     checked_in += 1
         assert checked_in >= 5 and checked_out >= 5
 

@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import threading
 from fractions import Fraction
 
 import jsonschema
 import numpy as np
 import pytest
 
-from lpcond import harness, sic
+from lpcond import cli, harness, sic
 from lpcond.errors import ConfigError, ConvergenceError
 from lpcond.harness import (
     CSV_HEADER,
@@ -28,15 +29,14 @@ from lpcond.harness import (
     run_tail_experiment,
     run_tube_experiment,
     run_wendel_experiment,
-    tail_bound_reports,
     threshold_F,
     wendel_p,
     wendel_p_exact,
-    wendel_p_pascal,
 )
-from lpcond.lp import FeasibilityClass, gordan_classify
+from lpcond.lp import FeasibilityClass
 from lpcond.samplers import RngStream, make_adversarial_params, sample_instance
 from lpcond.sic import strictly_feasible
+from oracles import gordan_classify, wendel_p_pascal
 
 
 PARAMS = make_adversarial_params(2, math.pi / 6, 0.0)
@@ -140,6 +140,11 @@ class TestDrawConditionRecords:
         center = harness.resolve_center(cfg, params)
         return cfg, params, center, harness.draw_condition_records(cfg, params, center)
 
+    @staticmethod
+    def counts(rho):
+        labels, _, ln_cond = harness._cond_columns(rho)
+        return harness._counts(labels, ln_cond)
+
     def test_typed_solver_error_counts_as_failed(self, monkeypatch):
         solve = sic.sic_rho
         calls = []
@@ -151,9 +156,10 @@ class TestDrawConditionRecords:
             return solve(mat, facet)
 
         monkeypatch.setattr(sic, "sic_rho", failing_once)
-        _, _, _, (records, counts) = self.draw(2, 5, 1000)
+        _, _, _, (_, rho) = self.draw(2, 5, 1000)
+        counts = self.counts(rho)
         assert counts["failed"] == 1
-        assert records[2].rho is None and records[2].cls is None
+        assert math.isnan(rho[2]) and harness._cond_columns(rho)[0][2] == ""
         assert counts["sf"] + counts["ip"] + counts["if"] == 999
 
     def test_untyped_error_propagates(self, monkeypatch):
@@ -166,25 +172,38 @@ class TestDrawConditionRecords:
 
     def test_many_rows_give_cap_certificates(self):
         # m=2, n=200: an enumeration would build 1.3M support subsets.
-        _, params, center, (records, counts) = self.draw(2, 200, 2)
-        assert counts["failed"] == 0
-        for rec in records:
-            inst = sample_instance(center, params, RngStream(rec.seed_hi, rec.seed_lo))
+        cfg, params, center, (seeds, rhos) = self.draw(2, 200, 2)
+        assert self.counts(rhos)["failed"] == 0
+        for seed, rec_rho in zip(seeds.tolist(), rhos.tolist()):
+            inst = sample_instance(center, params, RngStream(cfg.master_seed, seed))
             rho, cap_center, _ = sic.sic_rho(inst.matrix)
-            assert rho == rec.rho
+            assert rho == rec_rho
             angles = np.arccos(np.clip(inst.matrix @ cap_center, -1.0, 1.0))
-            assert np.max(angles) <= rec.rho + 1e-9
+            assert np.max(angles) <= rec_rho + 1e-9
 
     def test_outputs_identical_for_one_and_two_workers(self, tmp_path):
-        # N = 8200 spans three fixed chunks, so two workers split the draw.
+        # N = 8200 spans three fixed chunks; --workers is accepted and ignored.
         blobs = []
         for workers in (1, 2):
-            cfg = ExperimentConfig(kind="tail", m=2, n=5, N=8200, master_seed=12,
-                                   workers=workers)
-            records, summary = run_tail_experiment(cfg)
-            paths = persist(records, summary, cfg, os.fspath(tmp_path / f"w{workers}"))
-            blobs.append([open(path, "rb").read() for path in paths])
+            out = os.fspath(tmp_path / f"w{workers}")
+            assert cli.main(["exp-tail", "--m", "2", "--n", "5", "--N", "8200",
+                             "--seed", "12", "--workers", str(workers), "--out", out]) == 0
+            blobs.append([open(os.path.join(out, name), "rb").read()
+                          for name in ("records.csv", "summary.json")])
         assert blobs[0] == blobs[1]
+
+    def test_chunks_run_serially_in_order(self):
+        calls = []
+
+        def fn(lo, hi):
+            calls.append((threading.get_ident(), lo, hi))
+            return lo
+
+        total = 2 * harness.CHUNK + 5
+        assert harness._run_chunks(total, 2, fn) == [0, harness.CHUNK, 2 * harness.CHUNK]
+        me = threading.get_ident()
+        assert calls == [(me, 0, harness.CHUNK), (me, harness.CHUNK, 2 * harness.CHUNK),
+                         (me, 2 * harness.CHUNK, total)]
 
 
 class TestTail:
@@ -215,17 +234,11 @@ class TestTail:
         )
 
     def test_records_consistent(self, tail_run):
-        _, records, _ = tail_run
-        for r in records[:200]:
-            if r.cond is not None and math.isfinite(r.cond):
-                assert r.cond == pytest.approx(1 / abs(math.cos(r.rho)), rel=1e-9)
-
-    def test_bound_reports_view(self, tail_run):
-        _, _, summary = tail_run
-        rep_f, rep_i = tail_bound_reports(summary)
-        assert len(rep_f) == len(summary["tail_table"])
-        assert all(r.covered for r in rep_f)
-        assert all(r.bound > 0 for r in rep_i)
+        _, (_, rho), _ = tail_run
+        _, conds, _ = harness._cond_columns(rho[:200])
+        for r, cond in zip(rho[:200].tolist(), conds.tolist()):
+            if math.isfinite(cond):
+                assert cond == pytest.approx(1 / abs(math.cos(r)), rel=1e-9)
 
     def test_grid_validation(self):
         cfg = ExperimentConfig(kind="tail", m=2, n=5, N=50, master_seed=1,
@@ -402,7 +415,7 @@ class TestPersistence:
 
     def test_config_echo_excludes_runtime_knobs(self, tmp_path):
         cfg = ExperimentConfig(kind="wendel", m=2, N=100, k_values=(4,),
-                               master_seed=1, workers=7, out_dir="x")
+                               master_seed=1, out_dir="x")
         _, summary = run_wendel_experiment(cfg)
         assert "workers" not in summary["config"]
         assert "out_dir" not in summary["config"]

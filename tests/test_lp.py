@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lpcond.lp import (
-    FeasibilityClass,
-    SimplexProblem,
-    gordan_classify,
-    origin_in_conv,
-    simplex_solve,
-)
+from lpcond.lp import FeasibilityClass
 from lpcond.sic import Instance
+from oracles import SimplexProblem, gordan_classify, origin_in_conv, simplex_solve
 
 
 def random_units(rng, count, d):

@@ -47,9 +47,9 @@ def per_row_instance(center: Instance, params, rng: RngStream) -> Instance:
         theta = float(table.theta_of_u(u[0]))
         w = ndtri(u[1:])
         pt = np.concatenate([[math.cos(theta)], math.sin(theta) * w / np.linalg.norm(w)])
-        pt = rotation_to(pole, center.row(i)) @ pt
-        rows.append(SpherePoint(pt / np.linalg.norm(pt)))
-    return Instance.from_points(rows)
+        pt = rotation_to(pole, SpherePoint(center.matrix[i])) @ pt
+        rows.append(SpherePoint(pt / np.linalg.norm(pt)).coords)
+    return Instance(np.array(rows))
 
 
 def random_center(m: int, n: int, seed: int) -> Instance:

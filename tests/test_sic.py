@@ -12,18 +12,17 @@ from lpcond.errors import (
     DegenerateSubsetError,
     InstanceTooLargeError,
 )
-from lpcond.lp import FeasibilityClass, gordan_classify
+from lpcond.lp import FeasibilityClass
 from lpcond.sic import (
     Instance,
-    circumcap,
     cond_and_class,
     cond_from_rho,
-    prefix_cond_profile,
     sic_bruteforce,
     sic_rho,
     sic_solve,
 )
 from lpcond.sphere import SpherePoint, angular_distance
+from oracles import circumcap, gordan_classify
 
 
 def random_instance(rng, n, m):
@@ -431,15 +430,21 @@ class TestDerived:
         assert cls is FeasibilityClass.ILL_POSED
         assert dist == pytest.approx(0.0, abs=1e-12)
 
+    @staticmethod
+    def prefix_profile(inst):
+        """Solves of the prefixes of m+2..n rows, as the property suite takes them."""
+        return [sic_solve(inst.prefix(k)) for k in range(inst.m + 2, inst.n + 1)]
+
     def test_profile_last_entry_consistent(self):
         rng = np.random.default_rng(8)
         inst = random_instance(rng, 8, 2)
-        profile = prefix_cond_profile(inst)
-        assert profile[0][0] == inst.m + 2
-        assert profile[-1][0] == inst.n
+        profile = self.prefix_profile(inst)
+        assert len(profile) == inst.n - inst.m - 1
         full = sic_bruteforce(inst)
-        assert profile[-1][1] == pytest.approx(full.cond, abs=1e-9, rel=1e-9)
-        assert profile[-1][2] is full.cls
+        assert profile[-1].cond == pytest.approx(full.cond, abs=1e-9, rel=1e-9)
+        assert profile[-1].cls is full.cls
+        with pytest.raises(ValueError):
+            inst.prefix(inst.m + 1)
 
     def test_profile_feasible_prefixes(self):
         # Points packed in a small cap: every prefix stays strictly feasible.
@@ -452,8 +457,8 @@ class TestDerived:
             t /= np.linalg.norm(t)
             ang = rng.uniform(0, 0.3)
             pts.append(math.cos(ang) * base + math.sin(ang) * t)
-        profile = prefix_cond_profile(Instance(np.array(pts)))
-        assert all(cls is FeasibilityClass.STRICTLY_FEASIBLE for _, _, cls in profile)
+        profile = self.prefix_profile(Instance(np.array(pts)))
+        assert all(res.cls is FeasibilityClass.STRICTLY_FEASIBLE for res in profile)
 
     def test_cond_from_rho_band(self):
         assert math.isinf(cond_from_rho(math.pi / 2 + 5e-9))
