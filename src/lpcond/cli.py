@@ -84,16 +84,19 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _merge(args) -> dict:
-    """Builtin defaults, then config file, then explicit flags."""
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
+def _explicit(args) -> dict:
+    """Values given in the config file, then by explicit flags."""
+    given = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _CONVERTERS:
         val = getattr(args, key, None)
         if val is not None:
-            merged[key] = val
-    return merged
+            given[key] = val
+    return given
+
+
+def _merge(args) -> dict:
+    """Builtin defaults, then config file, then explicit flags."""
+    return {**_DEFAULTS, **_explicit(args)}
 
 
 def _experiment_config(kind, opt) -> ExperimentConfig:
@@ -182,8 +185,10 @@ def _cmd_sample(args) -> int:
 
 
 def _run_experiment(kind, args) -> int:
-    opt = _merge(args)
-    cfg = _experiment_config(kind, opt)
+    given = _explicit(args)
+    if kind == "property-suite" and "N" in given:
+        raise ConfigError("exp-properties has fixed pools and takes no --N")
+    cfg = _experiment_config(kind, {**_DEFAULTS, **given})
     runner = {
         "tail": harness.run_tail_experiment,
         "expectation": harness.run_expectation_experiment,

@@ -5,10 +5,6 @@ class DimensionMismatchError(ValueError):
     """Operands live on spheres of different dimension."""
 
 
-class DegenerateSubsetError(RuntimeError):
-    """A support subset has a numerically singular Gram matrix."""
-
-
 class DegenerateHullError(RuntimeError):
     """Hull generators span a proper subspace; no interior exists."""
 

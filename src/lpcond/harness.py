@@ -25,7 +25,7 @@ import numpy as np
 
 from . import convexgeom, samplers, sic
 from .convexgeom import SpherePolytope, cap_distances_batch
-from .errors import ConfigError, ConvergenceError, DegenerateHullError
+from .errors import ConfigError
 from .lp import FeasibilityClass
 from .samplers import (
     PURPOSE_CENTER,
@@ -210,12 +210,14 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
     Each chunk draws its samples with `samplers.cap_batch`, in blocks of
     at most `samplers.BLOCK_ROWS` rows, normalized as `Instance` does, so
     `sample_instance(center, params, RngStream(master_seed, seeds[i]))`
-    replays exactly the rows solved for sample i.  The facet stage runs on
-    every sample of a block (`sic.nearest_facets`), so a block costs the
-    same whatever its share of infeasible samples.  Returns the columns
-    (seeds, rho): each sample's stream index and rho, NaN where the solve
-    raised one of the solver's typed errors, which counts the sample as
-    failed; any other error propagates.
+    replays exactly the rows solved for sample i.  Each block is solved
+    by one `sic.stack_rho` call: at small sizes one max-min scan over row
+    subsets answers the whole block and only the samples it routes take
+    the per-instance NNLS solve; past them every sample takes the NNLS
+    and its Qhull facet, whatever its class.  Returns the columns (seeds,
+    rho): each sample's stream index and rho, NaN where the solve raised
+    one of the solver's typed errors, which counts the sample as failed;
+    any other error propagates.
     """
 
     def do_chunk(lo, hi):
@@ -223,12 +225,7 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
         for start, stop in samplers.sample_ranges(lo, hi, center.n):
             indices = samplers.stream_indices(PURPOSE_SAMPLE, start, stop)
             mats = sic.unit_rows(samplers.cap_batch(center, params, cfg.master_seed, indices))
-            facets = sic.nearest_facets(mats)
-            for j, (mat, facet) in enumerate(zip(mats, facets), start=start - lo):
-                try:
-                    rho[j] = sic.sic_rho(mat, facet)[0]
-                except (ConvergenceError, DegenerateHullError):
-                    rho[j] = np.nan
+            rho[start - lo:stop - lo] = sic.stack_rho(mats)
         return rho
 
     seeds = samplers.stream_indices(PURPOSE_SAMPLE, 0, cfg.N)

@@ -2,16 +2,15 @@
 
 The cap of minimal angular radius rho containing all rows of an instance
 determines the feasibility class (rho vs pi/2) and the condition number
-1/|cos rho|.  `sic_rho` is the one production solver, and `sic_solve` its
-typed view: it reads rho off the convex hull of the rows (Cheung and
-Cucker's characterization; one NNLS least-distance solve when the origin
-is outside the hull, the nearest hull facet when it is inside) and
-re-solves the support rows where that answer is imprecise.  The nearest
-facet of small instances comes from `facet_scan`, which scans every
-subset's hyperplane for a whole stack at once; larger hulls come from
-Qhull.  `nearest_facets` runs that stage for every instance of a stack,
-whatever its class.  The same NNLS is the package's feasibility test,
-`strictly_feasible`.  `sic_bruteforce`, the exhaustive support-subset
+1/|cos rho|, where cos rho = max over unit y of min_i <a_i, y> (Cheung and
+Cucker).  `stack_rho` solves a stack of instances: at small sizes one
+max-min scan over the row subsets of every instance answers either class,
+and only the instances where it may be imprecise take the per-instance
+solve, which reads rho off the convex hull (an NNLS least-distance solve,
+or the nearest hull facet when the origin is inside) and re-solves the
+support rows.  Larger instances all take the per-instance solve.
+`sic_rho` and `sic_solve` are its one-instance views; `strictly_feasible`
+is the same NNLS.  `sic_bruteforce`, the exhaustive support-subset
 enumeration, is the reference oracle the solver is checked against.
 """
 
@@ -38,7 +37,7 @@ COND_OVERFLOW = 1e15
 _CONTAIN_TOL = 1e-9
 _SUBSET_GUARD = 10**7
 # dist(0, conv A) at or below this puts the origin in the hull; far inside
-# the ill-posed band, so either branch of sic_rho classifies alike.
+# the ill-posed band, so either branch of _instance_rho classifies alike.
 _ORIGIN_TOL = 1e-12
 # Rows whose smallest singular value is below this span a great subsphere.
 _FLAT_TOL = 1e-10
@@ -54,14 +53,18 @@ _TINY_CAP = 1e-5
 _NEAR_TOL = 1e-7
 _NEAR_SUBSETS = 1000
 # Up to this many d-subsets of rows, and this many coordinates (a normal
-# takes d 2^(d-1) products), the facet stage scans every subset's
-# hyperplane (`facet_scan`), at most about half the cost of a Qhull call;
-# beyond them Qhull builds the hull.  At 4 coordinates a scan of 512
-# subsets costs about one Qhull call.
+# takes d 2^(d-1) products), `stack_rho` scans every row subset of 1..d
+# rows (`_stack_caps`); beyond them every instance takes the NNLS and a
+# Qhull facet.  At 4 coordinates a facet scan of 512 subsets costs about
+# one Qhull call.
 _SCAN_SUBSETS = 256
 _SCAN_MAX_DIM = 4
-# A scan holds at most this many (instance, subset) pairs per array.
+# A scan holds at most this many (instance, candidate) pairs per array.
 _SCAN_PAIRS = 1 << 13
+# Rows minus and plus their center, in one array operation.
+_MINUS_PLUS = np.array([-1.0, 1.0])[:, None, None]
+# Scan directions are scaled by at least this length: a zero one scores 0.
+_TINY_LENGTH = 1e-300
 
 
 def unit_rows(mats: np.ndarray) -> np.ndarray:
@@ -125,9 +128,6 @@ class Instance:
         if k < self.m + 2:
             raise ValueError(f"prefix length {k} below m+2={self.m + 2}")
         return Instance(self.matrix[:k])
-
-    def with_row(self, point: SpherePoint) -> "Instance":
-        return Instance(np.vstack([self.matrix, point.coords]))
 
 
 @dataclass(frozen=True)
@@ -298,124 +298,171 @@ def strictly_feasible(mat: np.ndarray) -> bool:
 
 
 def _scans(n: int, d: int) -> bool:
-    """Whether the facet stage of an n x d instance is a `facet_scan`."""
+    """Whether an n x d instance is solved by the stack scan (`stack_rho`)."""
     return d <= _SCAN_MAX_DIM and math.comb(n, d) <= _SCAN_SUBSETS
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_index(n: int, d: int):
-    """The d-subsets of n rows, as tuples and as an (S, d) index array."""
-    combos = tuple(itertools.combinations(range(n), d))
-    idx = np.array(combos, dtype=np.intp)
-    idx.flags.writeable = False
-    return combos, idx
+def _subset_index(n: int, sizes: tuple):
+    """The subset of each `_max_min` candidate over n rows: all subsets of
+    each size, then the last size's again (normals taken both ways); and
+    per size the (k, S) array of the rows of its S subsets."""
+    combos = [tuple(itertools.combinations(range(n), k)) for k in sizes]
+    cols = tuple(np.array(combo, dtype=np.intp).T.copy() for combo in combos)
+    for col in cols:
+        col.flags.writeable = False
+    return sum(combos, ()) + combos[-1], cols
 
 
-def _normals(diffs, d: int):
-    """Normal of the hyperplane through d points, from their d-1 differences.
+def _dot(x, y):
+    """<x, y> of coordinate-major arrays, summed coordinate by coordinate."""
+    return sum((x[k] * y[k] for k in range(1, len(x))), x[0] * y[0])
 
-    `diffs` yields the differences one at a time, each as d coordinate
-    arrays of one shape.  Normal coordinate j is the signed minor of the
-    difference matrix without column j (a Laplace expansion, like Qhull's
-    determinant hyperplanes in up to 4 dimensions), so it is orthogonal to
-    every difference and zero where the points are affinely dependent.
-    """
-    diffs = iter(diffs)
-    minors = {(c,): x for c, x in enumerate(next(diffs))}
-    for size, row in enumerate(diffs, start=2):
-        grown = {}
-        for cols in itertools.combinations(range(d), size):
-            acc = row[cols[0]] * minors[cols[1:]]
-            for t in range(1, size):
-                term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
-                acc = acc - term if t % 2 else acc + term
-            grown[cols] = acc
-        minors = grown
-    every = tuple(range(d))
-    normal = [minors[every[:j] + every[j + 1:]] for j in range(d)]
-    return [-y if j % 2 else y for j, y in enumerate(normal)]
+
+@functools.lru_cache(maxsize=None)
+def _laplace_plan(d: int):
+    """Index arrays of the Laplace expansion in `_normals`: per difference
+    after the first, the coordinate and smaller minor of each term of each
+    grown minor; then each normal coordinate's minor and sign."""
+    keys, steps = [(c,) for c in range(d)], []
+    for size in range(2, d):
+        grown = list(itertools.combinations(range(d), size))
+        terms = [(cols[t], keys.index(cols[:t] + cols[t + 1:])) for cols in grown for t in range(size)]
+        steps.append((size, *map(np.array, zip(*terms))))
+        keys = grown
+    last = [keys.index(tuple(c for c in range(d) if c != j)) for j in range(d)]
+    return steps, np.array(last), (-1.0) ** np.arange(d)[:, None, None]
+
+
+def _normals(diffs: np.ndarray) -> np.ndarray:
+    """Normals of the hyperplanes through d points, from their d-1
+    differences diffs (d-1, d, ...): coordinate j is the signed minor
+    without column j (Laplace expansion in column order, like Qhull's
+    determinant hyperplanes), zero where the points are affinely dependent."""
+    steps, last, signs = _laplace_plan(diffs.shape[1])
+    minors = diffs[0]
+    for row, (size, cols, rest) in zip(diffs[1:], steps):
+        terms = (row.take(cols, axis=0) * minors.take(rest, axis=0)).reshape(-1, size, *row.shape[1:])
+        minors = terms[:, 0]
+        for t in range(1, size):
+            minors = minors - terms[:, t] if t % 2 else minors + terms[:, t]
+    return minors.take(last, axis=0) * signs
+
+
+def _directions(coords: np.ndarray, cols: np.ndarray):
+    """Direction (d, P, S) of the min-norm point of aff(S) for the S subsets
+    cols (k, S) of the rows coords (d, P, n) of P instances: the row, a
+    chord's midpoint, Cramer's rule on a triangle's edge Gram system (d =
+    4), or the hyperplane normal of d rows.  Unnormalized; a degenerate
+    subset gives a zero or arbitrary direction, still a valid candidate."""
+    d, k = coords.shape[0], len(cols)
+    if k == 1:
+        return coords
+    pts = coords.take(cols, axis=2)
+    if k == d:
+        return _normals((pts[:, :, 1:] - pts[:, :, :1]).transpose(2, 0, 1, 3))
+    if k == 2:
+        return pts[:, :, 0] + pts[:, :, 1]
+    a, u, v = pts[:, :, 0], pts[:, :, 1] - pts[:, :, 0], pts[:, :, 2] - pts[:, :, 0]
+    uu, uv, vv, au, av = _dot(u, u), _dot(u, v), _dot(v, v), _dot(a, u), _dot(a, v)
+    return (uu * vv - uv * uv) * a + (av * uv - au * vv) * u + (au * uv - av * uu) * v
+
+
+def _max_min(mats: np.ndarray, sizes: tuple):
+    """(value, center, candidate) of max over y of min_i <a_i, y> for a
+    stack (B, n, d), y over the `_directions` of the row subsets of the
+    given sizes (ending at d, whose normals count both ways); a zero
+    direction scores 0.  Elementwise operations and one matrix product per
+    instance, so a result does not depend on its stack; sliced to at most
+    _SCAN_PAIRS (instance, candidate) pairs."""
+    B, n, d = mats.shape
+    combos, cols = _subset_index(n, sizes)
+    C = len(combos)
+    step, found = max(1, _SCAN_PAIRS // C), []
+    for lo in range(0, B, step):
+        part = mats[lo:lo + step]
+        dirs = [_directions(part.transpose(2, 0, 1), c) for c in cols]
+        w = np.concatenate(dirs + [-dirs[-1]], axis=2)
+        length = np.maximum(np.sqrt(_dot(w, w)), _TINY_LENGTH)
+        value = (part @ w.transpose(1, 0, 2)).min(axis=1) / length
+        win = value.argmax(axis=1)
+        at = np.arange(0, len(part) * C, C) + win
+        found.append((value.take(at), w.reshape(d, -1).take(at, axis=1) / length.take(at), win))
+    value, centers, wins = found[0] if len(found) == 1 else (
+        np.concatenate(x, axis=-1) for x in zip(*found))
+    return value, centers.T, wins
 
 
 def facet_scan(mats: np.ndarray) -> list:
-    """The facet stage of `sic_rho` for a stack (B, n, d) of instances.
+    """(center, support, cos rho) of the nearest hull facet, as Qhull's,
+    for every instance of a stack (B, n, d) holding the origin: `_max_min`
+    over the d-subsets' normals.  None where a zero normal wins: no subset
+    spans a hyperplane, or a degenerate one beats every facet."""
+    d = mats.shape[2]
+    combos = _subset_index(mats.shape[1], (d,))[0]
+    cos_rho, centers, wins = _max_min(mats, (d,))
+    return [(center, combos[s], cos) if spans else None for center, cos, s, spans
+            in zip(centers, cos_rho.tolist(), wins.tolist(), centers.any(axis=1).tolist())]
 
-    For each d-subset of rows, with normal y of its hyperplane taken both
-    ways, h(y) = max_i <a_i, y> is a cap certificate: every row lies within
-    pi - acos(h) of -y.  Where the origin is inside the hull, the least
-    h(y) over all subsets is dist(0, bd conv A) (the nearest facet is one of
-    them), so it gives (center, support, cos rho) = (-y, subset, -h) as
-    Qhull's nearest facet does.  Every instance is scanned, whatever its
-    class, so a stack costs the same however many hulls hold the origin.
-    Elementwise operations and one matrix product per instance: an
-    instance's result does not depend on the stack it sits in.  An entry
-    is None where no subset spans a hyperplane.  Meant for the sizes
-    `_scans` accepts: the work grows with the number of subsets.
+
+def _stack_caps(mats: np.ndarray):
+    """(rho, centers, candidates, routed) of the stack scan of (B, n, d).
+
+    The maximizer of min_i <a_i, y> is the direction of the min-norm point
+    of aff(S) for some S of 1..d rows: the nearest face of conv A, or the
+    nearest facet's normal when the origin is inside (Caratheodory).  So
+    `_max_min` over them all (the subset step of Gilbert, Johnson and
+    Keerthi's distance algorithm) is cos rho in either class; rho is the
+    winner's covering radius from chords.  Routed: winners within
+    _POLISH_DIST of pi/2 (cancelling sums; flat hulls, whose zero normals
+    score 0), caps below _TINY_CAP, and caps not covering to _CONTAIN_TOL.
     """
-    B, n, d = mats.shape
-    combos, idx = _subset_index(n, d)
-    step = max(1, _SCAN_PAIRS // len(idx))
-    found = []
-    for lo in range(0, B, step):
-        part = mats[lo:lo + step]
-        coords = np.ascontiguousarray(np.moveaxis(part, -1, 0))
-        base = coords[:, :, idx[:, 0]]
-        # Coordinate j of each subset's row k minus its row 0, for k = 1..d-1.
-        diffs = (coords[:, :, idx[:, k]] - base for k in range(1, d))
-        normal = np.stack(_normals(diffs, d), axis=1)
-        length = row_norms(np.moveaxis(normal, 1, -1))
-        # <a_i, y> for every row and subset: one matrix product per
-        # instance, the same BLAS call whatever the stack.
-        dots = part @ normal
-        top, bottom = dots.max(axis=1), -dots.min(axis=1)
-        h = np.divide(np.minimum(top, bottom), length, out=np.full_like(length, np.inf),
-                      where=length > 0.0)
-        at = (np.arange(len(part)), np.argmin(h, axis=1))
-        flip = np.where(top[at] <= bottom[at], -1.0, 1.0)
-        scale = np.divide(flip, length[at], out=flip, where=length[at] > 0.0)
-        centers = normal[at[0], :, at[1]] * scale[:, None]
-        for center, s, dist in zip(centers, at[1].tolist(), h[at].tolist()):
-            found.append((center, combos[s], -dist) if math.isfinite(dist) else None)
-    return found
+    cos_rho, centers, wins = _max_min(mats, tuple(range(1, mats.shape[2] + 1)))
+    ends = mats.transpose(2, 0, 1)[:, None] + centers.T[:, None, :, None] * _MINUS_PLUS
+    chords = np.sqrt(_dot(ends, ends))
+    rho = 2.0 * np.arctan2(chords[0], chords[1]).max(axis=1)
+    routed = ((np.abs(cos_rho) < _POLISH_DIST) | (rho < _TINY_CAP)
+              | (cos_rho > np.cos(rho - _CONTAIN_TOL)))
+    return rho, centers, wins, routed.nonzero()[0]
+
+
+def stack_rho(mats: np.ndarray) -> np.ndarray:
+    """rho of every instance of a stack (B, n, d) of unit rows: one
+    `_stack_caps` scan where `_scans` holds, its routed instances (else
+    all) by `_instance_rho` with a `facet_scan` (else Qhull) facet; NaN
+    where that raised one of the solver's typed errors."""
+    if _scans(*mats.shape[1:]):
+        rho, _, _, routed = _stack_caps(mats)
+        facets = facet_scan(mats[routed]) if routed.size else []
+    else:
+        rho, routed, facets = np.empty(len(mats)), range(len(mats)), nearest_facets(mats)
+    for i, facet in zip(routed, facets):
+        try:
+            rho[i] = _instance_rho(mats[i], facet)[0]
+        except (ConvergenceError, DegenerateHullError):
+            rho[i] = np.nan
+    return rho
 
 
 def nearest_facets(mats: np.ndarray) -> list:
-    """The facet stage of `sic_rho` for every instance of a stack (B, n, d).
-
-    One `facet_scan` for small instances, one Qhull call per instance
-    otherwise.  Every instance gets its facet whatever its class, so a
-    stack costs the same however many hulls hold the origin.  An entry is
-    None where the stage finds no facet or Qhull fails; `sic_rho` redoes
-    the stage for such an instance if it needs it, raising the typed error.
-    """
-    if _scans(*mats.shape[1:]):
-        return facet_scan(mats)
+    """`_nearest_facet` of every instance of a stack (B, n, d), whatever its
+    class, so a stack costs the same however many hulls hold the origin;
+    None where Qhull fails (`_instance_rho` then raises the typed error)."""
     found = []
     for mat in mats:
         try:
-            found.append(_hull_facet(mat))
+            found.append(_nearest_facet(mat))
         except DegenerateHullError:
             found.append(None)
     return found
 
 
 def _nearest_facet(mat: np.ndarray):
-    """(center, support, cos rho) from the hull facet nearest the enclosed origin.
+    """(center, support, cos rho) from the Qhull facet nearest the enclosed origin.
 
     |cos rho| = dist(0, bd conv A) when the origin is in the hull; the
-    center is the facet's inward normal and the support its vertices.
-    Small instances are scanned (`facet_scan`), larger ones go to Qhull.
-    """
-    if _scans(*mat.shape):
-        found = facet_scan(mat[None])[0]
-        if found is not None:
-            return found
-    return _hull_facet(mat)
-
-
-def _hull_facet(mat: np.ndarray):
-    """`_nearest_facet` by Qhull.
-
-    A flat hull around the origin is exactly ill-posed: its center is the
+    center is the facet's inward normal and the support its vertices.  A
+    flat hull around the origin is exactly ill-posed: its center is the
     rows' null vector, all rows on the boundary.
     """
     try:
@@ -430,20 +477,12 @@ def _hull_facet(mat: np.ndarray):
     return -hull.equations[f, :-1], support, float(hull.equations[f, -1])
 
 
-def sic_rho(mat, facet=None):
-    """(rho, center, support) of the smallest cap containing the rows of mat.
-
-    Cheung and Cucker (Math. Program. 91, 2001): cos rho = dist(0, conv A)
-    when the origin is outside the hull, else |cos rho| = dist(0, bd conv A).
-    The first comes from one NNLS solve, the second from the nearest hull
-    facet (`_nearest_facet`, or `facet` when the caller has it from
-    `nearest_facets` of a stack holding mat); either is the equidistant cap of
-    its support rows.  Where that first answer is imprecise -- the NNLS
-    center near pi/2 and the NNLS support of tiny caps -- the support rows
-    are re-solved with the oracle's equidistant-cap solve, and failing that
-    the rows near the rim are enumerated like the oracle does.
-    """
-    mat = np.asarray(mat, dtype=float)
+def _instance_rho(mat: np.ndarray, facet=None):
+    """(rho, center, support) of one instance: cos rho = dist(0, conv A) by
+    NNLS when the origin is outside the hull, else dist(0, bd conv A) from
+    the nearest facet (`facet`, or `_nearest_facet`).  Where that is
+    imprecise (near pi/2, tiny caps) the support rows are re-solved with
+    the oracle's equidistant cap, else the rows near the rim enumerated."""
     d = mat.shape[1]
     z, u = _least_distance(mat)
     dist = math.sqrt(float(z @ z))
@@ -475,6 +514,24 @@ def sic_rho(mat, facet=None):
         if best is not None and best[0] <= rho + _CONTAIN_TOL:
             return best[0], best[1], tuple(int(i) for i in best[2])
     return rho, center, (int(np.argmax(angles)),)
+
+
+def sic_rho(mat, facet=None):
+    """(rho, center, support) of the smallest cap containing the rows of mat.
+
+    Where `_scans` holds, the one-instance view of `stack_rho`, bit for bit
+    (`facet` is not read); past it `_instance_rho`, with `facet` from
+    `nearest_facets` when the caller has it.  Raises the solver's typed
+    errors where `stack_rho` gives NaN.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if not _scans(*mat.shape):
+        return _instance_rho(mat, facet)
+    rho, centers, wins, routed = _stack_caps(mat[None])
+    if routed.size:
+        return _instance_rho(mat, facet_scan(mat[None])[0])
+    n, d = mat.shape
+    return float(rho[0]), centers[0], _subset_index(n, tuple(range(1, d + 1)))[0][wins[0]]
 
 
 def sic_solve(A: Instance) -> SicResult:

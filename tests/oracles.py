@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lpcond.errors import ConvergenceError, DegenerateSubsetError
+from lpcond.errors import ConvergenceError
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import _equidistant
 from lpcond.sphere import Cap, SpherePoint
@@ -24,6 +24,10 @@ from lpcond.sphere import Cap, SpherePoint
 _EPS = 1e-9
 _PIVOT_EPS = 1e-11
 _MAX_PIVOTS = 20000
+
+
+class DegenerateSubsetError(RuntimeError):
+    """A support subset has a numerically singular Gram matrix."""
 
 
 @dataclass(frozen=True)

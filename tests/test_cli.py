@@ -201,7 +201,6 @@ class TestExperimentsEndToEnd:
         ["exp-wendel", "--k", "4", "--N", "0"],
         ["exp-tube", "--phi", "0.06", "--cap-radius", "piOver4", "--offset", "piOver4",
          "--N", "0"],
-        ["exp-properties", "--N", "0"],
         ["validate-sampler", "--N", "0"],
         ["sample", "--N", "0"],
     ])
@@ -209,6 +208,21 @@ class TestExperimentsEndToEnd:
         assert main(argv + ["--out", os.fspath(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "N must be at least 1" in err
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_properties_take_no_sample_count(self, tmp_path, capsys, source):
+        # The property suite's pools are fixed; an explicit N would be ignored.
+        argv = ["exp-properties", "--out", os.fspath(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--N", "500"]
+        else:
+            cfg = tmp_path / "p.cfg"
+            cfg.write_text("m = 1\nN = 500\n")
+            argv += ["--config", os.fspath(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: exp-properties has fixed pools and takes no --N\n"
         assert not os.path.exists(tmp_path / "o")
 
     def test_config_file_flag(self, tmp_path):

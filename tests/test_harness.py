@@ -146,7 +146,9 @@ class TestDrawConditionRecords:
         return harness._counts(labels, ln_cond)
 
     def test_typed_solver_error_counts_as_failed(self, monkeypatch):
-        solve = sic.sic_rho
+        # Every sample is routed to the per-instance solve, in sample order.
+        monkeypatch.setattr(sic, "_POLISH_DIST", 2.0)
+        solve = sic._instance_rho
         calls = []
 
         def failing_once(mat, facet=None):
@@ -155,7 +157,7 @@ class TestDrawConditionRecords:
                 raise ConvergenceError("simulated solver failure")
             return solve(mat, facet)
 
-        monkeypatch.setattr(sic, "sic_rho", failing_once)
+        monkeypatch.setattr(sic, "_instance_rho", failing_once)
         _, _, _, (_, rho) = self.draw(2, 5, 1000)
         counts = self.counts(rho)
         assert counts["failed"] == 1
@@ -166,7 +168,8 @@ class TestDrawConditionRecords:
         def buggy(mat, facet=None):
             raise ZeroDivisionError("simulated bug")
 
-        monkeypatch.setattr(sic, "sic_rho", buggy)
+        monkeypatch.setattr(sic, "_POLISH_DIST", 2.0)
+        monkeypatch.setattr(sic, "_instance_rho", buggy)
         with pytest.raises(ZeroDivisionError):
             self.draw(2, 5, 3)
 

@@ -6,12 +6,7 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from lpcond import sic
-from lpcond.errors import (
-    ConvergenceError,
-    DegenerateHullError,
-    DegenerateSubsetError,
-    InstanceTooLargeError,
-)
+from lpcond.errors import ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import (
     Instance,
@@ -22,7 +17,7 @@ from lpcond.sic import (
     sic_solve,
 )
 from lpcond.sphere import SpherePoint, angular_distance
-from oracles import circumcap, gordan_classify
+from oracles import DegenerateSubsetError, circumcap, gordan_classify
 
 
 def random_instance(rng, n, m):
@@ -65,7 +60,7 @@ class TestInstance:
     def test_prefix_and_append(self):
         inst = Instance(np.vstack([SYM_TRIPLE, SYM_TRIPLE[:1]]))
         assert inst.prefix(3).n == 3
-        grown = inst.with_row(SpherePoint([0.0, 1.0]))
+        grown = Instance(np.vstack([inst.matrix, SpherePoint([0.0, 1.0]).coords]))
         assert grown.n == 5
 
 
@@ -247,8 +242,9 @@ class TestSicRho:
             raise RuntimeError("Maximum number of iterations reached.")
 
         monkeypatch.setattr(sic, "nnls", broken_nnls)
+        # Exactly ill-posed, so the scan routes it to the NNLS solve.
         with pytest.raises(ConvergenceError):
-            sic_rho(SIMPLEX_WITH_CENTER)
+            sic_rho(ILL_POSED_S1)
 
     def test_large_instance_in_small_memory(self):
         # n=200 on S^2 would be 1.3M support subsets for an enumeration.
@@ -320,6 +316,76 @@ class TestFacetScan:
         rho, center, _ = sic_rho(mat)
         assert rho == pytest.approx(math.pi / 2, abs=1e-12)
         assert abs(center @ p) <= 1e-12
+
+
+class TestStackRho:
+    """The stack scan against the oracle, at every scan dimension."""
+
+    SIZES = ((3, 2), (6, 2), (4, 3), (7, 3), (5, 4), (8, 4))
+    FAMILIES = ("duplicate-rows", "antipodal-pairs", "great-circle", "tiny-cap", "off-great-sphere")
+
+    @staticmethod
+    def family_stack(rng, family, n, d, count=12):
+        """count instances of n rows on S^(d-1) from one adversarial family."""
+        mats = unit_rows(rng.standard_normal((count, n, d)))
+        if family == "duplicate-rows":
+            picks = rng.integers(0, n - 1, size=(count, n))
+            mats = np.take_along_axis(mats, picks[:, :, None], axis=1)
+        elif family == "antipodal-pairs":
+            k = n // 2
+            mats[:, k:2 * k] = -mats[:, :k]
+        elif family == "great-circle":
+            # A flat hull: every row on the great sphere x_{d-1} = 0.
+            mats[:, :, -1] = 0.0
+            mats = unit_rows(mats)
+        elif family == "tiny-cap":
+            # Rows within 1e-7 of each other around a random center.
+            center = unit_rows(rng.standard_normal((count, 1, d)))
+            mats = unit_rows(center + 5e-8 * unit_rows(rng.standard_normal((count, n, d))))
+        else:
+            # 1e-12..1e-2 off the great sphere x_{d-1} = 0, on either side.
+            mats[:, :, -1] = 0.0
+            mats = unit_rows(mats)
+            tilt = np.geomspace(1e-12, 1e-2, count)[:, None]
+            mats[:, :, -1] = tilt * rng.choice([-1.0, 1.0], size=(count, n))
+            mats = unit_rows(mats)
+        return [Instance(mat) for mat in mats]
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_oracle(self, family, n, d):
+        rng = np.random.default_rng([n, d, self.FAMILIES.index(family)])
+        insts = self.family_stack(rng, family, n, d)
+        # The oracle solves the very rows of the stack: at caps of 5e-8 a
+        # 1-ulp change of a row moves rho by 1e-9.
+        mats = np.array([inst.matrix for inst in insts])
+        rho = sic.stack_rho(mats)
+        for inst, mat, r in zip(insts, mats, rho.tolist()):
+            oracle = sic_bruteforce(inst)
+            assert abs(r - oracle.rho) <= 1e-12
+            assert sic.classify_rho(r) is oracle.cls
+            # The one-instance view is the same solve.
+            assert sic_rho(mat)[0] == r
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_result_does_not_depend_on_the_stack(self, n, d):
+        # 3000 instances span several _SCAN_PAIRS slices.
+        rng = np.random.default_rng(n * 10 + d)
+        mats = sic.unit_rows(unit_rows(rng.standard_normal((3000, n, d))))
+        stack = sic.stack_rho(mats)
+        for i in range(0, 3000, 97):
+            alone = sic.stack_rho(mats[i:i + 1])[0]
+            assert alone == stack[i] and sic_rho(mats[i])[0] == stack[i]
+
+    def test_routes_only_what_needs_the_instance_solve(self):
+        # Uniform rows at the tail workload's size are answered by the scan;
+        # exactly ill-posed and tiny instances are routed.
+        rng = np.random.default_rng(11)
+        mats = sic.unit_rows(unit_rows(rng.standard_normal((2000, 5, 3))))
+        assert sic._stack_caps(mats)[3].size <= 20
+        special = np.stack([ILL_POSED_S1[:, [0, 1, 1]] * [1.0, 1.0, 0.0],
+                            self.family_stack(rng, "tiny-cap", 4, 3, 1)[0].matrix])
+        assert sic._stack_caps(special)[3].tolist() == [0, 1]
 
 
 def unit_rows(x):
