@@ -18,7 +18,8 @@ import sys
 from . import harness, samplers
 from .errors import ConfigError, ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from .harness import ExperimentConfig
-from .sic import Instance, cond_and_class, sic_solve, unit_rows
+from .sic import Instance, classify_rho, cond_and_class, cond_from_rho, sic_rho, unit_rows
+from .sphere import unit_vector
 
 _PI_OVER = re.compile(r"^piOver(\d+)$")
 
@@ -155,13 +156,12 @@ def _cmd_cond(args) -> int:
 
 
 def _cmd_sic(args) -> int:
-    inst = Instance.from_file(args.instance)
-    res = sic_solve(inst)
-    cond_text = "inf" if math.isinf(res.cond) else f"{res.cond:g}"
-    center = " ".join(f"{v:.12g}" for v in res.center.coords)
-    print(f"rho={res.rho:.12g} class={res.cls.short} cond={cond_text}")
-    print(f"center={center}")
-    print(f"support={','.join(str(i) for i in res.support)}")
+    rho, center, support = sic_rho(Instance.from_file(args.instance).matrix)
+    cond = cond_from_rho(rho)
+    cond_text = "inf" if math.isinf(cond) else f"{cond:g}"
+    print(f"rho={rho:.12g} class={classify_rho(rho).short} cond={cond_text}")
+    print(f"center={' '.join(f'{v:.12g}' for v in unit_vector(center))}")
+    print(f"support={','.join(map(str, support))}")
     return 0
 
 
@@ -230,7 +230,7 @@ def _print_summary(kind, summary):
               f"(<= {row['ks_radial_threshold']:.5f}) support_ok={row['support_ok']}")
 
 
-def _add_common(parser):
+def _add_common(parser, fixed_pools=False):
     parser.add_argument("--config", help="key=value config file (flags win)")
     parser.add_argument("--m", type=int, help="sphere dimension m (default 2)")
     parser.add_argument("--n", type=int, help="rows per instance (default 5)")
@@ -238,7 +238,8 @@ def _add_common(parser):
                         help="cap radius in radians or piOverK (default piOver6)")
     parser.add_argument("--beta", type=float, help="density pole order (default 0)")
     parser.add_argument("--h-table", dest="h_table", help="two-column h(r) table file")
-    parser.add_argument("--N", type=int, help="sample count (default 100000)")
+    parser.add_argument("--N", type=int, help="not accepted: the property suite has fixed "
+                        "pools and takes no --N" if fixed_pools else "sample count (default 100000)")
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument("--center", help="center instance: random | file:PATH | "
                                          "equal-rows | great-circle")
@@ -281,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     for name, kind, help_text in experiments:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_common(p, fixed_pools=kind == "property-suite")
         if kind == "tail":
             p.add_argument("--t-grid", dest="t_grid", type=parse_t_grid,
                            help="geometric grid lo:hi:points")

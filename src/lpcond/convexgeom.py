@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ConvergenceError, DegenerateHullError, DualEmptyError
-from .sic import strictly_feasible
 from .sphere import Cap, SpherePoint, angular_distance, clipped_arccos
 
 # A point is treated as a member of a hull when its hull distance is below
@@ -49,10 +48,6 @@ class SpherePolytope:
 
     def rank(self) -> int:
         return int(np.linalg.matrix_rank(self.generators, tol=1e-10))
-
-    def properly_convex(self) -> bool:
-        """True iff the origin is outside conv(generators) (pointed cone)."""
-        return strictly_feasible(self.generators)
 
     def facet_normals(self) -> np.ndarray:
         """Inward unit normals of the facets of the full-dimensional cone.

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import convexgeom, samplers, sic
 from .convexgeom import SpherePolytope, cap_distances_batch
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .lp import FeasibilityClass
 from .samplers import (
     PURPOSE_CENTER,
@@ -45,6 +45,12 @@ CHUNK = 4096  # fixed work-item granularity of every sampled experiment
 # Slack of the prefix-monotonicity check in rho: far above the solver's
 # roundoff (~1e-15), far below any real inversion.
 _PREFIX_RHO_TOL = 1e-12
+# Pool sizes of the property checks, and how many qualifying instances
+# each keeps (the first ones in pool order).
+_AF_POOL, _AF_TARGET = 6000, 250
+_IF_POOL, _IF_TARGET = 2000, 220
+_CCINE_POOL, _CCINE_TARGET = 400, 250
+_MULTRVA_N = 200_000
 
 CSV_HEADER = "sample_index,seed_hi,seed_lo,class,rho,cond,ln_cond,ipm_proxy"
 # The records of an experiment that keeps none: empty (stream index, rho) columns.
@@ -185,11 +191,17 @@ def _run_chunks(total: int, workers: int, fn):
 
 
 def resolve_center(cfg: ExperimentConfig, params: AdversarialParams) -> Instance:
+    """The center instance of the config's n rows on S^m.  A center file of
+    another size is a ConfigError naming both sizes."""
     if cfg.center == "random":
         gen = stream(cfg.master_seed, PURPOSE_CENTER).generator()
         return Instance(samplers.uniform_sphere_block(cfg.m, gen, cfg.n))
     if cfg.center.startswith("file:"):
-        return Instance.from_file(cfg.center[5:])
+        center = Instance.from_file(cfg.center[5:])
+        if (center.n, center.m) != (cfg.n, cfg.m):
+            raise ConfigError(f"center file {cfg.center[5:]} holds n={center.n} rows on "
+                              f"S^{center.m}, but the config asks for n={cfg.n} on S^{cfg.m}")
+        return center
     if cfg.center == "equal-rows":
         gen = stream(cfg.master_seed, PURPOSE_CENTER).generator()
         row = samplers.uniform_sphere_block(cfg.m, gen, 1)[0]
@@ -462,21 +474,28 @@ def _status(qualifying: int, violations: int) -> str:
     return "pass" if violations == 0 else "fail"
 
 
-def _af_check(cfg: ExperimentConfig, target: int = 250, pool: int = 6000):
+def _pool_columns(mats: np.ndarray):
+    """(rho, labels, cond) of a property pool of unit rows, by one stack
+    solve (`_cond_columns`); a typed solver failure on any instance of the
+    pool ends the suite with a ConvergenceError."""
+    rho = sic.stack_rho(mats)
+    failed = int(np.isnan(rho).sum())
+    if failed:
+        raise ConvergenceError(f"the solver failed on {failed} property-pool instances")
+    labels, cond, _ = _cond_columns(rho)
+    return rho, labels, cond
+
+
+def _af_check(cfg: ExperimentConfig):
     """Large condition numbers force a row near its complementary hull."""
     m, n = cfg.m, cfg.n
     eps = (m + 1) / 12.0  # qualify at C(A) >= 12
     phi = math.asin(eps)
-    mats = _uniform_instances(cfg.master_seed, 1, m, n, pool)
-    qualify_idx = []
-    for i in range(pool):
-        res = sic.sic_solve(Instance(mats[i]))
-        if res.cls is FeasibilityClass.STRICTLY_FEASIBLE and res.cond >= (m + 1) / eps:
-            qualify_idx.append(i)
-            if len(qualify_idx) == target:
-                break
+    mats = _uniform_instances(cfg.master_seed, 1, m, n, _AF_POOL)
+    _, labels, cond = _pool_columns(sic.unit_rows(mats))
+    qualify_idx = np.flatnonzero((labels == "SF") & (cond >= (m + 1) / eps))[:_AF_TARGET]
     violations = 0
-    for i in qualify_idx:
+    for i in qualify_idx.tolist():
         found = False
         for j in range(n):
             others = np.delete(mats[i], j, axis=0)
@@ -492,19 +511,17 @@ def _af_check(cfg: ExperimentConfig, target: int = 250, pool: int = 6000):
             "phi": phi, "status": _status(q, violations)}
 
 
-def _if_check(cfg: ExperimentConfig, target: int = 220, pool: int = 2000):
+def _if_check(cfg: ExperimentConfig):
     """Appending a point of the reflected hull caps the new condition number."""
     m, n = cfg.m, cfg.n
-    mats = _uniform_instances(cfg.master_seed, 2, m, n, pool)
+    mats = _uniform_instances(cfg.master_seed, 2, m, n, _IF_POOL)
+    _, labels, conds = _pool_columns(sic.unit_rows(mats))
     qualifying = 0
     violations = 0
     skipped = 0
-    for i in range(pool):
-        if qualifying >= target:
+    for i in np.flatnonzero(labels == "SF").tolist():
+        if qualifying >= _IF_TARGET:
             break
-        res_a = sic.sic_solve(Instance(mats[i]))
-        if res_a.cls is not FeasibilityClass.STRICTLY_FEASIBLE:
-            continue
         gen = _prop_stream(cfg.master_seed, 3, i).generator()
         neg = -mats[i]
         b = None
@@ -520,53 +537,47 @@ def _if_check(cfg: ExperimentConfig, target: int = 220, pool: int = 2000):
             continue
         poly = SpherePolytope(neg)
         d_bd = convexgeom.distance_to_boundary(SpherePoint(b), poly)
-        res_ab = sic.sic_solve(Instance(np.vstack([mats[i], b])))
-        cond_a = res_a.cond
-        if not math.isfinite(res_ab.cond):
+        rho_ab = sic.sic_rho(sic.unit_rows(np.vstack([mats[i], b])))[0]
+        cond_ab = sic.cond_from_rho(rho_ab)
+        if not math.isfinite(cond_ab):
             skipped += 1
             continue
         qualifying += 1
-        if res_ab.cls is FeasibilityClass.STRICTLY_FEASIBLE:
+        if sic.classify_rho(rho_ab) is FeasibilityClass.STRICTLY_FEASIBLE:
             violations += 1  # (A, b) must be infeasible or ill-posed
-        elif res_ab.cond * math.sin(d_bd) > 10.0 * cond_a * (1.0 + 1e-6):
+        elif cond_ab * math.sin(d_bd) > 10.0 * conds[i] * (1.0 + 1e-6):
             violations += 1
     return {"check": "infeasible-transition", "qualifying": qualifying,
             "violations": violations, "skipped": skipped,
             "status": _status(qualifying, violations)}
 
 
-def _ccine_check(cfg: ExperimentConfig, target: int = 250, pool: int = 400):
+def _ccine_check(cfg: ExperimentConfig):
     """Condition numbers of infeasible prefixes dominate the full instance.
 
     Compared in rho: a superset's cap cannot be smaller, and for infeasible
     caps C = 1/|cos rho| falls as rho grows.  C itself is no scale for
     roundoff, since dC/drho = C^2 |sin rho| turns a 2e-16 error in rho
-    into 3e-10 at C = 1e3.
+    into 3e-10 at C = 1e3.  Each prefix length is one stack of the
+    normalized pool rows, normalized once more: `unit_rows` is not
+    idempotent, and the suite's outcomes are fixed on these bits.
     """
     m = cfg.m
     n = max(cfg.n, m + 6)
-    mats = _uniform_instances(cfg.master_seed, 4, m, n, pool)
-    qualifying = 0
-    violations = 0
-    for i in range(pool):
-        if qualifying >= target:
-            break
-        inst = Instance(mats[i])
-        profile = [sic.sic_solve(inst.prefix(k)) for k in range(m + 2, n + 1)]
-        full_rho = profile[-1].rho
-        prefix_if = [res.rho for res in profile[:-1]
-                     if res.cls is FeasibilityClass.INFEASIBLE]
-        if not prefix_if:
-            continue
-        qualifying += 1
-        if max(prefix_if) > full_rho + _PREFIX_RHO_TOL:
-            violations += 1
-    return {"check": "prefix-monotonicity", "qualifying": qualifying,
-            "violations": violations, "status": _status(qualifying, violations)}
+    units = sic.unit_rows(_uniform_instances(cfg.master_seed, 4, m, n, _CCINE_POOL))
+    profile = [_pool_columns(sic.unit_rows(units[:, :k])) for k in range(m + 2, n + 1)]
+    full_rho = profile[-1][0]
+    prefix_if = np.array([np.where(labels == "IF", rho, -np.inf) for rho, labels, _ in profile[:-1]])
+    qualify_idx = np.flatnonzero(np.isfinite(prefix_if).any(axis=0))[:_CCINE_TARGET]
+    worst = prefix_if.max(axis=0)[qualify_idx]
+    violations = int(np.sum(worst > full_rho[qualify_idx] + _PREFIX_RHO_TOL))
+    return {"check": "prefix-monotonicity", "qualifying": len(qualify_idx),
+            "violations": violations, "status": _status(len(qualify_idx), violations)}
 
 
-def _multrva_check(cfg: ExperimentConfig, N: int = 200_000):
+def _multrva_check(cfg: ExperimentConfig):
     """Tail of a product of two heavy-tailed variables vs the product bound."""
+    N = _MULTRVA_N  # fixed, like the pools of the other checks
     c = 0.5
     x_u, x_v = 4.0, 9.0
     a_coef, b_coef = 3.0, 4.0  # looser than the exact tails x_u^c = 2, x_v^c = 3

@@ -143,15 +143,6 @@ def gaussians(gen: np.random.Generator, size) -> np.ndarray:
     return ndtri(_uniforms(gen, size))
 
 
-def uniform_sphere(m: int, rng) -> SpherePoint:
-    """Uniform point of S^m: a normalized (m+1)-vector of Gaussians."""
-    if m < 1:
-        raise ValueError("sphere dimension must be at least 1")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    g = gaussians(gen, m + 1)
-    return SpherePoint(g / np.linalg.norm(g))
-
-
 def uniform_sphere_block(m: int, gen: np.random.Generator, count: int) -> np.ndarray:
     g = gaussians(gen, (count, m + 1))
     return g / row_norms(g)[:, None]
@@ -333,21 +324,6 @@ def make_adversarial_params(
     )
 
 
-def radial_density(theta, params: AdversarialParams) -> np.ndarray:
-    """Unnormalized colatitude density C (sin theta)^(m-1-beta) h(sin theta).
-
-    Zero beyond the cap radius; an integrable pole at zero when
-    beta > m-1 is reported as inf.
-    """
-    theta = np.asarray(theta, dtype=float)
-    expo = params.m - 1 - params.beta
-    sin_t = np.sin(np.minimum(theta, params.alpha))
-    with np.errstate(divide="ignore"):
-        core = np.where(sin_t > 0.0, sin_t**expo, np.inf if expo < 0 else (1.0 if expo == 0 else 0.0))
-    val = params.C_norm * core * params.h(sin_t)
-    return np.where(theta > params.alpha, 0.0, val)
-
-
 @dataclass(frozen=True, eq=False)
 class RadialCdf:
     """Monotone inverse-CDF table for the colatitude draw.
@@ -452,18 +428,6 @@ def cap_batch(center: Instance, params: AdversarialParams, master: int,
     samples = np.asarray(indices, dtype=np.uint64).reshape(-1, 1) & ~row_mask
     keys = samples | np.arange(center.n, dtype=np.uint64)
     return _keyed_cap_points(_rotations(center.matrix), params, master, keys)
-
-
-def sample_cap(abar: SpherePoint, params: AdversarialParams, rng: RngStream) -> SpherePoint:
-    """One draw from the adversarial law centered at abar, from stream rng.
-
-    The one-row view of the batch draw: m+1 uniforms per sample.
-    """
-    if abar.dim != params.m:
-        raise ValueError("center dimension does not match params")
-    keys = np.array([[rng.index & _MASK64]], dtype=np.uint64)
-    return SpherePoint(_keyed_cap_points(_rotations(abar.coords[None, :]), params,
-                                         rng.master, keys)[0, 0])
 
 
 def cap_block(center_vec: np.ndarray, params: AdversarialParams,

@@ -1,17 +1,19 @@
 """Smallest-including-cap solver and the derived condition number.
 
 The cap of minimal angular radius rho containing all rows of an instance
-determines the feasibility class (rho vs pi/2) and the condition number
-1/|cos rho|, where cos rho = max over unit y of min_i <a_i, y> (Cheung and
-Cucker).  `stack_rho` solves a stack of instances: at small sizes one
+determines the feasibility class (rho vs pi/2, `classify_rho`) and the
+condition number 1/|cos rho| (`cond_from_rho`), where cos rho = max over
+unit y of min_i <a_i, y> (Cheung and Cucker).  `stack_rho` solves a stack
+of instances and is the one production path for rho: at small sizes one
 max-min scan over the row subsets of every instance answers either class,
 and only the instances where it may be imprecise take the per-instance
 solve, which reads rho off the convex hull (an NNLS least-distance solve,
 or the nearest hull facet when the origin is inside) and re-solves the
 support rows.  Larger instances all take the per-instance solve.
-`sic_rho` and `sic_solve` are its one-instance views; `strictly_feasible`
-is the same NNLS.  `sic_bruteforce`, the exhaustive support-subset
-enumeration, is the reference oracle the solver is checked against.
+`sic_rho` is its one-instance view and `cond_and_class` a view of that;
+`strictly_feasible` is the same NNLS.  `sic_bruteforce`, the exhaustive
+support-subset enumeration, is the reference oracle the solver is checked
+against.
 """
 
 from __future__ import annotations
@@ -124,14 +126,11 @@ class Instance:
     def m(self) -> int:
         return self.matrix.shape[1] - 1
 
-    def prefix(self, k: int) -> "Instance":
-        if k < self.m + 2:
-            raise ValueError(f"prefix length {k} below m+2={self.m + 2}")
-        return Instance(self.matrix[:k])
-
 
 @dataclass(frozen=True)
 class SicResult:
+    """The cap `sic_bruteforce` found, with its class and condition number."""
+
     center: SpherePoint
     rho: float
     support: tuple
@@ -170,18 +169,6 @@ def _covers(mat: np.ndarray, center: np.ndarray, radius: float) -> bool:
     diff = mat - center
     reach = 2.0 * math.sin(min(radius + _CONTAIN_TOL, math.pi) / 2.0)
     return float(np.einsum("ij,ij->i", diff, diff).max()) <= reach * reach
-
-
-def _make_result(center: np.ndarray, rho: float, support) -> SicResult:
-    """The typed view of a cap both solvers have checked to contain every row."""
-    return SicResult(
-        center=SpherePoint(center),
-        rho=float(rho),
-        support=tuple(int(i) for i in support),
-        cls=classify_rho(rho),
-        cond=cond_from_rho(rho),
-        dist_to_sigma=abs(math.pi / 2 - rho),
-    )
 
 
 def _equidistant(sub: np.ndarray):
@@ -265,8 +252,10 @@ def sic_bruteforce(A: Instance) -> SicResult:
     best = _best_candidate(mat, subsets)
     if best is None:
         raise ConvergenceError("no containing candidate cap found")
-    radius, center, subset = best
-    return _make_result(center, radius, subset)
+    rho, center, subset = best
+    return SicResult(center=SpherePoint(center), rho=rho, support=tuple(int(i) for i in subset),
+                     cls=classify_rho(rho), cond=cond_from_rho(rho),
+                     dist_to_sigma=abs(math.pi / 2 - rho))
 
 
 def _least_distance(mat: np.ndarray):
@@ -516,17 +505,16 @@ def _instance_rho(mat: np.ndarray, facet=None):
     return rho, center, (int(np.argmax(angles)),)
 
 
-def sic_rho(mat, facet=None):
+def sic_rho(mat):
     """(rho, center, support) of the smallest cap containing the rows of mat.
 
-    Where `_scans` holds, the one-instance view of `stack_rho`, bit for bit
-    (`facet` is not read); past it `_instance_rho`, with `facet` from
-    `nearest_facets` when the caller has it.  Raises the solver's typed
-    errors where `stack_rho` gives NaN.
+    Where `_scans` holds, the one-instance view of `stack_rho`, bit for
+    bit; past it `_instance_rho`.  Raises the solver's typed errors where
+    `stack_rho` gives NaN.
     """
     mat = np.asarray(mat, dtype=float)
     if not _scans(*mat.shape):
-        return _instance_rho(mat, facet)
+        return _instance_rho(mat)
     rho, centers, wins, routed = _stack_caps(mat[None])
     if routed.size:
         return _instance_rho(mat, facet_scan(mat[None])[0])
@@ -534,14 +522,7 @@ def sic_rho(mat, facet=None):
     return float(rho[0]), centers[0], _subset_index(n, tuple(range(1, d + 1)))[0][wins[0]]
 
 
-def sic_solve(A: Instance) -> SicResult:
-    """Smallest including cap of an instance, by `sic_rho`, as a SicResult."""
-    rho, center, support = sic_rho(A.matrix)
-    return _make_result(center, rho, support)
-
-
 def cond_and_class(A: Instance):
     """(condition number, feasibility class, distance to the ill-posed set)."""
-    res = sic_solve(A)
-    return res.cond, res.cls, res.dist_to_sigma
-
+    rho = sic_rho(A.matrix)[0]
+    return cond_from_rho(rho), classify_rho(rho), abs(math.pi / 2 - rho)

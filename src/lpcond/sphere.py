@@ -126,13 +126,6 @@ def rotation_to(source: SpherePoint, target: SpherePoint) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(u, u)
 
 
-def sphere_volume(m: int) -> float:
-    """m-dimensional volume of S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    if m < 0:
-        raise ValueError("dimension must be nonnegative")
-    return 2.0 * math.pi ** ((m + 1) / 2) / math.gamma((m + 1) / 2)
-
-
 def _validate_alpha(alpha: float):
     if not alpha > 0.0:
         raise ValueError(f"upper limit alpha={alpha} must be positive")
@@ -153,14 +146,3 @@ def integral_I(k: int, alpha: float) -> float:
     val, _ = quad(lambda t: math.sin(t) ** (k - 1), 0.0, alpha,
                   epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_ABS_TOL, limit=200)
     return val
-
-
-def integral_J(m: int, k: int, alpha: float) -> float:
-    """J_{m,k}(alpha) = integral of (sin)^(k-1) (cos)^(m-k) over [0, alpha]."""
-    if not 1 <= k <= m:
-        raise ValueError(f"order k={k} outside 1..m={m}")
-    _validate_alpha(alpha)
-    val, _ = quad(lambda t: math.sin(t) ** (k - 1) * math.cos(t) ** (m - k),
-                  0.0, alpha, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_ABS_TOL, limit=200)
-    return val
-

@@ -67,13 +67,13 @@ def mixed_instances():
 @pytest.fixture(scope="module")
 def mixed_solutions(mixed_instances):
     t0 = time.perf_counter()
-    solved = [(sic.sic_solve(inst), sic.sic_bruteforce(inst)) for inst in mixed_instances]
+    solved = [(sic.sic_rho(inst.matrix)[0], sic.sic_bruteforce(inst)) for inst in mixed_instances]
     return solved, time.perf_counter() - t0
 
 
 def test_c02_sic_oracle_equivalence(mixed_instances, mixed_solutions):
     solved, elapsed = mixed_solutions
-    gaps = [abs(s.rho - b.rho) for s, b in solved]
+    gaps = [abs(rho - b.rho) for rho, b in solved]
     worst = max(gaps)
     ok = worst <= 1e-8 and elapsed < 120.0
     report(2, ok, f"500 instances, worst |rho_solve - rho_brute| = {worst:.2e} "
@@ -84,11 +84,11 @@ def test_c03_classification_cross_check(mixed_instances, mixed_solutions):
     solved, _ = mixed_solutions
     band_hits = 0
     mismatches = 0
-    for inst, (s, _) in zip(mixed_instances, solved):
-        if abs(s.rho - math.pi / 2) <= ILL_POSED_BAND:
+    for inst, (rho, _) in zip(mixed_instances, solved):
+        if abs(rho - math.pi / 2) <= ILL_POSED_BAND:
             band_hits += 1
             continue
-        if gordan_classify(inst) is not s.cls:
+        if gordan_classify(inst) is not sic.classify_rho(rho):
             mismatches += 1
     ok = mismatches == 0 and band_hits <= 1
     report(3, ok, f"sic vs gordan on 500 instances: {mismatches} mismatches, "
@@ -101,8 +101,8 @@ def test_c04_perturbation_class_stability():
     for i in range(100):
         gen = stream(404, PURPOSE_CHECK, i).generator()
         mat = samplers.uniform_sphere_block(2, gen, 5)
-        res = sic.sic_solve(Instance(mat))
-        delta = 0.9 * res.dist_to_sigma
+        _, cls, dist_to_sigma = sic.cond_and_class(Instance(mat))
+        delta = 0.9 * dist_to_sigma
         if delta <= 0:
             continue
         perturbed = np.empty((200, 5, 3))
@@ -110,7 +110,7 @@ def test_c04_perturbation_class_stability():
             perturbed[j] = perturb_rows(mat, delta, gen)
         for mat_p in perturbed:
             checked += 1
-            if sic.classify_rho(sic.sic_rho(mat_p)[0]) is not res.cls:
+            if sic.classify_rho(sic.sic_rho(mat_p)[0]) is not cls:
                 violations += 1
     ok = violations == 0 and checked == 20000
     report(4, ok, f"perturbations at 0.9 d(A, Sigma): {violations} class flips "

@@ -225,6 +225,26 @@ class TestExperimentsEndToEnd:
         assert err == "error: exp-properties has fixed pools and takes no --N\n"
         assert not os.path.exists(tmp_path / "o")
 
+    def test_properties_help_says_no_sample_count(self, capsys):
+        assert main(["exp-properties", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--N N not accepted: the property suite has fixed pools and takes no --N" in help_text
+        assert "sample count" not in help_text
+
+    @pytest.mark.parametrize("header, rows, named", [
+        ("7 2", [[0.0, 0.6, 0.8]] * 7, "n=7 rows on S^2, but the config asks for n=5 on S^2"),
+        ("5 1", [[0.6, 0.8]] * 5, "n=5 rows on S^1, but the config asks for n=5 on S^2"),
+    ])
+    def test_center_file_of_another_size_exit_one(self, tmp_path, capsys, header, rows, named):
+        # --n and --m keep their defaults, 5 and 2.
+        path = tmp_path / "center.txt"
+        path.write_text(header + "\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        out = tmp_path / "o"
+        assert main(["exp-tail", "--center", f"file:{path}", "--N", "10", "--out", os.fspath(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not os.path.exists(out)
+
     def test_config_file_flag(self, tmp_path):
         cfg = tmp_path / "w.cfg"
         cfg.write_text("m = 2\nN = 1500\nseed = 4\nk = 4:4\n")

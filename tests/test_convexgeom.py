@@ -352,9 +352,3 @@ class TestMembership:
         for i in range(200):
             dist = distance_to_sconv(SpherePoint(X[i]), P)
             assert member[i] == (dist <= 1e-9)
-
-    def test_properly_convex(self):
-        rng = np.random.default_rng(13)
-        gens, _ = cap_cloud(rng, 5, 0.6)
-        assert SpherePolytope(gens).properly_convex()
-        assert not SpherePolytope(np.vstack([gens, -gens[0]])).properly_convex()

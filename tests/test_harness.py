@@ -350,11 +350,11 @@ class TestPrefixMonotonicity:
         # which moves C ~ 1.2e3 by about 3e-10.
         monkeypatch.setattr(sic, "_SCAN_SUBSETS", 0)
         m, n = 2, 8
-        inst = sic.Instance(harness._uniform_instances(23, 4, m, n, 291)[290])
-        prefix, full = sic.sic_solve(inst.prefix(m + 2)), sic.sic_solve(inst)
-        assert prefix.cls is full.cls is FeasibilityClass.INFEASIBLE
-        assert abs(prefix.rho - full.rho) <= 1e-15
-        assert abs(prefix.cond - full.cond) > 1e-10
+        units = sic.unit_rows(harness._uniform_instances(23, 4, m, n, 291)[290])
+        prefix, full = sic.sic_rho(sic.unit_rows(units[:m + 2]))[0], sic.sic_rho(units)[0]
+        assert sic.classify_rho(prefix) is sic.classify_rho(full) is FeasibilityClass.INFEASIBLE
+        assert abs(prefix - full) <= 1e-15
+        assert abs(sic.cond_from_rho(prefix) - sic.cond_from_rho(full)) > 1e-10
         assert suite["ccine"]["violations"] == 0
 
 

@@ -10,13 +10,13 @@ from lpcond.errors import ConvergenceError, DegenerateHullError, InstanceTooLarg
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import (
     Instance,
+    classify_rho,
     cond_and_class,
     cond_from_rho,
     sic_bruteforce,
     sic_rho,
-    sic_solve,
 )
-from lpcond.sphere import SpherePoint, angular_distance
+from lpcond.sphere import SpherePoint
 from oracles import DegenerateSubsetError, circumcap, gordan_classify
 
 
@@ -59,7 +59,7 @@ class TestInstance:
 
     def test_prefix_and_append(self):
         inst = Instance(np.vstack([SYM_TRIPLE, SYM_TRIPLE[:1]]))
-        assert inst.prefix(3).n == 3
+        assert Instance(inst.matrix[:3]).n == 3
         grown = Instance(np.vstack([inst.matrix, SpherePoint([0.0, 1.0]).coords]))
         assert grown.n == 5
 
@@ -141,11 +141,13 @@ class TestBruteforce:
 
 
 class TestSolve:
+    """`sic_rho` on whole instances, against the oracle and under symmetries."""
+
     def test_matches_oracle_on_constructed(self):
         for mat in (np.vstack([SYM_TRIPLE, SYM_TRIPLE[:1]]),
                     SIMPLEX_WITH_CENTER, ILL_POSED_S1):
             inst = Instance(mat)
-            assert sic_solve(inst).rho == pytest.approx(
+            assert sic_rho(inst.matrix)[0] == pytest.approx(
                 sic_bruteforce(inst).rho, abs=1e-8
             )
 
@@ -155,16 +157,16 @@ class TestSolve:
             m = int(rng.integers(2, 4))
             n = int(rng.integers(m + 2, 10))
             inst = random_instance(rng, n, m)
-            assert sic_solve(inst).rho == pytest.approx(
+            assert sic_rho(inst.matrix)[0] == pytest.approx(
                 sic_bruteforce(inst).rho, abs=1e-8
             )
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         inst = random_instance(rng, 7, 2)
-        r1, r2 = sic_solve(inst), sic_solve(inst)
-        assert r1.rho == r2.rho
-        assert np.array_equal(r1.center.coords, r2.center.coords)
+        (rho1, center1, _), (rho2, center2, _) = sic_rho(inst.matrix), sic_rho(inst.matrix)
+        assert rho1 == rho2
+        assert np.array_equal(center1, center2)
 
     def test_tiny_cluster(self):
         rng = np.random.default_rng(5)
@@ -176,17 +178,17 @@ class TestSolve:
             t /= np.linalg.norm(t)
             ang = rng.uniform(0, 1e-3)
             pts.append(math.cos(ang) * base + math.sin(ang) * t)
-        res = sic_solve(Instance(np.array(pts)))
-        assert res.rho <= 1e-3
-        assert res.cond == pytest.approx(1.0, abs=1e-5)
+        rho = sic_rho(Instance(np.array(pts)).matrix)[0]
+        assert rho <= 1e-3
+        assert cond_from_rho(rho) == pytest.approx(1.0, abs=1e-5)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng, 7, 2)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         rotated = Instance(inst.matrix @ q.T)
-        assert sic_solve(rotated).cond == pytest.approx(
-            sic_solve(inst).cond, abs=1e-9, rel=1e-9
+        assert cond_and_class(rotated)[0] == pytest.approx(
+            cond_and_class(inst)[0], abs=1e-9, rel=1e-9
         )
 
 
@@ -250,10 +252,10 @@ class TestSicRho:
         # n=200 on S^2 would be 1.3M support subsets for an enumeration.
         rng = np.random.default_rng(12)
         inst = random_instance(rng, 200, 2)
-        res = sic_solve(inst)
-        angles = np.arccos(np.clip(inst.matrix @ res.center.coords, -1, 1))
-        assert np.max(angles) <= res.rho + 1e-9
-        assert gordan_classify(inst.matrix) is res.cls
+        rho, center, _ = sic_rho(inst.matrix)
+        angles = np.arccos(np.clip(inst.matrix @ center, -1, 1))
+        assert np.max(angles) <= rho + 1e-9
+        assert gordan_classify(inst.matrix) is classify_rho(rho)
 
 
 class TestFacetScan:
@@ -284,14 +286,13 @@ class TestFacetScan:
             center, support, cos_rho = sic.facet_scan(mats[i:i + 1])[0]
             assert np.array_equal(center, stack[i][0])
             assert np.array_equal(support, stack[i][1]) and cos_rho == stack[i][2]
-            assert sic_rho(mats[i])[0] == sic_rho(mats[i], stack[i])[0]
 
     def test_scan_and_qhull_agree_in_sic_rho(self, monkeypatch):
         rng = np.random.default_rng(9)
         mats = self.enclosing(rng, 60, 6, 3)
-        scanned = [sic_rho(mat, facet)[0] for mat, facet in zip(mats, sic.nearest_facets(mats))]
+        scanned = [sic_rho(mat)[0] for mat in mats]
         monkeypatch.setattr(sic, "_SCAN_SUBSETS", 0)
-        hulled = [sic_rho(mat, facet)[0] for mat, facet in zip(mats, sic.nearest_facets(mats))]
+        hulled = [sic_rho(mat)[0] for mat in mats]
         assert np.max(np.abs(np.subtract(scanned, hulled))) <= 1e-12
 
     def test_every_instance_of_a_large_stack_gets_a_hull_facet(self):
@@ -305,7 +306,7 @@ class TestFacetScan:
         facets = sic.nearest_facets(mats)
         assert all(facet is not None for facet in facets)
         for mat, facet in zip(mats, facets):
-            assert sic_rho(mat, facet)[0] == sic_rho(mat)[0]
+            assert sic._instance_rho(mat, facet)[0] == sic_rho(mat)[0]
 
     def test_affinely_dependent_rows_fall_back(self):
         # Two antipodal directions only: no 3 rows span a plane, so the scan
@@ -498,8 +499,10 @@ class TestDerived:
 
     @staticmethod
     def prefix_profile(inst):
-        """Solves of the prefixes of m+2..n rows, as the property suite takes them."""
-        return [sic_solve(inst.prefix(k)) for k in range(inst.m + 2, inst.n + 1)]
+        """rho of the prefixes of m+2..n rows, as the property suite takes
+        them: one stack per prefix length, its rows normalized again."""
+        mats = inst.matrix[None]
+        return [sic.stack_rho(sic.unit_rows(mats[:, :k]))[0] for k in range(inst.m + 2, inst.n + 1)]
 
     def test_profile_last_entry_consistent(self):
         rng = np.random.default_rng(8)
@@ -507,10 +510,10 @@ class TestDerived:
         profile = self.prefix_profile(inst)
         assert len(profile) == inst.n - inst.m - 1
         full = sic_bruteforce(inst)
-        assert profile[-1].cond == pytest.approx(full.cond, abs=1e-9, rel=1e-9)
-        assert profile[-1].cls is full.cls
+        assert cond_from_rho(profile[-1]) == pytest.approx(full.cond, abs=1e-9, rel=1e-9)
+        assert classify_rho(profile[-1]) is full.cls
         with pytest.raises(ValueError):
-            inst.prefix(inst.m + 1)
+            Instance(inst.matrix[:inst.m + 1])
 
     def test_profile_feasible_prefixes(self):
         # Points packed in a small cap: every prefix stays strictly feasible.
@@ -524,7 +527,7 @@ class TestDerived:
             ang = rng.uniform(0, 0.3)
             pts.append(math.cos(ang) * base + math.sin(ang) * t)
         profile = self.prefix_profile(Instance(np.array(pts)))
-        assert all(res.cls is FeasibilityClass.STRICTLY_FEASIBLE for res in profile)
+        assert all(classify_rho(rho) is FeasibilityClass.STRICTLY_FEASIBLE for rho in profile)
 
     def test_cond_from_rho_band(self):
         assert math.isinf(cond_from_rho(math.pi / 2 + 5e-9))

@@ -10,9 +10,7 @@ from lpcond.sphere import (
     SpherePoint,
     angular_distance,
     integral_I,
-    integral_J,
     rotation_to,
-    sphere_volume,
 )
 
 
@@ -109,31 +107,10 @@ class TestCap:
 
 
 class TestVolumesAndIntegrals:
-    def test_sphere_volume_values(self):
-        assert sphere_volume(1) == pytest.approx(2 * math.pi)
-        assert sphere_volume(2) == pytest.approx(4 * math.pi)
-        assert sphere_volume(3) == pytest.approx(2 * math.pi**2)
-
     def test_integral_I_closed_forms(self):
         assert integral_I(1, 0.7) == pytest.approx(0.7, abs=1e-12)
         assert integral_I(2, math.pi / 2) == pytest.approx(1.0, abs=1e-10)
         assert integral_I(3, math.pi / 2) == pytest.approx(math.pi / 4, abs=1e-10)
-
-    def test_integral_J_closed_forms(self):
-        assert integral_J(2, 1, math.pi / 2) == pytest.approx(1.0, abs=1e-10)
-        assert integral_J(3, 2, math.pi / 2) == pytest.approx(0.5, abs=1e-10)
-
-    @pytest.mark.parametrize("m,alpha", [(2, 0.4), (3, 1.1), (4, math.pi / 2)])
-    def test_J_mm_equals_I_m(self, m, alpha):
-        assert integral_J(m, m, alpha) == pytest.approx(integral_I(m, alpha), abs=1e-12)
-
-    def test_J_upper_bound_sigma_k_over_k(self):
-        # J_{m,k}(alpha) <= sin(alpha)^k / k for k < m
-        for m in (2, 3, 4, 5):
-            for k in range(1, m):
-                for alpha in (0.2, 0.7, 1.2, math.pi / 2):
-                    bound = math.sin(alpha) ** k / k
-                    assert integral_J(m, k, alpha) <= bound + 1e-10
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -141,12 +118,10 @@ class TestVolumesAndIntegrals:
         with pytest.raises(ValueError):
             integral_I(0, 0.5)
         with pytest.raises(ValueError):
-            integral_J(2, 3, 0.5)
-        with pytest.raises(ValueError):
-            integral_J(2, 0, 0.5)
+            integral_I(2, math.pi)
 
     def test_integral_table_matches_quadrature(self):
-        # A composite-midpoint table of J_{3,2}(1) on 4096 cells.
+        # A composite-midpoint table of I_3(1) on 4096 cells.
         mids = (np.arange(4096) + 0.5) / 4096
-        table = float(np.sum(np.sin(mids) * np.cos(mids)) / 4096)
-        assert table == pytest.approx(integral_J(3, 2, 1.0), abs=1e-7)
+        table = float(np.sum(np.sin(mids) ** 2) / 4096)
+        assert table == pytest.approx(integral_I(3, 1.0), abs=1e-7)
