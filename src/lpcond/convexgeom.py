@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
+from . import sic
 from .errors import ConvergenceError, DegenerateHullError, DualEmptyError
 from .sphere import Cap, SpherePoint, angular_distance, clipped_arccos
 
@@ -39,10 +40,6 @@ class SpherePolytope:
         self.generators = gens / norms[:, None]
 
     @property
-    def k(self) -> int:
-        return self.generators.shape[0]
-
-    @property
     def ambient_dim(self) -> int:
         return self.generators.shape[1]
 
@@ -50,36 +47,14 @@ class SpherePolytope:
         return int(np.linalg.matrix_rank(self.generators, tol=1e-10))
 
     def facet_normals(self) -> np.ndarray:
-        """Inward unit normals of the facets of the full-dimensional cone.
-
-        A size-(d-1) generator subset spans a facet candidate; the candidate
-        is kept iff every generator lies on one closed side (tol 1e-10).
-        Cached after the first computation.
-        """
-        if self._facets is not None:
-            return self._facets
-        gens = self.generators
-        d = self.ambient_dim
-        m = d - 1
-        normals = []
-        for subset in itertools.combinations(range(self.k), m):
-            sub = gens[list(subset)]
-            _, svals, vt = np.linalg.svd(sub)
-            if svals.size < m or svals[-1] < 1e-10:
-                continue  # subset does not span an (m)-dim subspace
-            normal = vt[-1]
-            dots = gens @ normal
-            if np.min(dots) >= -1e-10:
-                pass
-            elif np.max(dots) <= 1e-10:
-                normal = -normal
-                dots = -dots
-            else:
-                continue  # generators straddle the hyperplane
-            if any(abs(float(n @ normal)) > 1.0 - 1e-9 for n in normals):
-                continue  # same facet reached through another subset
-            normals.append(normal)
-        self._facets = np.array(normals) if normals else np.empty((0, d))
+        """Inward unit normals of the facets of the full-dimensional cone:
+        the nonzero rows of `cone_facets`, once per facet.  Cached."""
+        if self._facets is None:
+            normals = []
+            for normal in cone_facets(self.generators[None])[0]:
+                if normal.any() and all(abs(float(n @ normal)) <= 1.0 - 1e-9 for n in normals):
+                    normals.append(normal)
+            self._facets = np.array(normals).reshape(-1, self.ambient_dim)
         return self._facets
 
 
@@ -105,12 +80,13 @@ def project_onto_cone(x: SpherePoint, P: SpherePolytope):
 
 
 def distance_to_sconv(x: SpherePoint, P: SpherePolytope) -> float:
-    """Angular distance from x to sconv(generators); 0 iff x is a member."""
+    """Angular distance from x to sconv(generators); 0 iff x is a member.
+    From chords: arccos of a cosine near 1 puts members up to 2e-8 away."""
     xv = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
     z, _ = project_onto_cone(x, P)
     nz = float(np.linalg.norm(z))
     if nz > 1e-12:
-        return float(clipped_arccos(float(xv @ z) / nz))
+        return float(sic._angles(xv, z / nz))
     # x sits in the polar cone: the nearest hull point is a generator.
     return float(clipped_arccos(float(np.max(P.generators @ xv))))
 
@@ -199,6 +175,23 @@ def cone_member_batch(X: np.ndarray, gens: np.ndarray, tol: float = 1e-10) -> np
         if member.all():
             break
     return member
+
+
+def cone_facets(gens: np.ndarray) -> np.ndarray:
+    """Inward unit facet normals of every cone(gens) of a stack (B, k, d):
+    (B, C(k, d-1), d), one row per (d-1)-subset, its signed minors
+    (`sic._normals`) normalized.  A row is kept, pointed inward, iff every
+    generator lies on one closed side of its hyperplane (tol 1e-10) and
+    not all on it; else, and where the subset does not span, it is zero.
+    So a flat cone has no facet, and a pointed full-dimensional cone is
+    the set of x with <n, x> >= 0 for every row n."""
+    cols = sic._subset_index(gens.shape[1], (gens.shape[2] - 1,))[1][0]
+    normals = sic._normals(gens.take(cols, axis=1).transpose(1, 3, 0, 2)).transpose(1, 2, 0)
+    length = np.sqrt((normals * normals).sum(axis=2, keepdims=True))
+    normals = normals / np.maximum(length, 1e-300)
+    dots = gens @ normals.transpose(0, 2, 1)
+    lo, hi = dots.min(axis=1)[..., None] >= -1e-10, dots.max(axis=1)[..., None] <= 1e-10
+    return np.where((length > 1e-10) & (lo != hi), np.where(lo, normals, -normals), 0.0)
 
 
 def cap_distances_batch(X: np.ndarray, center: np.ndarray, radius: float):

@@ -49,6 +49,7 @@ _PREFIX_RHO_TOL = 1e-12
 # each keeps (the first ones in pool order).
 _AF_POOL, _AF_TARGET = 6000, 250
 _IF_POOL, _IF_TARGET = 2000, 220
+_IF_MARGIN = 8  # extra instances per block, to cover skips in one block
 _CCINE_POOL, _CCINE_TARGET = 400, 250
 _MULTRVA_N = 200_000
 
@@ -162,11 +163,11 @@ def wendel_p(k: int, m: int) -> float:
 
 
 def pkm_partial_sum(m: int, k_max: int) -> Fraction:
-    """sum_{k=4m+1}^{k_max} k p(k, m); the full series is o(1) in m."""
-    total = Fraction(0)
-    for k in range(4 * m + 1, k_max + 1):
-        total += k * wendel_p_exact(k, m)
-    return total
+    """sum_{k=4m+1}^{k_max} k p(k, m); the full series is o(1) in m.  One
+    integer over 2^(k_max-1): terms k S(k) 2^(k_max-k), S(k) = sum_{i<=m} C(k-1, i)."""
+    total = sum(k * sum(math.comb(k - 1, i) for i in range(m + 1)) << (k_max - k)
+                for k in range(4 * m + 1, k_max + 1))
+    return Fraction(total, 2 ** (k_max - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,13 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
     return seeds, rho
 
 
+def _summary(cfg: ExperimentConfig, **sections) -> dict:
+    """A summary body: the config echo, and every `SUMMARY_SCHEMA` section
+    None but the given ones."""
+    return {"config": cfg.echo(), "counts": None, "tail_table": None, "expectation": None,
+            "wendel_table": None, "tube_table": None, "property_suite": None, **sections}
+
+
 def _cond_columns(rho: np.ndarray):
     """(labels, cond, ln_cond) columns of a rho column.
 
@@ -313,13 +321,8 @@ def run_tail_experiment(cfg: ExperimentConfig):
             "covered": covered,
             "vacuous_F": bf >= 1.0, "vacuous_I": bi >= 1.0,
         })
-    summary = {
-        "config": cfg.echo(), "counts": counts, "tail_table": table,
-        "expectation": None, "wendel_table": None, "tube_table": None,
-        "property_suite": None,
-        "delta_c": params.delta_c, "threshold_F": t_lo,
-    }
-    return (seeds, rho), summary
+    return (seeds, rho), _summary(cfg, counts=counts, tail_table=table,
+                                  delta_c=params.delta_c, threshold_F=t_lo)
 
 
 def run_expectation_experiment(cfg: ExperimentConfig):
@@ -347,12 +350,7 @@ def run_expectation_experiment(cfg: ExperimentConfig):
         "status": status, "used": int(lns.size),
         "overflow": counts["overflow"],
     }
-    summary = {
-        "config": cfg.echo(), "counts": counts, "tail_table": None,
-        "expectation": expectation, "wendel_table": None, "tube_table": None,
-        "property_suite": None,
-    }
-    return (seeds, rho), summary
+    return (seeds, rho), _summary(cfg, counts=counts, expectation=expectation)
 
 
 def feasible_fraction(m: int, k: int, N: int, master_seed: int):
@@ -388,12 +386,7 @@ def run_wendel_experiment(cfg: ExperimentConfig):
          "partial_sum": float(pkm_partial_sum(mm, 4 * mm + 60))}
         for mm in range(1, 7)
     ]
-    summary = {
-        "config": cfg.echo(), "counts": None, "tail_table": None,
-        "expectation": None, "wendel_table": table, "tube_table": None,
-        "property_suite": None, "pkm_decay": decay,
-    }
-    return NO_RECORDS, summary
+    return NO_RECORDS, _summary(cfg, wendel_table=table, pkm_decay=decay)
 
 
 def run_tube_experiment(cfg: ExperimentConfig):
@@ -443,12 +436,7 @@ def run_tube_experiment(cfg: ExperimentConfig):
         "pass_inner": inner - 3.0 * se_i <= bound,
         "N": cfg.N,
     }
-    summary = {
-        "config": cfg.echo(), "counts": None, "tail_table": None,
-        "expectation": None, "wendel_table": None, "tube_table": [row],
-        "property_suite": None,
-    }
-    return NO_RECORDS, summary
+    return NO_RECORDS, _summary(cfg, tube_table=[row])
 
 
 # ---------------------------------------------------------------------------
@@ -511,42 +499,63 @@ def _af_check(cfg: ExperimentConfig):
             "phi": phi, "status": _status(q, violations)}
 
 
-def _if_check(cfg: ExperimentConfig):
-    """Appending a point of the reflected hull caps the new condition number."""
-    m, n = cfg.m, cfg.n
-    mats = _uniform_instances(cfg.master_seed, 2, m, n, _IF_POOL)
-    _, labels, conds = _pool_columns(sic.unit_rows(mats))
-    qualifying = 0
-    violations = 0
-    skipped = 0
-    for i in np.flatnonzero(labels == "SF").tolist():
-        if qualifying >= _IF_TARGET:
+def _reflected_points(master: int, mats: np.ndarray, indices: np.ndarray):
+    """(b, d_bd) of each strictly feasible A = mats[j], pool index indices[j]:
+    b the first proposal of `_prop_stream(master, 3, indices[j])`, 512 a
+    round for at most 200 rounds, in cone(-A), and d_bd = min_f arcsin
+    |<n_f, b>| its distance to the boundary; NaN where none hit, and at
+    once where cone(-A) is flat (no facet).  Membership is min_f <n_f, x>
+    >= -1e-10 over `convexgeom.cone_facets`, one matrix product a round:
+    cone(-A) is pointed, so the intersection of its facet half-spaces."""
+    normals = convexgeom.cone_facets(-mats)
+    facet = normals.any(axis=2)
+    b = np.full((len(mats), mats.shape[2]), np.nan)
+    active = np.flatnonzero(facet.any(axis=1))
+    gens = [_prop_stream(master, 3, i).generator() for i in indices[active].tolist()]
+    for _ in range(200):
+        if not gens:
             break
-        gen = _prop_stream(cfg.master_seed, 3, i).generator()
-        neg = -mats[i]
-        b = None
-        for _ in range(200):  # 200 * 512 proposals, then give up
-            props = samplers.uniform_sphere_block(m, gen, 512)
-            member = convexgeom.cone_member_batch(props, neg)
-            hit = np.flatnonzero(member)
-            if hit.size:
-                b = props[hit[0]]
+        props = np.stack([samplers.uniform_sphere_block(mats.shape[2] - 1, g, 512) for g in gens])
+        inside = (props @ normals[active].transpose(0, 2, 1)).min(axis=2) >= -1e-10
+        hit = inside.any(axis=1)
+        b[active[hit]] = props[hit, inside[hit].argmax(axis=1)]
+        gens, active = [g for g, done in zip(gens, hit.tolist()) if not done], active[~hit]
+    dots = np.where(facet, np.abs(b[:, None] @ normals.transpose(0, 2, 1))[:, 0], np.inf)
+    return b, np.where(np.isnan(b[:, 0]), np.nan, np.arcsin(np.clip(dots.min(axis=1), 0.0, 1.0)))
+
+
+def _if_check(cfg: ExperimentConfig):
+    """Appending a point of the reflected hull caps the new condition number.
+
+    The SF pool instances are taken in pool order, in blocks of the
+    qualifying ones still needed plus _IF_MARGIN, each by one
+    `_reflected_points` and one `sic.stack_rho` call.  An instance is
+    skipped where it has no b or C(A, b) is not finite (a failed solve).
+    """
+    mats = _uniform_instances(cfg.master_seed, 2, cfg.m, cfg.n, _IF_POOL)
+    _, labels, conds = _pool_columns(sic.unit_rows(mats))
+    sf = np.flatnonzero(labels == "SF")
+    qualifying = violations = skipped = start = 0
+    while qualifying < _IF_TARGET and start < sf.size:
+        block = sf[start:start + _IF_TARGET - qualifying + _IF_MARGIN]
+        start += block.size
+        b, d_bd = _reflected_points(cfg.master_seed, mats[block], block)
+        found = ~np.isnan(d_bd)
+        rho_ab = np.full(block.size, np.nan)
+        rho_ab[found] = sic.stack_rho(sic.unit_rows(
+            np.concatenate([mats[block[found]], b[found, None]], axis=1)))
+        for i, rho, dist in zip(block.tolist(), rho_ab.tolist(), d_bd.tolist()):
+            if qualifying >= _IF_TARGET:
                 break
-        if b is None:
-            skipped += 1
-            continue
-        poly = SpherePolytope(neg)
-        d_bd = convexgeom.distance_to_boundary(SpherePoint(b), poly)
-        rho_ab = sic.sic_rho(sic.unit_rows(np.vstack([mats[i], b])))[0]
-        cond_ab = sic.cond_from_rho(rho_ab)
-        if not math.isfinite(cond_ab):
-            skipped += 1
-            continue
-        qualifying += 1
-        if sic.classify_rho(rho_ab) is FeasibilityClass.STRICTLY_FEASIBLE:
-            violations += 1  # (A, b) must be infeasible or ill-posed
-        elif cond_ab * math.sin(d_bd) > 10.0 * conds[i] * (1.0 + 1e-6):
-            violations += 1
+            cond_ab = sic.cond_from_rho(rho)
+            if not math.isfinite(cond_ab):
+                skipped += 1
+                continue
+            qualifying += 1
+            if sic.classify_rho(rho) is FeasibilityClass.STRICTLY_FEASIBLE:
+                violations += 1  # (A, b) must be infeasible or ill-posed
+            elif cond_ab * math.sin(dist) > 10.0 * conds[i] * (1.0 + 1e-6):
+                violations += 1
     return {"check": "infeasible-transition", "qualifying": qualifying,
             "violations": violations, "skipped": skipped,
             "status": _status(qualifying, violations)}
@@ -610,12 +619,7 @@ def run_property_suite(cfg: ExperimentConfig):
         "ccine": _ccine_check(cfg),
         "multrva": _multrva_check(cfg),
     }
-    summary = {
-        "config": cfg.echo(), "counts": None, "tail_table": None,
-        "expectation": None, "wendel_table": None, "tube_table": None,
-        "property_suite": suite,
-    }
-    return NO_RECORDS, summary
+    return NO_RECORDS, _summary(cfg, property_suite=suite)
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +702,7 @@ def run_sampler_check(cfg: ExperimentConfig):
         row["ks_rejection"] = ks2
         row["ks_rejection_threshold"] = ks_two_sample_threshold(N, N)
         row["pass_rejection"] = ks2 <= ks_two_sample_threshold(N, N)
-    summary = {
-        "config": cfg.echo(), "counts": None, "tail_table": None,
-        "expectation": None, "wendel_table": None, "tube_table": None,
-        "property_suite": None, "sampler_table": [row],
-    }
-    return NO_RECORDS, summary
+    return NO_RECORDS, _summary(cfg, sampler_table=[row])
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,8 @@ def _subset_index(n: int, sizes: tuple):
     each size, then the last size's again (normals taken both ways); and
     per size the (k, S) array of the rows of its S subsets."""
     combos = [tuple(itertools.combinations(range(n), k)) for k in sizes]
-    cols = tuple(np.array(combo, dtype=np.intp).T.copy() for combo in combos)
+    cols = tuple(np.array(combo, dtype=np.intp).reshape(-1, k).T.copy()
+                 for combo, k in zip(combos, sizes))
     for col in cols:
         col.flags.writeable = False
     return sum(combos, ()) + combos[-1], cols
@@ -331,7 +332,8 @@ def _normals(diffs: np.ndarray) -> np.ndarray:
     steps, last, signs = _laplace_plan(diffs.shape[1])
     minors = diffs[0]
     for row, (size, cols, rest) in zip(diffs[1:], steps):
-        terms = (row.take(cols, axis=0) * minors.take(rest, axis=0)).reshape(-1, size, *row.shape[1:])
+        terms = row.take(cols, axis=0) * minors.take(rest, axis=0)
+        terms = terms.reshape(len(cols) // size, size, *row.shape[1:])
         minors = terms[:, 0]
         for t in range(1, size):
             minors = minors - terms[:, t] if t % 2 else minors + terms[:, t]
@@ -363,12 +365,12 @@ def _max_min(mats: np.ndarray, sizes: tuple):
     given sizes (ending at d, whose normals count both ways); a zero
     direction scores 0.  Elementwise operations and one matrix product per
     instance, so a result does not depend on its stack; sliced to at most
-    _SCAN_PAIRS (instance, candidate) pairs."""
+    _SCAN_PAIRS (instance, candidate) pairs (an empty stack gives empty ones)."""
     B, n, d = mats.shape
     combos, cols = _subset_index(n, sizes)
     C = len(combos)
     step, found = max(1, _SCAN_PAIRS // C), []
-    for lo in range(0, B, step):
+    for lo in range(0, max(B, 1), step):
         part = mats[lo:lo + step]
         dirs = [_directions(part.transpose(2, 0, 1), c) for c in cols]
         w = np.concatenate(dirs + [-dirs[-1]], axis=2)
@@ -422,7 +424,7 @@ def stack_rho(mats: np.ndarray) -> np.ndarray:
     where that raised one of the solver's typed errors."""
     if _scans(*mats.shape[1:]):
         rho, _, _, routed = _stack_caps(mats)
-        facets = facet_scan(mats[routed]) if routed.size else []
+        facets = facet_scan(mats[routed])
     else:
         rho, routed, facets = np.empty(len(mats)), range(len(mats)), nearest_facets(mats)
     for i, facet in zip(routed, facets):

@@ -4,8 +4,10 @@ Independent of the package: a dense two-phase simplex with Bland's rule,
 the Gordan-theorem feasibility classification built on it (no cap
 geometry), and the Pascal-triangle evaluation of Wendel's formula.
 `circumcap` is a typed view of the solver's equidistant-cap solve, which
-the tests pin down on known configurations.  None of them is on a
-production path.
+the tests pin down on known configurations.  `if_check_per_instance` is
+the property suite's infeasible-transition check one instance at a time,
+on the Caratheodory membership test and the NNLS boundary distance.  None
+of them is on a production path.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from lpcond import convexgeom, harness, samplers, sic
 from lpcond.errors import ConvergenceError
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import _equidistant
@@ -245,3 +248,43 @@ def circumcap(points, sign: int = 1) -> Cap:
         raise DegenerateSubsetError("the points have no equidistant center")
     center, radius = cap
     return Cap(SpherePoint(sign * center), radius if sign > 0 else math.pi - radius)
+
+
+def if_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
+    """The infeasible-transition check dict, one strictly feasible pool
+    instance at a time: b is the first of 512 proposals a round (at most
+    200 rounds) that `cone_member_batch` puts in cone(-A), d_bd is
+    `distance_to_boundary` and rho(A, b) a one-instance `sic_rho`."""
+    m, n = cfg.m, cfg.n
+    mats = harness._uniform_instances(cfg.master_seed, 2, m, n, harness._IF_POOL)
+    _, labels, conds = harness._pool_columns(sic.unit_rows(mats))
+    qualifying = violations = skipped = 0
+    for i in np.flatnonzero(labels == "SF").tolist():
+        if qualifying >= harness._IF_TARGET:
+            break
+        gen = harness._prop_stream(cfg.master_seed, 3, i).generator()
+        neg = -mats[i]
+        b = None
+        for _ in range(200):
+            props = samplers.uniform_sphere_block(m, gen, 512)
+            hit = np.flatnonzero(convexgeom.cone_member_batch(props, neg))
+            if hit.size:
+                b = props[hit[0]]
+                break
+        if b is None:
+            skipped += 1
+            continue
+        d_bd = convexgeom.distance_to_boundary(SpherePoint(b), convexgeom.SpherePolytope(neg))
+        rho_ab = sic.sic_rho(sic.unit_rows(np.vstack([mats[i], b])))[0]
+        cond_ab = sic.cond_from_rho(rho_ab)
+        if not math.isfinite(cond_ab):
+            skipped += 1
+            continue
+        qualifying += 1
+        if sic.classify_rho(rho_ab) is FeasibilityClass.STRICTLY_FEASIBLE:
+            violations += 1
+        elif cond_ab * math.sin(d_bd) > 10.0 * conds[i] * (1.0 + 1e-6):
+            violations += 1
+    return {"check": "infeasible-transition", "qualifying": qualifying,
+            "violations": violations, "skipped": skipped,
+            "status": harness._status(qualifying, violations)}

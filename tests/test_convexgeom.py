@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpcond import harness, samplers, sic
 from lpcond.convexgeom import (
     MEMBER_TOL,
     SpherePolytope,
     cap_distance_suite,
     cap_distances_batch,
+    cone_facets,
     cone_member_batch,
     distance_to_boundary,
     distance_to_dual,
@@ -352,3 +354,45 @@ class TestMembership:
         for i in range(200):
             dist = distance_to_sconv(SpherePoint(X[i]), P)
             assert member[i] == (dist <= 1e-9)
+
+
+class TestConeFacets:
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (3, 6)])
+    def test_property_pool_proposals(self, m, n):
+        # The infeasible-transition check's cones cone(-A) of strictly
+        # feasible pool instances, and the first 512 proposals of each
+        # instance's stream.
+        mats = harness._uniform_instances(0, 2, m, n, 60)
+        _, labels, _ = harness._pool_columns(sic.unit_rows(mats))
+        sf = np.flatnonzero(labels == "SF")[:12]
+        normals = cone_facets(-mats[sf])
+        checked = 0
+        for neg, facets, i in zip(-mats[sf], normals, sf.tolist()):
+            gen = harness._prop_stream(0, 3, i).generator()
+            props = samplers.uniform_sphere_block(m, gen, 512)
+            inside = (props @ facets.T).min(axis=1) >= -1e-10
+            assert np.array_equal(inside, cone_member_batch(props, neg))
+            P = SpherePolytope(neg)
+            real = facets[facets.any(axis=1)]
+            for x in props[inside][:40]:
+                d_bd = float(np.arcsin(np.clip(np.abs(real @ x).min(), 0.0, 1.0)))
+                assert d_bd == pytest.approx(distance_to_boundary(SpherePoint(x), P), abs=1e-12)
+                checked += 1
+        assert checked >= 100
+
+    def test_one_polytope_view_drops_repeated_facets(self):
+        # Three generators on the facet x3 = 0 reach it through three subsets.
+        gens = np.array([[1.0, 0, 0], [0, 1.0, 0], unit([1.0, 1.0, 0]), [0, 0, 1.0]])
+        rows = cone_facets(gens[None])[0]
+        assert rows.shape == (6, 3)
+        assert sum(bool(np.allclose(r, [0, 0, 1])) for r in rows) == 3
+        facets = SpherePolytope(gens).facet_normals()
+        assert np.allclose(sorted(map(tuple, np.round(facets, 12))), np.eye(3)[::-1])
+
+    def test_flat_cone_has_no_facet(self):
+        # Rows on a great circle, and a cone spanning a line.
+        circle = np.array([[1.0, 0, 0], [0, 1.0, 0], unit([1.0, 1.0, 0])])
+        assert not cone_facets(circle[None]).any()
+        assert not cone_facets(np.array([[[1.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]]])).any()
+        assert SpherePolytope(circle).facet_normals().shape == (0, 3)
+        assert SpherePolytope(np.eye(4)[:2]).facet_normals().shape == (0, 4)

@@ -36,7 +36,7 @@ from lpcond.harness import (
 from lpcond.lp import FeasibilityClass
 from lpcond.samplers import RngStream, make_adversarial_params, sample_instance
 from lpcond.sic import strictly_feasible
-from oracles import gordan_classify, wendel_p_pascal
+from oracles import gordan_classify, if_check_per_instance, wendel_p_pascal
 
 
 PARAMS = make_adversarial_params(2, math.pi / 6, 0.0)
@@ -109,6 +109,14 @@ class TestWendelFormulas:
             for m in (1, 2, 3, 5):
                 if k > m:
                     assert wendel_p_exact(k, m) == wendel_p_pascal(k, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_partial_sum_is_the_fraction_loop(self, m):
+        k_max = 4 * m + 60
+        total = Fraction(0)
+        for k in range(4 * m + 1, k_max + 1):
+            total += k * wendel_p_exact(k, m)
+        assert pkm_partial_sum(m, k_max) == total
 
     def test_partial_sums_decay_in_m(self):
         vals = [pkm_partial_sum(m, 4 * m + 60) for m in range(1, 7)]
@@ -340,6 +348,49 @@ class TestPropertySuite:
     def test_qualifying_counts(self, suite):
         for check in suite.values():
             assert check["qualifying"] >= 20
+
+
+def great_circle_pool(count, m=2, n=5, seed=0):
+    """Strictly feasible instances whose rows lie on one great circle (an
+    arc of S^1 inside S^m), so every cone(-A) is flat."""
+    angles = np.random.default_rng(seed).uniform(0.0, 1.5, (count, n))
+    mats = np.zeros((count, n, m + 1))
+    mats[..., 0], mats[..., 1] = np.cos(angles), np.sin(angles)
+    return mats
+
+
+class TestInfeasibleTransition:
+    @pytest.mark.parametrize("m, n, seeds", [(1, 3, range(8)), (2, 5, range(2))])
+    def test_stack_check_is_the_per_instance_check(self, m, n, seeds):
+        for seed in seeds:
+            cfg = ExperimentConfig(kind="property-suite", m=m, n=n, master_seed=seed)
+            assert harness._if_check(cfg) == if_check_per_instance(cfg)
+
+    def test_a_block_finds_each_instance_s_own_point(self):
+        # One flat instance in a stack changes nothing for the others.
+        mats = harness._uniform_instances(3, 2, 2, 5, 40)
+        _, labels, _ = harness._pool_columns(sic.unit_rows(mats))
+        sf = np.flatnonzero(labels == "SF")[:6]
+        stack = np.concatenate([mats[sf], great_circle_pool(1)])
+        b, d_bd = harness._reflected_points(3, stack, np.append(sf, 39))
+        assert np.isnan(b[-1]).all() and np.isnan(d_bd[-1])
+        for j, i in enumerate(sf.tolist()):
+            one_b, one_d = harness._reflected_points(3, mats[[i]], np.array([i]))
+            assert np.array_equal(one_b[0], b[j]) and one_d[0] == d_bd[j]
+
+    def test_flat_cones_are_skipped_without_drawing(self, monkeypatch):
+        pool = great_circle_pool(harness._IF_POOL)
+        draws = []
+        monkeypatch.setattr(harness, "_uniform_instances", lambda *args: pool)
+        monkeypatch.setattr(harness.samplers, "uniform_sphere_block",
+                            lambda *args: draws.append(args))
+        cfg = ExperimentConfig(kind="property-suite", m=2, n=5, master_seed=0)
+        _, labels, _ = harness._pool_columns(sic.unit_rows(pool))
+        assert (labels == "SF").all()
+        assert harness._if_check(cfg) == {
+            "check": "infeasible-transition", "qualifying": 0, "violations": 0,
+            "skipped": harness._IF_POOL, "status": "inconclusive"}
+        assert draws == []
 
 
 class TestPrefixMonotonicity:
