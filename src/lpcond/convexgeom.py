@@ -1,8 +1,16 @@
 """Spherical convex hulls as polyhedral cones.
 
-Membership, nearest-point projection (nonnegative least squares), distances
-to hulls, duals and boundaries, plus the closed-form cap distances used by
-the volume experiments.
+Membership, nearest-point projection, distances to hulls, duals and
+boundaries, plus the closed-form cap distances used by the volume
+experiments.
+
+Projection onto a cone is nonnegative least squares, solved for a whole
+stack of instances at once by `nnls_stack`: the active-set method of
+Lawson and Hanson (Solving Least Squares Problems, ch. 23) with one
+passive-set mask per instance and one least-squares solve of the whole
+stack per step.  `sconv_distances` is the stacked hull distance built on
+it, and `project_onto_cone` and `distance_to_sconv` are their
+one-instance views.
 """
 
 from __future__ import annotations
@@ -12,15 +20,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import sic
 from .errors import ConvergenceError, DegenerateHullError, DualEmptyError
-from .sphere import Cap, SpherePoint, angular_distance, clipped_arccos
+from .sphere import Cap, SpherePoint, angular_distance, clipped_arccos, row_norms
 
 # A point is treated as a member of a hull when its hull distance is below
 # this; chosen so NNLS roundoff never flips membership of true members.
 MEMBER_TOL = 1e-9
+# `nnls_stack` on unit-scale data: a column enters the passive set only
+# if its gradient exceeds _ENTER_TOL, and counts as independent of the
+# passive columns only if its part orthogonal to them exceeds _RANK_TOL;
+# an answer must meet the KKT conditions to _KKT_TOL.
+_ENTER_TOL = 1e-12
+_RANK_TOL = 1e-12
+_KKT_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -58,8 +72,102 @@ class SpherePolytope:
         return self._facets
 
 
+def _gradient(E: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """E^T (f - E u) of each instance: the negative gradient of the NNLS
+    objective, from the residual (not E^T f - E^T E u, which cancels)."""
+    resid = f - (E @ u[..., None])[..., 0]
+    return (resid[:, None, :] @ E)[:, 0]
+
+
+def _passive_solve(E: np.ndarray, f: np.ndarray, passive: np.ndarray):
+    """Least squares on the passive columns of each instance of a stack:
+    s, zero off the passive set.
+
+    Gram-Schmidt, run twice on each column ("twice is enough"),
+    orthogonalizes the masked columns of the whole stack one column index
+    at a time; back substitution gives s.  A passive column whose part
+    orthogonal to the columns before it is at most _RANK_TOL is
+    numerically dependent on them, and gets weight 0.
+    """
+    B, r, n = E.shape
+    Q = np.zeros((B, r, n))
+    R = np.zeros((B, n, n))
+    for j in range(n):
+        v = E[:, :, j] * passive[:, j, None]
+        for _ in range(2 if j else 0):
+            c = (v[:, None, :] @ Q[:, :, :j])[:, 0]
+            v = v - (Q[:, :, :j] @ c[..., None])[..., 0]
+            R[:, :j, j] += c
+        R[:, j, j] = row_norms(v)
+        Q[:, :, j] = v / np.where(R[:, j, j] > _RANK_TOL, R[:, j, j], np.inf)[:, None]
+    pivot = np.where(passive, np.diagonal(R, axis1=1, axis2=2), 1.0)
+    pivot = np.where(pivot > _RANK_TOL, pivot, np.inf)
+    c = (f[:, None, :] @ Q)[:, 0]
+    s = np.zeros((B, n))
+    for j in range(n - 1, -1, -1):
+        s[:, j] = (c[:, j] - (R[:, j, j + 1:] * s[:, j + 1:]).sum(axis=1)) / pivot[:, j]
+    return s
+
+
+def nnls_stack(E: np.ndarray, f: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+    """u[b] = argmin ||E[b] u - f[b]|| over u >= 0, for a stack E (B, r, n), f (B, r).
+
+    Lawson-Hanson with a passive-set mask per instance; every step is one
+    least-squares solve of the whole stack (`_passive_solve`).  The
+    column of largest gradient above _ENTER_TOL enters; where its new
+    weight is not positive (it depends on the passive columns, or
+    roundoff), it is refused until the passive set next changes, as in
+    Lawson-Hanson.  A weight driven to zero leaves.  After at most
+    `max_iter` steps (default 3n) every instance must meet the KKT
+    conditions to 1e-10: max E^T(f - Eu) <= 1e-10 and |u . E^T(f - Eu)|
+    <= 1e-10.  Else ConvergenceError; both on inputs of unit scale.
+    """
+    E = np.asarray(E, dtype=float)
+    f = np.asarray(f, dtype=float)
+    B, _, n = E.shape
+    cap = 3 * n if max_iter is None else max_iter
+    rows, cols = np.arange(B), np.arange(n)
+    u = np.zeros((B, n))
+    passive = np.zeros((B, n), dtype=bool)
+    refused = np.zeros((B, n), dtype=bool)
+    live = np.ones(B, dtype=bool)  # not yet at the optimum
+    entering = np.ones(B, dtype=bool)  # at a passive-set optimum: a column may enter
+    for step in itertools.count(1):
+        w = np.where(passive | refused | ~(live & entering)[:, None], -np.inf, _gradient(E, f, u))
+        t = w.argmax(axis=1)
+        grow = live & entering & (w[rows, t] > _ENTER_TOL)
+        live &= grow | ~entering
+        if not live.any():
+            break
+        if step > cap:
+            raise ConvergenceError(
+                f"NNLS reached its cap of {cap} steps on {int(live.sum())} of {B} instances")
+        passive[rows[grow], t[grow]] = True
+        s = _passive_solve(E, f, passive)
+        refuse = grow & (s[rows, t] <= 0.0)
+        passive[rows[refuse], t[refuse]] = False
+        accept = live & ~refuse & np.all(~passive | (s > 0.0), axis=1)
+        cut = live & ~refuse & ~accept
+        refused = refuse[:, None] & (refused | (cols == t[:, None]))
+        # Move toward s until the first passive weight reaches zero; drop it.
+        neg = cut[:, None] & passive & (s <= 0.0)
+        ratio = np.where(neg, u / np.where(neg, np.maximum(u - s, 1e-300), 1.0), np.inf)
+        alpha = np.where(cut, ratio.min(axis=1), 0.0)[:, None]
+        moved = u + alpha * (s - u)
+        passive &= ~(cut[:, None] & ((moved <= 0.0) | (ratio == alpha)))
+        u = np.where(accept[:, None], s, np.where(cut[:, None], np.where(passive, moved, 0.0), u))
+        entering = ~cut
+    grad = _gradient(E, f, u)
+    certified = (grad.max(axis=1) <= _KKT_TOL) & (np.abs((u * grad).sum(axis=1)) <= _KKT_TOL)
+    if not certified.all():
+        raise ConvergenceError(
+            f"NNLS failed its KKT certificate on {int((~certified).sum())} of {B} instances")
+    return u
+
+
 def project_onto_cone(x: SpherePoint, P: SpherePolytope):
-    """Nearest point of cone(generators) to x, with its certificate.
+    """Nearest point of cone(generators) to x, with its certificate: the
+    one-instance view of `nnls_stack`.
 
     Returns (z, lam) with z = sum lam_i b_i, lam >= 0, and KKT residual
     below 1e-10.  z may be the zero vector.
@@ -67,28 +175,33 @@ def project_onto_cone(x: SpherePoint, P: SpherePolytope):
     xv = np.asarray(x.coords if isinstance(x, SpherePoint) else x, dtype=float)
     if xv.size != P.ambient_dim:
         raise ValueError("point and polytope dimensions differ")
-    try:
-        lam, _ = nnls(P.generators.T, xv)
-    except RuntimeError as exc:
-        raise ConvergenceError(f"cone projection NNLS failed: {exc}") from exc
-    z = P.generators.T @ lam
-    resid = xv - z
-    grad = P.generators @ resid
-    if np.max(grad, initial=0.0) > 1e-10 or abs(float(lam @ grad)) > 1e-10:
-        raise ConvergenceError("cone projection failed its KKT certificate")
-    return z, lam
+    lam = nnls_stack(P.generators.T[None], xv[None])[0]
+    return P.generators.T @ lam, lam
+
+
+def sconv_distances(X: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Angular distance from each X[b] to sconv(gens[b]), for unit rows
+    X (B, d) and gens (B, k, d); 0 iff X[b] is a member.
+
+    One `nnls_stack` call projects every X[b] onto its cone.  Angles come
+    from chords: arccos of a cosine near 1 puts members up to 2e-8 away.
+    Where the projection is 0, X[b] sits in the polar cone and the nearest
+    hull point is a generator.
+    """
+    lam = nnls_stack(gens.transpose(0, 2, 1), X)
+    z = (lam[:, None, :] @ gens)[:, 0]
+    nz = row_norms(z)
+    polar = clipped_arccos((gens @ X[..., None])[..., 0].max(axis=1))
+    return np.where(nz > 1e-12, sic._angles(X, z / np.maximum(nz, 1e-300)[:, None]), polar)
 
 
 def distance_to_sconv(x: SpherePoint, P: SpherePolytope) -> float:
     """Angular distance from x to sconv(generators); 0 iff x is a member.
-    From chords: arccos of a cosine near 1 puts members up to 2e-8 away."""
+    The one-instance view of `sconv_distances`."""
     xv = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
-    z, _ = project_onto_cone(x, P)
-    nz = float(np.linalg.norm(z))
-    if nz > 1e-12:
-        return float(sic._angles(xv, z / nz))
-    # x sits in the polar cone: the nearest hull point is a generator.
-    return float(clipped_arccos(float(np.max(P.generators @ xv))))
+    if xv.size != P.ambient_dim:
+        raise ValueError("point and polytope dimensions differ")
+    return float(sconv_distances(xv[None], P.generators[None])[0])
 
 
 def _interior_boundary_distance(xv: np.ndarray, P: SpherePolytope) -> float:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import convexgeom, samplers, sic
-from .convexgeom import SpherePolytope, cap_distances_batch
+from .convexgeom import cap_distances_batch
 from .errors import ConfigError, ConvergenceError
 from .lp import FeasibilityClass
 from .samplers import (
@@ -50,6 +50,11 @@ _PREFIX_RHO_TOL = 1e-12
 _AF_POOL, _AF_TARGET = 6000, 250
 _IF_POOL, _IF_TARGET = 2000, 220
 _IF_MARGIN = 8  # extra instances per block, to cover skips in one block
+# Reflected points: up to _ROUNDS rounds of _ROUND proposals per instance,
+# each round's first _PREFIX drawn before the rest (most instances hit
+# among them).  _PREFIX * (m + 1) is a multiple of 4, as stream offsets
+# must be (`samplers.keyed_uniforms`).
+_ROUND, _ROUNDS, _PREFIX = 512, 200, 16
 _CCINE_POOL, _CCINE_TARGET = 400, 250
 _MULTRVA_N = 200_000
 
@@ -474,29 +479,53 @@ def _pool_columns(mats: np.ndarray):
     return rho, labels, cond
 
 
+def _witness_distances(units: np.ndarray) -> np.ndarray:
+    """(Q, n): the distance from row j of each instance of units (Q, n, d)
+    to sconv of its other rows reflected, by `convexgeom.sconv_distances`
+    on slices of at most BLOCK_ROWS generator rows."""
+    Q, n, d = units.shape
+    others = np.array([[k for k in range(n) if k != j] for j in range(n)])
+    X, gens = units.reshape(-1, d), -units[:, others].reshape(-1, n - 1, d)
+    return np.concatenate([
+        convexgeom.sconv_distances(X[lo:hi], gens[lo:hi])
+        for lo, hi in samplers.sample_ranges(0, Q * n, n - 1)
+    ]).reshape(Q, n)
+
+
 def _af_check(cfg: ExperimentConfig):
-    """Large condition numbers force a row near its complementary hull."""
+    """Large condition numbers force a row near its complementary hull:
+    some row j of each qualifying A lies within phi of sconv(-A without
+    row j), and outside it.  All rows of all qualifying instances are one
+    stacked hull-distance solve (`_witness_distances`)."""
     m, n = cfg.m, cfg.n
     eps = (m + 1) / 12.0  # qualify at C(A) >= 12
     phi = math.asin(eps)
     mats = _uniform_instances(cfg.master_seed, 1, m, n, _AF_POOL)
     _, labels, cond = _pool_columns(sic.unit_rows(mats))
     qualify_idx = np.flatnonzero((labels == "SF") & (cond >= (m + 1) / eps))[:_AF_TARGET]
-    violations = 0
-    for i in qualify_idx.tolist():
-        found = False
-        for j in range(n):
-            others = np.delete(mats[i], j, axis=0)
-            poly = SpherePolytope(-others)
-            d = convexgeom.distance_to_sconv(SpherePoint(mats[i, j]), poly)
-            if convexgeom.MEMBER_TOL < d <= phi + 1e-6:
-                found = True
-                break
-        if not found:
-            violations += 1
-    q = len(qualify_idx)
+    d = _witness_distances(sic.unit_rows(mats[qualify_idx]))
+    found = ((convexgeom.MEMBER_TOL < d) & (d <= phi + 1e-6)).any(axis=1)
+    q, violations = len(qualify_idx), int((~found).sum())
     return {"check": "feasible-witness", "qualifying": q, "violations": violations,
             "phi": phi, "status": _status(q, violations)}
+
+
+def _first_members(master: int, keys: np.ndarray, normals: np.ndarray, start: int, count: int):
+    """Proposals start..start+count-1 of the streams keys (A,), and the
+    position of the first one in each cone with inward facet normals
+    normals (A, F, d), -1 where none is.  Membership is min_f <n_f, x> >=
+    -1e-10, each <n_f, x> the same elementwise sum whatever the stack.
+    Draws hold at most BLOCK_ROWS proposals per array."""
+    m = normals.shape[2] - 1
+    props = np.concatenate([
+        samplers.uniform_sphere_batch(m, master, keys[lo:hi], count, start)
+        for lo, hi in samplers.sample_ranges(0, keys.size, count)
+    ])
+    dots = props[:, :, None, 0] * normals[:, None, :, 0]
+    for k in range(1, m + 1):
+        dots = dots + props[:, :, None, k] * normals[:, None, :, k]
+    inside = dots.min(axis=2) >= -1e-10
+    return props, np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
 def _reflected_points(master: int, mats: np.ndarray, indices: np.ndarray):
@@ -504,22 +533,27 @@ def _reflected_points(master: int, mats: np.ndarray, indices: np.ndarray):
     b the first proposal of `_prop_stream(master, 3, indices[j])`, 512 a
     round for at most 200 rounds, in cone(-A), and d_bd = min_f arcsin
     |<n_f, b>| its distance to the boundary; NaN where none hit, and at
-    once where cone(-A) is flat (no facet).  Membership is min_f <n_f, x>
-    >= -1e-10 over `convexgeom.cone_facets`, one matrix product a round:
-    cone(-A) is pointed, so the intersection of its facet half-spaces."""
+    once where cone(-A) is flat (no facet).  Membership is over the
+    facets of `convexgeom.cone_facets`: cone(-A) is pointed, so the
+    intersection of its facet half-spaces.  Each round is drawn for all
+    instances still without a b at once (`_first_members`), its first
+    _PREFIX proposals first, the rest only where those missed."""
     normals = convexgeom.cone_facets(-mats)
     facet = normals.any(axis=2)
     b = np.full((len(mats), mats.shape[2]), np.nan)
+    base = 3 << 32  # sample i is _prop_stream(master, 3, i)
+    top = base + int(indices.max(initial=0)) + 1
+    keys = samplers.stream_indices(PURPOSE_PROPERTY, base, top)[indices]
     active = np.flatnonzero(facet.any(axis=1))
-    gens = [_prop_stream(master, 3, i).generator() for i in indices[active].tolist()]
-    for _ in range(200):
-        if not gens:
+    draws = [(start + lo, hi - lo) for start in range(0, _ROUNDS * _ROUND, _ROUND)
+             for lo, hi in ((0, _PREFIX), (_PREFIX, _ROUND))]
+    for start, count in draws:
+        if not active.size:
             break
-        props = np.stack([samplers.uniform_sphere_block(mats.shape[2] - 1, g, 512) for g in gens])
-        inside = (props @ normals[active].transpose(0, 2, 1)).min(axis=2) >= -1e-10
-        hit = inside.any(axis=1)
-        b[active[hit]] = props[hit, inside[hit].argmax(axis=1)]
-        gens, active = [g for g, done in zip(gens, hit.tolist()) if not done], active[~hit]
+        props, at = _first_members(master, keys[active], normals[active], start, count)
+        hit = at >= 0
+        b[active[hit]] = props[hit, at[hit]]
+        active = active[~hit]
     dots = np.where(facet, np.abs(b[:, None] @ normals.transpose(0, 2, 1))[:, 0], np.inf)
     return b, np.where(np.isnan(b[:, 0]), np.nan, np.arcsin(np.clip(dots.min(axis=1), 0.0, 1.0)))
 
@@ -595,11 +629,14 @@ def _multrva_check(cfg: ExperimentConfig):
     U = x_u * w[0] ** (-1.0 / c)
     V = x_v * w[1] ** (-1.0 / c)
     prod = U * V
+    prod.sort()  # in place: a sorted copy would add 1.6 MB to the peak
     grid = np.geomspace(x_u * x_v, x_u * x_v * 1e4, 12)
+    # Exceedance counts are integers, so count / N is np.mean(prod >= x).
+    exceed = N - np.searchsorted(prod, grid, side="left")
     rows = []
     violations = 0
-    for x in grid:
-        p_hat = float(np.mean(prod >= x))
+    for x, count in zip(grid, exceed.tolist()):
+        p_hat = count / N
         se = binomial_se(p_hat, N)
         bound = (c * a_coef * b_coef * x ** (-c) * math.log(max(x / (x_u * x_v), 1.0))
                  + min(a_coef * x_v**c, b_coef * x_u**c) * x ** (-c))

@@ -107,17 +107,21 @@ def _mulhilo(a: np.ndarray, b: int):
     return hi, a * np.uint64(b)
 
 
-def keyed_uniforms(master: int, indices, count: int) -> np.ndarray:
+def keyed_uniforms(master: int, indices, count: int, offset: int = 0) -> np.ndarray:
     """(len(indices), count) uniforms; row j is, bit for bit,
-    Generator(Philox(key=(master << 64) | indices[j])).random(count).
+    Generator(Philox(key=(master << 64) | indices[j])).random(offset + count)[offset:].
 
     numpy's Philox keys word 0 with the low and word 1 with the high half
     of the key and fills a 4-word buffer per counter value, counters
-    starting at 1; random() keeps the top 53 bits of each word.
+    starting at 1; random() keeps the top 53 bits of each word.  So a
+    stream can be entered at any word `offset` that starts a buffer: a
+    multiple of 4.
     """
+    if offset < 0 or offset % 4:
+        raise ValueError(f"offset {offset} is not a nonnegative multiple of 4")
     k0 = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
-    blocks = -(-count // 4)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (k0.shape[0], blocks))
+    blocks, first = -(-count // 4), offset // 4 + 1
+    c0 = np.broadcast_to(np.arange(first, first + blocks, dtype=np.uint64), (k0.shape[0], blocks))
     c1 = c2 = c3 = np.zeros_like(c0)
     for r in range(_PHILOX_ROUNDS):
         ka = k0 + np.uint64(r * _PHILOX_W[0] & _MASK64)
@@ -148,11 +152,12 @@ def uniform_sphere_block(m: int, gen: np.random.Generator, count: int) -> np.nda
     return g / row_norms(g)[:, None]
 
 
-def uniform_sphere_batch(m: int, master: int, indices, count: int) -> np.ndarray:
+def uniform_sphere_batch(m: int, master: int, indices, count: int, start: int = 0) -> np.ndarray:
     """(len(indices), count, m+1): `count` uniform points of S^m per stream,
     entry j bit for bit uniform_sphere_block(m, RngStream(master,
-    indices[j]).generator(), count)."""
-    u = keyed_uniforms(master, indices, count * (m + 1))
+    indices[j]).generator(), start + count)[start:].  Each point takes m+1
+    uniforms, so start * (m+1) must be a multiple of 4 (`keyed_uniforms`)."""
+    u = keyed_uniforms(master, indices, count * (m + 1), start * (m + 1))
     g = ndtri(_open_unit(u)).reshape(-1, count, m + 1)
     return g / row_norms(g)[..., None]
 

@@ -6,8 +6,10 @@ geometry), and the Pascal-triangle evaluation of Wendel's formula.
 `circumcap` is a typed view of the solver's equidistant-cap solve, which
 the tests pin down on known configurations.  `if_check_per_instance` is
 the property suite's infeasible-transition check one instance at a time,
-on the Caratheodory membership test and the NNLS boundary distance.  None
-of them is on a production path.
+on the Caratheodory membership test and the NNLS boundary distance.
+`af_check_per_instance` is its feasible-witness check one row at a time,
+on `sconv_distance_scipy`, the hull distance by scipy's NNLS.  None of
+them is on a production path.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import nnls
 
 from lpcond import convexgeom, harness, samplers, sic
 from lpcond.errors import ConvergenceError
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import _equidistant
-from lpcond.sphere import Cap, SpherePoint
+from lpcond.sphere import Cap, SpherePoint, clipped_arccos
 
 _EPS = 1e-9
 _PIVOT_EPS = 1e-11
@@ -250,10 +253,22 @@ def circumcap(points, sign: int = 1) -> Cap:
     return Cap(SpherePoint(sign * center), radius if sign > 0 else math.pi - radius)
 
 
+def first_reflected_point(master: int, index: int, mat: np.ndarray):
+    """(b, position) of the first proposal of pool instance index's stream,
+    512 a round from its own generator for at most 200 rounds, that
+    `cone_member_batch` puts in cone(-mat); (None, None) where none is."""
+    gen = harness._prop_stream(master, 3, index).generator()
+    for r in range(200):
+        props = samplers.uniform_sphere_block(mat.shape[1] - 1, gen, 512)
+        hit = np.flatnonzero(convexgeom.cone_member_batch(props, -mat))
+        if hit.size:
+            return props[hit[0]], 512 * r + int(hit[0])
+    return None, None
+
+
 def if_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
     """The infeasible-transition check dict, one strictly feasible pool
-    instance at a time: b is the first of 512 proposals a round (at most
-    200 rounds) that `cone_member_batch` puts in cone(-A), d_bd is
+    instance at a time: b is `first_reflected_point`, d_bd is
     `distance_to_boundary` and rho(A, b) a one-instance `sic_rho`."""
     m, n = cfg.m, cfg.n
     mats = harness._uniform_instances(cfg.master_seed, 2, m, n, harness._IF_POOL)
@@ -262,19 +277,11 @@ def if_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
     for i in np.flatnonzero(labels == "SF").tolist():
         if qualifying >= harness._IF_TARGET:
             break
-        gen = harness._prop_stream(cfg.master_seed, 3, i).generator()
-        neg = -mats[i]
-        b = None
-        for _ in range(200):
-            props = samplers.uniform_sphere_block(m, gen, 512)
-            hit = np.flatnonzero(convexgeom.cone_member_batch(props, neg))
-            if hit.size:
-                b = props[hit[0]]
-                break
+        b, _ = first_reflected_point(cfg.master_seed, i, mats[i])
         if b is None:
             skipped += 1
             continue
-        d_bd = convexgeom.distance_to_boundary(SpherePoint(b), convexgeom.SpherePolytope(neg))
+        d_bd = convexgeom.distance_to_boundary(SpherePoint(b), convexgeom.SpherePolytope(-mats[i]))
         rho_ab = sic.sic_rho(sic.unit_rows(np.vstack([mats[i], b])))[0]
         cond_ab = sic.cond_from_rho(rho_ab)
         if not math.isfinite(cond_ab):
@@ -288,3 +295,46 @@ def if_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
     return {"check": "infeasible-transition", "qualifying": qualifying,
             "violations": violations, "skipped": skipped,
             "status": harness._status(qualifying, violations)}
+
+
+def sconv_distance_scipy(x, gens) -> float:
+    """Angular distance from the unit x to sconv of the unit rows gens, by
+    one scipy NNLS projection onto cone(gens), checked by its KKT
+    conditions to 1e-10; angles from chords, and from the nearest
+    generator where the projection is 0 (x in the polar cone)."""
+    lam, _ = nnls(gens.T, x)
+    z = gens.T @ lam
+    grad = gens @ (x - z)
+    if np.max(grad, initial=0.0) > 1e-10 or abs(float(lam @ grad)) > 1e-10:
+        raise ConvergenceError("cone projection failed its KKT certificate")
+    nz = float(np.linalg.norm(z))
+    if nz > 1e-12:
+        return float(sic._angles(x, z / nz))
+    return float(clipped_arccos(float(np.max(gens @ x))))
+
+
+def af_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
+    """The feasible-witness check dict, one qualifying instance and one
+    row at a time: a row is a witness where `sconv_distance_scipy` to the
+    other rows reflected lies in (MEMBER_TOL, phi + 1e-6]."""
+    m, n = cfg.m, cfg.n
+    eps = (m + 1) / 12.0
+    phi = math.asin(eps)
+    mats = harness._uniform_instances(cfg.master_seed, 1, m, n, harness._AF_POOL)
+    _, labels, cond = harness._pool_columns(sic.unit_rows(mats))
+    qualify_idx = np.flatnonzero((labels == "SF") & (cond >= (m + 1) / eps))[:harness._AF_TARGET]
+    violations = 0
+    for i in qualify_idx.tolist():
+        found = False
+        for j in range(n):
+            x = SpherePoint(mats[i, j]).coords
+            gens = convexgeom.SpherePolytope(-np.delete(mats[i], j, axis=0)).generators
+            d = sconv_distance_scipy(x, gens)
+            if convexgeom.MEMBER_TOL < d <= phi + 1e-6:
+                found = True
+                break
+        if not found:
+            violations += 1
+    q = len(qualify_idx)
+    return {"check": "feasible-witness", "qualifying": q, "violations": violations,
+            "phi": phi, "status": harness._status(q, violations)}

@@ -16,10 +16,13 @@ from lpcond.convexgeom import (
     distance_to_boundary,
     distance_to_dual,
     distance_to_sconv,
+    nnls_stack,
     project_onto_cone,
+    sconv_distances,
 )
-from lpcond.errors import DegenerateHullError
+from lpcond.errors import ConvergenceError, DegenerateHullError
 from lpcond.sphere import Cap, SpherePoint
+from oracles import sconv_distance_scipy
 
 
 def unit(v):
@@ -58,6 +61,63 @@ class TestNnls:
             assert np.max(w) <= 1e-9  # no ascent direction among active vars
             assert abs(float(lam @ w)) <= 1e-9  # complementarity
             assert np.allclose(z, P.generators.T @ lam, atol=1e-12)
+
+
+def adversarial_cone(rng, family, k, d):
+    """k unit generators in R^d: random, or with the last one a duplicate,
+    the antipode or a 1e-7 rotation of the first, or all on one great circle."""
+    gens = random_units(rng, k, d)
+    if family == "duplicate":
+        gens[-1] = gens[0]
+    elif family == "antipodal":
+        gens[-1] = -gens[0]
+    elif family == "near-parallel":
+        tangent = unit(rng.standard_normal(d))
+        tangent = unit(tangent - (tangent @ gens[0]) * gens[0])
+        gens[-1] = unit(gens[0] + 1e-7 * tangent)
+    elif family == "great-circle":
+        gens[:, 2:] = 0.0
+        gens /= np.linalg.norm(gens, axis=1, keepdims=True)
+    return gens
+
+
+class TestNnlsStack:
+    @pytest.mark.parametrize("seed, family", enumerate(
+        ["random", "duplicate", "antipodal", "near-parallel", "great-circle"]))
+    def test_against_scipy_nnls(self, seed, family):
+        rng = np.random.default_rng(seed)
+        for d in range(2, 7):
+            for k in range(1, 8):
+                gens = np.array([adversarial_cone(rng, family, k, d) for _ in range(30)])
+                X = random_units(rng, 30, d)
+                lam = nnls_stack(gens.transpose(0, 2, 1), X)
+                assert np.all(lam >= 0)
+                resid = X - (lam[:, None, :] @ gens)[:, 0]
+                grad = (gens @ resid[..., None])[..., 0]
+                assert np.all(grad.max(axis=1) <= 1e-10)
+                assert np.all(np.abs((lam * grad).sum(axis=1)) <= 1e-10)
+                dist = sconv_distances(X, gens)
+                oracle = [sconv_distance_scipy(x, g) for x, g in zip(X, gens)]
+                assert np.max(np.abs(dist - oracle)) <= 1e-12
+
+    def test_an_instance_solves_alike_alone_and_in_a_stack(self):
+        rng = np.random.default_rng(30)
+        gens = np.array([random_units(rng, 5, 3) for _ in range(50)])
+        X = random_units(rng, 50, 3)
+        lam = nnls_stack(gens.transpose(0, 2, 1), X)
+        for j in (0, 17, 49):
+            assert np.array_equal(nnls_stack(gens[j].T[None], X[j][None])[0], lam[j])
+
+    def test_iteration_cap_is_a_typed_error(self):
+        # The octant's center needs all three generators: three steps.
+        E, f = np.eye(3)[None], unit([1.0, 1.0, 1.0])[None]
+        with pytest.raises(ConvergenceError):
+            nnls_stack(E, f, max_iter=2)
+        assert np.allclose(nnls_stack(E, f, max_iter=3), f)
+
+    def test_no_certificate_is_a_typed_error(self):
+        with pytest.raises(ConvergenceError):
+            nnls_stack(np.eye(3)[None], np.array([[np.nan, 0.0, 1.0]]))
 
 
 class TestProjection:

@@ -36,7 +36,14 @@ from lpcond.harness import (
 from lpcond.lp import FeasibilityClass
 from lpcond.samplers import RngStream, make_adversarial_params, sample_instance
 from lpcond.sic import strictly_feasible
-from oracles import gordan_classify, if_check_per_instance, wendel_p_pascal
+from oracles import (
+    af_check_per_instance,
+    first_reflected_point,
+    gordan_classify,
+    if_check_per_instance,
+    sconv_distance_scipy,
+    wendel_p_pascal,
+)
 
 
 PARAMS = make_adversarial_params(2, math.pi / 6, 0.0)
@@ -379,10 +386,11 @@ class TestInfeasibleTransition:
             assert np.array_equal(one_b[0], b[j]) and one_d[0] == d_bd[j]
 
     def test_flat_cones_are_skipped_without_drawing(self, monkeypatch):
+        # Every proposal is drawn through samplers.keyed_uniforms.
         pool = great_circle_pool(harness._IF_POOL)
         draws = []
         monkeypatch.setattr(harness, "_uniform_instances", lambda *args: pool)
-        monkeypatch.setattr(harness.samplers, "uniform_sphere_block",
+        monkeypatch.setattr(harness.samplers, "keyed_uniforms",
                             lambda *args: draws.append(args))
         cfg = ExperimentConfig(kind="property-suite", m=2, n=5, master_seed=0)
         _, labels, _ = harness._pool_columns(sic.unit_rows(pool))
@@ -391,6 +399,89 @@ class TestInfeasibleTransition:
             "check": "infeasible-transition", "qualifying": 0, "violations": 0,
             "skipped": harness._IF_POOL, "status": "inconclusive"}
         assert draws == []
+
+    def test_points_are_each_stream_s_first_member(self):
+        # Pool instances mostly hit among a round's first 16 proposals,
+        # some in its rest; rows within a few 1e-3 rad of each other leave
+        # cone(-A) a thin arc, hit rounds later.
+        mats = harness._uniform_instances(3, 2, 1, 3, harness._IF_POOL)
+        _, labels, _ = harness._pool_columns(sic.unit_rows(mats))
+        spread = np.linspace(1e-3, 5e-3, 24)[:, None] * np.array([-1.0, 0.0, 1.0])
+        thin = np.stack([np.cos(spread), np.sin(spread)], axis=2)
+        stack = np.concatenate([mats[labels == "SF"], thin])
+        indices = np.append(np.flatnonzero(labels == "SF"), np.arange(24) + harness._IF_POOL)
+        b, _ = harness._reflected_points(3, stack, indices)
+        where = []
+        for j, i in enumerate(indices.tolist()):
+            one_b, at = first_reflected_point(3, i, stack[j])
+            assert np.array_equal(b[j], one_b)
+            where.append(at)
+        # Hits on both sides of the prefix's end, and in later rounds.
+        assert {15, 16, 17}.issubset(where)
+        assert any(512 <= at < 1024 for at in where) and max(where) >= 1024
+
+    def test_slices_give_the_points_of_separate_calls(self, monkeypatch):
+        # With 1024 rows per array a round's rest holds two instances, so
+        # a block of seven is drawn in slices.
+        mats = harness._uniform_instances(4, 2, 2, 5, 40)
+        _, labels, _ = harness._pool_columns(sic.unit_rows(mats))
+        sf = np.flatnonzero(labels == "SF")[:7]
+        whole = harness._reflected_points(4, mats[sf], sf)
+        monkeypatch.setattr(harness.samplers, "BLOCK_ROWS", 1024)
+        sliced = harness._reflected_points(4, mats[sf], sf)
+        for j, i in enumerate(sf.tolist()):
+            one_b, one_d = harness._reflected_points(4, mats[[i]], np.array([i]))
+            assert np.array_equal(one_b[0], whole[0][j]) and one_d[0] == whole[1][j]
+            assert np.array_equal(one_b[0], sliced[0][j]) and one_d[0] == sliced[1][j]
+
+
+class TestFeasibleWitness:
+    @pytest.mark.parametrize("m, n, seeds", [(1, 3, range(8)), (2, 5, [0]), (3, 7, [0])])
+    def test_stack_check_is_the_per_row_check(self, m, n, seeds):
+        for seed in seeds:
+            cfg = ExperimentConfig(kind="property-suite", m=m, n=n, master_seed=seed)
+            assert harness._af_check(cfg) == af_check_per_instance(cfg)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 5)])
+    def test_distances_are_the_scipy_projection(self, m, n):
+        units = sic.unit_rows(harness._uniform_instances(2, 1, m, n, 30))
+        d = harness._witness_distances(units)
+        for unit_rows, row_d in zip(units, d):
+            for j in range(n):
+                others = -np.delete(unit_rows, j, axis=0)
+                assert abs(row_d[j] - sconv_distance_scipy(unit_rows[j], others)) <= 1e-12
+
+    def test_a_witness_in_any_row_counts(self, monkeypatch):
+        # Only the last row of each instance lies in (MEMBER_TOL, phi].
+        def last_row_only(units):
+            d = np.full(units.shape[:2], 1.0)
+            d[:, -1] = 0.1
+            return d
+        monkeypatch.setattr(harness, "_witness_distances", last_row_only)
+        cfg = ExperimentConfig(kind="property-suite", m=1, n=3, master_seed=0)
+        assert harness._af_check(cfg)["violations"] == 0
+
+    @pytest.mark.parametrize("rows, slices", [(64, 4), (2, 120)])
+    def test_slices_give_the_distances_of_one_stack(self, monkeypatch, rows, slices):
+        # At n = 3 a (row, other rows) pair has two generator rows: 64 rows
+        # per array cut the 120 pairs of 40 instances into four slices, and
+        # 2 rows into one call per pair.
+        units = sic.unit_rows(harness._uniform_instances(1, 1, 1, 3, 40))
+        whole = harness._witness_distances(units)
+        monkeypatch.setattr(harness.samplers, "BLOCK_ROWS", rows)
+        assert len(harness.samplers.sample_ranges(0, 120, 2)) == slices
+        assert np.array_equal(harness._witness_distances(units), whole)
+
+
+class TestProductTail:
+    def test_sorted_counts_are_the_mean_of_each_comparison(self):
+        # The same draws as the check, counted one grid point at a time.
+        cfg = ExperimentConfig(kind="property-suite", m=1, n=3, master_seed=5)
+        gen = harness._prop_stream(5, 5, 0).generator()
+        w = np.clip(gen.random((2, harness._MULTRVA_N)), 1e-300, None)
+        prod = (4.0 * w[0] ** -2.0) * (9.0 * w[1] ** -2.0)
+        grid = harness._multrva_check(cfg)["grid"]
+        assert [row["p_hat"] for row in grid] == [float(np.mean(prod >= row["x"])) for row in grid]
 
 
 class TestPrefixMonotonicity:

@@ -100,6 +100,28 @@ class TestKeyedUniforms:
             for row, index in zip(got, extremes):
                 assert np.array_equal(row, self.numpy_philox((master << 64) | index, 12))
 
+    @pytest.mark.parametrize("offset", [0, 4, 8, 64, 1028, 4 * 12345])
+    def test_offset_enters_the_stream_at_that_word(self, offset):
+        rng = np.random.default_rng(offset)
+        words = rng.integers(0, 1 << 64, size=(20, 2), dtype=np.uint64)
+        for master, index in words.tolist():
+            for count in (1, 3, 4, 9):
+                got = keyed_uniforms(master, [index], count, offset)[0]
+                want = self.numpy_philox((master << 64) | index, offset + count)[offset:]
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [1, 2, 3, 6, -4])
+    def test_offset_must_start_a_buffer(self, offset):
+        with pytest.raises(ValueError):
+            keyed_uniforms(0, [0], 4, offset)
+
+    def test_sphere_batch_from_a_start_point(self):
+        m, idx = 1, stream_indices(PURPOSE_WENDEL, 0, 5)
+        later = uniform_sphere_batch(m, 7, idx, 10, 16)
+        for row, index in zip(later, idx.tolist()):
+            gen = RngStream(7, index).generator()
+            assert np.array_equal(row, uniform_sphere_block(m, gen, 26)[16:])
+
     def test_stream_indices_match_streams(self):
         idx = stream_indices(PURPOSE_WENDEL, 5, 9)
         assert idx.tolist() == [stream(0, PURPOSE_WENDEL, i).index for i in range(5, 9)]
