@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpcond import harness, samplers, sic
+from lpcond import convexgeom, harness, samplers, sic
 from lpcond.convexgeom import (
     MEMBER_TOL,
     SpherePolytope,
@@ -108,12 +108,14 @@ class TestNnlsStack:
         for j in (0, 17, 49):
             assert np.array_equal(nnls_stack(gens[j].T[None], X[j][None])[0], lam[j])
 
-    def test_iteration_cap_is_a_typed_error(self):
+    def test_iteration_cap_is_a_typed_error(self, monkeypatch):
         # The octant's center needs all three generators: three steps.
         E, f = np.eye(3)[None], unit([1.0, 1.0, 1.0])[None]
+        monkeypatch.setattr(convexgeom, "_STEPS_PER_COLUMN", 1)
+        assert np.allclose(nnls_stack(E, f), f)
+        monkeypatch.setattr(convexgeom, "_STEPS_PER_COLUMN", 2 / 3)
         with pytest.raises(ConvergenceError):
-            nnls_stack(E, f, max_iter=2)
-        assert np.allclose(nnls_stack(E, f, max_iter=3), f)
+            nnls_stack(E, f)
 
     def test_no_certificate_is_a_typed_error(self):
         with pytest.raises(ConvergenceError):

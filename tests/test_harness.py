@@ -461,6 +461,16 @@ class TestFeasibleWitness:
         cfg = ExperimentConfig(kind="property-suite", m=1, n=3, master_seed=0)
         assert harness._af_check(cfg)["violations"] == 0
 
+    def test_a_pool_without_qualifying_instances_is_inconclusive(self, monkeypatch):
+        # Rows within 0.2 rad of each other: strictly feasible, C(A) near 1.
+        angles = np.array([0.0, 0.1, 0.2])
+        pool = np.tile(np.stack([np.cos(angles), np.sin(angles)], axis=1), (harness._AF_POOL, 1, 1))
+        monkeypatch.setattr(harness, "_uniform_instances", lambda *args: pool)
+        cfg = ExperimentConfig(kind="property-suite", m=1, n=3, master_seed=0)
+        out = harness._af_check(cfg)
+        assert out == af_check_per_instance(cfg)
+        assert (out["qualifying"], out["violations"], out["status"]) == (0, 0, "inconclusive")
+
     @pytest.mark.parametrize("rows, slices", [(64, 4), (2, 120)])
     def test_slices_give_the_distances_of_one_stack(self, monkeypatch, rows, slices):
         # At n = 3 a (row, other rows) pair has two generator rows: 64 rows
