@@ -11,7 +11,6 @@ from .convexgeom import (
     distance_to_boundary,
     distance_to_dual,
     distance_to_sconv,
-    project_onto_cone,
 )
 from .lp import FeasibilityClass
 from .samplers import (
@@ -46,6 +45,6 @@ __all__ = [
     "angular_distance", "build_radial_cdf", "cap_distance_suite",
     "compute_delta_c", "cond_and_class", "distance_to_boundary",
     "distance_to_dual", "distance_to_sconv", "integral_I",
-    "make_adversarial_params", "project_onto_cone", "rotation_to",
+    "make_adversarial_params", "rotation_to",
     "sample_instance", "sic_bruteforce", "stream",
 ]

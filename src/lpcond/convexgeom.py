@@ -9,10 +9,11 @@ stack of instances at once by `nnls_stack`: the active-set method of
 Lawson and Hanson (Solving Least Squares Problems, ch. 23) with one
 passive-set mask per instance and one least-squares solve of the whole
 stack per step.  `sconv_distances` is the stacked hull distance built on
-it, and `project_onto_cone` and `distance_to_sconv` are their
-one-instance views.  A stack of one pays the kernel's per-step numpy
-overhead alone: 0.07-0.7 ms a call at k <= 9 generators, 5-40x a
-per-instance scipy NNLS, so many instances belong in one stack.
+it, and `distance_to_sconv` its one-instance view; `distance_to_dual`
+projects its point with a stack of one.  A stack of one pays the
+kernel's per-step numpy overhead alone: 0.07-0.7 ms a call at k <= 9
+generators, 5-40x a per-instance scipy NNLS, so many instances belong
+in one stack.
 """
 
 from __future__ import annotations
@@ -169,20 +170,6 @@ def nnls_stack(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     return u
 
 
-def project_onto_cone(x: SpherePoint, P: SpherePolytope):
-    """Nearest point of cone(generators) to x, with its certificate: the
-    one-instance view of `nnls_stack`.
-
-    Returns (z, lam) with z = sum lam_i b_i, lam >= 0, and KKT residual
-    below 1e-10.  z may be the zero vector.
-    """
-    xv = np.asarray(x.coords if isinstance(x, SpherePoint) else x, dtype=float)
-    if xv.size != P.ambient_dim:
-        raise ValueError("point and polytope dimensions differ")
-    lam = nnls_stack(P.generators.T[None], xv[None])[0]
-    return P.generators.T @ lam, lam
-
-
 def sconv_distances(X: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Angular distance from each X[b] to sconv(gens[b]), for unit rows
     X (B, d) and gens (B, k, d); 0 iff X[b] is a member.
@@ -218,7 +205,9 @@ def _interior_boundary_distance(xv: np.ndarray, P: SpherePolytope) -> float:
 def distance_to_dual(x: SpherePoint, P: SpherePolytope) -> float:
     """Angular distance from x to the dual set of sconv(generators)."""
     xv = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
-    z, _ = project_onto_cone(x, P)
+    if xv.size != P.ambient_dim:
+        raise ValueError("point and polytope dimensions differ")
+    z = P.generators.T @ nnls_stack(P.generators.T[None], xv[None])[0]
     w = xv - z
     nw = float(np.linalg.norm(w))
     nz = float(np.linalg.norm(z))

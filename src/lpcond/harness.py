@@ -232,8 +232,8 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
     replays exactly the rows solved for sample i.  Each block is solved
     by one `sic.stack_rho` call: at small sizes one max-min scan over row
     subsets answers the whole block and only the samples it routes take
-    the per-instance NNLS solve; past them every sample takes the NNLS
-    and its Qhull facet, whatever its class.  Returns the columns (seeds,
+    the per-instance NNLS solve; past them every sample takes the NNLS,
+    and Qhull runs only where the hull holds the origin.  Returns the columns (seeds,
     rho): each sample's stream index and rho, NaN where the solve raised
     one of the solver's typed errors, which counts the sample as failed;
     any other error propagates.

@@ -329,6 +329,10 @@ def make_adversarial_params(
     )
 
 
+# Cells of the colatitude CDF table of `build_radial_cdf`.
+_RADIAL_CELLS = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class RadialCdf:
     """Monotone inverse-CDF table for the colatitude draw.
@@ -342,7 +346,6 @@ class RadialCdf:
     cdf: np.ndarray
     alpha: float
     p_exponent: float
-    node_count: int
 
     def theta_of_u(self, u) -> np.ndarray:
         s = np.interp(u, self.cdf, self.s_nodes)
@@ -354,15 +357,15 @@ class RadialCdf:
 
 
 @lru_cache(maxsize=64)
-def build_radial_cdf(params: AdversarialParams, node_count: int = 4096) -> RadialCdf:
-    """Tabulate the colatitude CDF on `node_count` cells.
+def build_radial_cdf(params: AdversarialParams) -> RadialCdf:
+    """Tabulate the colatitude CDF on `_RADIAL_CELLS` cells.
 
     Composite Gauss-Legendre on the pole-regularizing substitution.
     """
     p = params.m - params.beta
     integrand = _substituted_radial(params)
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(0.0, 1.0, node_count + 1)
+    edges = np.linspace(0.0, 1.0, _RADIAL_CELLS + 1)
     los, his = edges[:-1], edges[1:]
     half = 0.5 * (his - los)
     mids = 0.5 * (his + los)
@@ -374,8 +377,7 @@ def build_radial_cdf(params: AdversarialParams, node_count: int = 4096) -> Radia
     if cdf[-1] <= 0:
         raise ConfigError("radial density integrates to zero")
     cdf /= cdf[-1]
-    return RadialCdf(s_nodes=edges, cdf=cdf, alpha=params.alpha,
-                     p_exponent=p, node_count=node_count)
+    return RadialCdf(s_nodes=edges, cdf=cdf, alpha=params.alpha, p_exponent=p)
 
 
 def _pole_frame(thetas: np.ndarray, dirs: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ of instances and is the one production path for rho: at small sizes one
 max-min scan over the row subsets of every instance answers either class,
 and only the instances where it may be imprecise take the per-instance
 solve, which reads rho off the convex hull (an NNLS least-distance solve,
-or the nearest hull facet when the origin is inside) and re-solves the
-support rows.  Larger instances all take the per-instance solve.
+or, only when the origin is inside, the nearest hull facet of
+`_nearest_facet`: the scan's best d-row normal, or Qhull) and re-solves
+the support rows.  Larger instances all take the per-instance solve.
 `sic_rho` is its one-instance view and `cond_and_class` a view of that;
 `strictly_feasible` is the same NNLS.  `sic_bruteforce`, the exhaustive
 support-subset enumeration, is the reference oracle the solver is checked
@@ -56,9 +57,10 @@ _NEAR_TOL = 1e-7
 _NEAR_SUBSETS = 1000
 # Up to this many d-subsets of rows, and this many coordinates (a normal
 # takes d 2^(d-1) products), `stack_rho` scans every row subset of 1..d
-# rows (`_stack_caps`); beyond them every instance takes the NNLS and a
-# Qhull facet.  At 4 coordinates a facet scan of 512 subsets costs about
-# one Qhull call.
+# rows (`_stack_caps`), and `_nearest_facet` scans the d-row normals;
+# beyond them every instance takes the NNLS, and Qhull finds the facet of
+# those whose hull holds the origin.  At 4 coordinates a facet scan of 512
+# subsets costs about one Qhull call.
 _SCAN_SUBSETS = 256
 _SCAN_MAX_DIM = 4
 # A scan holds at most this many (instance, candidate) pairs per array.
@@ -384,18 +386,6 @@ def _max_min(mats: np.ndarray, sizes: tuple):
     return value, centers.T, wins
 
 
-def facet_scan(mats: np.ndarray) -> list:
-    """(center, support, cos rho) of the nearest hull facet, as Qhull's,
-    for every instance of a stack (B, n, d) holding the origin: `_max_min`
-    over the d-subsets' normals.  None where a zero normal wins: no subset
-    spans a hyperplane, or a degenerate one beats every facet."""
-    d = mats.shape[2]
-    combos = _subset_index(mats.shape[1], (d,))[0]
-    cos_rho, centers, wins = _max_min(mats, (d,))
-    return [(center, combos[s], cos) if spans else None for center, cos, s, spans
-            in zip(centers, cos_rho.tolist(), wins.tolist(), centers.any(axis=1).tolist())]
-
-
 def _stack_caps(mats: np.ndarray):
     """(rho, centers, candidates, routed) of the stack scan of (B, n, d).
 
@@ -420,71 +410,62 @@ def _stack_caps(mats: np.ndarray):
 def stack_rho(mats: np.ndarray) -> np.ndarray:
     """rho of every instance of a stack (B, n, d) of unit rows: one
     `_stack_caps` scan where `_scans` holds, its routed instances (else
-    all) by `_instance_rho` with a `facet_scan` (else Qhull) facet; NaN
-    where that raised one of the solver's typed errors."""
+    all) by `_instance_rho`; NaN where that raised one of the solver's
+    typed errors."""
     if _scans(*mats.shape[1:]):
         rho, _, _, routed = _stack_caps(mats)
-        facets = facet_scan(mats[routed])
     else:
-        rho, routed, facets = np.empty(len(mats)), range(len(mats)), nearest_facets(mats)
-    for i, facet in zip(routed, facets):
+        rho, routed = np.empty(len(mats)), range(len(mats))
+    for i in routed:
         try:
-            rho[i] = _instance_rho(mats[i], facet)[0]
+            rho[i] = _instance_rho(mats[i])[0]
         except (ConvergenceError, DegenerateHullError):
             rho[i] = np.nan
     return rho
 
 
-def nearest_facets(mats: np.ndarray) -> list:
-    """`_nearest_facet` of every instance of a stack (B, n, d), whatever its
-    class, so a stack costs the same however many hulls hold the origin;
-    None where Qhull fails (`_instance_rho` then raises the typed error)."""
-    found = []
-    for mat in mats:
-        try:
-            found.append(_nearest_facet(mat))
-        except DegenerateHullError:
-            found.append(None)
-    return found
-
-
 def _nearest_facet(mat: np.ndarray):
-    """(center, support, cos rho) from the Qhull facet nearest the enclosed origin.
+    """(center, support, cos rho) of the hull facet nearest the enclosed origin.
 
     |cos rho| = dist(0, bd conv A) when the origin is in the hull; the
-    center is the facet's inward normal and the support its vertices.  A
+    center is the facet's inward normal and the support its vertices.
+    Where `_scans` holds, `_max_min` over the d-subsets' normals gives the
+    facet Qhull would; otherwise, or where a zero normal wins (no subset
+    spans a hyperplane, or a degenerate one beats every facet), Qhull.  A
     flat hull around the origin is exactly ill-posed: its center is the
     rows' null vector, all rows on the boundary.
     """
+    n, d = mat.shape
+    if _scans(n, d):
+        cos_rho, centers, wins = _max_min(mat[None], (d,))
+        if centers[0].any():
+            return centers[0], _subset_index(n, (d,))[0][wins[0]], float(cos_rho[0])
     try:
         hull = ConvexHull(mat)
     except QhullError as exc:
         _, svals, vt = np.linalg.svd(mat)
-        if svals.size == mat.shape[1] and svals[-1] > _FLAT_TOL:
+        if svals.size == d and svals[-1] > _FLAT_TOL:
             raise DegenerateHullError(f"Qhull failed on a full-rank instance: {exc}") from exc
-        return vt[-1], tuple(range(mat.shape[0])), 0.0
+        return vt[-1], tuple(range(n)), 0.0
     f = int(np.argmax(hull.equations[:, -1]))
     support = tuple(sorted(int(i) for i in hull.simplices[f]))
     return -hull.equations[f, :-1], support, float(hull.equations[f, -1])
 
 
-def _instance_rho(mat: np.ndarray, facet=None):
+def _instance_rho(mat: np.ndarray):
     """(rho, center, support) of one instance: cos rho = dist(0, conv A) by
     NNLS when the origin is outside the hull, else dist(0, bd conv A) from
-    the nearest facet (`facet`, or `_nearest_facet`).  Where that is
-    imprecise (near pi/2, tiny caps) the support rows are re-solved with
-    the oracle's equidistant cap, else the rows near the rim enumerated."""
+    the nearest facet (`_nearest_facet`).  Where that is imprecise (near
+    pi/2, tiny caps) the support rows are re-solved with the oracle's
+    equidistant cap, else the rows near the rim enumerated."""
     d = mat.shape[1]
     z, u = _least_distance(mat)
     dist = math.sqrt(float(z @ z))
-    # The NNLS cap is read off whether or not the hull holds the origin, so
-    # that an instance's class does not change its cost.
-    center = z / max(dist, _ORIGIN_TOL)
-    support = tuple(i for i, w in enumerate(u.tolist()) if w > 0.0)
     if dist > _ORIGIN_TOL:
+        center, support = z / dist, tuple(i for i, w in enumerate(u.tolist()) if w > 0.0)
         sign, rho, precise = 1.0, math.acos(min(dist, 1.0)), dist >= _POLISH_DIST
     else:
-        center, support, cos_rho = facet if facet is not None else _nearest_facet(mat)
+        center, support, cos_rho = _nearest_facet(mat)
         sign, rho, precise = -1.0, math.acos(cos_rho), True
     if precise and rho >= _TINY_CAP and _covers(mat, center, rho):
         return rho, center, support
@@ -515,13 +496,12 @@ def sic_rho(mat):
     `stack_rho` gives NaN.
     """
     mat = np.asarray(mat, dtype=float)
-    if not _scans(*mat.shape):
-        return _instance_rho(mat)
-    rho, centers, wins, routed = _stack_caps(mat[None])
-    if routed.size:
-        return _instance_rho(mat, facet_scan(mat[None])[0])
-    n, d = mat.shape
-    return float(rho[0]), centers[0], _subset_index(n, tuple(range(1, d + 1)))[0][wins[0]]
+    if _scans(*mat.shape):
+        rho, centers, wins, routed = _stack_caps(mat[None])
+        if not routed.size:
+            n, d = mat.shape
+            return float(rho[0]), centers[0], _subset_index(n, tuple(range(1, d + 1)))[0][wins[0]]
+    return _instance_rho(mat)
 
 
 def cond_and_class(A: Instance):

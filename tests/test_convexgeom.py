@@ -17,7 +17,6 @@ from lpcond.convexgeom import (
     distance_to_dual,
     distance_to_sconv,
     nnls_stack,
-    project_onto_cone,
     sconv_distances,
 )
 from lpcond.errors import ConvergenceError, DegenerateHullError
@@ -46,16 +45,24 @@ def cap_cloud(rng, count, radius, d=3):
     return np.array(pts), center
 
 
+def project(x, P):
+    """(z, lam): the nearest point z = sum lam_i b_i of cone(generators)
+    to x, by `nnls_stack` on a stack of one."""
+    xv = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
+    lam = nnls_stack(P.generators.T[None], xv[None])[0]
+    return P.generators.T @ lam, lam
+
+
 class TestNnls:
     def test_kkt_certificate_random(self):
-        # project_onto_cone raises unless its NNLS meets the 1e-10 KKT
+        # nnls_stack raises unless its answer meets the 1e-10 KKT
         # certificate; check the certificate here as well.
         rng = np.random.default_rng(1)
         for _ in range(200):
             d, k = rng.integers(2, 7), rng.integers(1, 8)
             P = SpherePolytope(random_units(rng, k, d))
             x = unit(rng.standard_normal(d))
-            z, lam = project_onto_cone(x, P)
+            z, lam = project(x, P)
             w = P.generators @ (x - z)
             assert np.all(lam >= 0)
             assert np.max(w) <= 1e-9  # no ascent direction among active vars
@@ -125,18 +132,18 @@ class TestNnlsStack:
 class TestProjection:
     def test_generator_projects_to_itself(self):
         P = SpherePolytope(np.eye(3))
-        z, lam = project_onto_cone(SpherePoint([1.0, 0, 0]), P)
+        z, lam = project(SpherePoint([1.0, 0, 0]), P)
         assert np.allclose(z, [1.0, 0, 0], atol=1e-12)
         assert np.allclose(lam, [1.0, 0, 0], atol=1e-12)
 
     def test_polar_direction_projects_to_zero(self):
         P = SpherePolytope(np.eye(3)[:1])
-        z, _ = project_onto_cone(SpherePoint([-1.0, 0, 0]), P)
+        z, _ = project(SpherePoint([-1.0, 0, 0]), P)
         assert np.linalg.norm(z) <= 1e-12
 
     def test_orthogonal_direction_projects_to_zero(self):
         P = SpherePolytope(np.eye(3)[:2])
-        z, _ = project_onto_cone(SpherePoint([0.0, 0, 1.0]), P)
+        z, _ = project(SpherePoint([0.0, 0, 1.0]), P)
         assert np.linalg.norm(z) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -145,7 +152,7 @@ class TestProjection:
         rng = np.random.default_rng(seed)
         gens = random_units(rng, int(rng.integers(1, 6)))
         x = SpherePoint(unit(rng.standard_normal(3)))
-        z, _ = project_onto_cone(x, SpherePolytope(gens))
+        z, _ = project(x, SpherePolytope(gens))
         w = x.coords - z
         assert abs(float(z @ w)) <= 1e-10
         assert np.allclose(z + w, x.coords, atol=1e-12)

@@ -266,11 +266,20 @@ class TestFacetScan:
         inside = [mat for mat in mats if not sic.strictly_feasible(mat)]
         return np.array(inside[:count])
 
+    @staticmethod
+    def scan(mats):
+        """(center, support, cos rho) of the best d-row normal of every
+        instance of a stack (B, n, d): the facet scan of `_nearest_facet`."""
+        _, n, d = mats.shape
+        cos_rho, centers, wins = sic._max_min(mats, (d,))
+        combos = sic._subset_index(n, (d,))[0]
+        return [(center, combos[s], cos) for center, cos, s in zip(centers, cos_rho, wins)]
+
     @pytest.mark.parametrize("n, d", [(3, 2), (6, 2), (5, 3), (9, 3), (7, 4), (12, 4)])
     def test_matches_qhull_nearest_facet(self, n, d):
         rng = np.random.default_rng(n * 10 + d)
         mats = self.enclosing(rng, 40, n, d)
-        for mat, (center, support, cos_rho) in zip(mats, sic.facet_scan(mats)):
+        for mat, (center, support, cos_rho) in zip(mats, self.scan(mats)):
             eq = ConvexHull(mat).equations
             f = int(np.argmax(eq[:, -1]))
             assert cos_rho == pytest.approx(eq[f, -1], abs=1e-12)
@@ -281,9 +290,9 @@ class TestFacetScan:
     def test_result_does_not_depend_on_the_stack(self):
         rng = np.random.default_rng(5)
         mats = unit_rows(rng.standard_normal((3000, 5, 3)))
-        stack = sic.facet_scan(mats)
+        stack = self.scan(mats)
         for i in range(0, 3000, 37):
-            center, support, cos_rho = sic.facet_scan(mats[i:i + 1])[0]
+            center, support, cos_rho = self.scan(mats[i:i + 1])[0]
             assert np.array_equal(center, stack[i][0])
             assert np.array_equal(support, stack[i][1]) and cos_rho == stack[i][2]
 
@@ -295,25 +304,53 @@ class TestFacetScan:
         hulled = [sic_rho(mat)[0] for mat in mats]
         assert np.max(np.abs(np.subtract(scanned, hulled))) <= 1e-12
 
-    def test_every_instance_of_a_large_stack_gets_a_hull_facet(self):
-        # 20 rows on S^2: 1140 row triples, past the scan, so Qhull runs
-        # for every instance, whether or not its hull holds the origin.
+    def test_qhull_runs_only_where_the_hull_holds_the_origin(self, monkeypatch):
+        def counted(points):
+            calls.append(np.array(points))
+            return ConvexHull(points)
+
+        # 20 rows on S^2: 1140 row triples, past the scan, so every instance
+        # takes the NNLS, and Qhull runs once for each that holds the origin.
         rng = np.random.default_rng(4)
         mats = unit_rows(rng.standard_normal((30, 20, 3)))
         mats[:15, :, 0] = np.abs(mats[:15, :, 0]) + 1.0
         mats = unit_rows(mats)
-        assert [sic.strictly_feasible(mat) for mat in mats].count(True) >= 15
-        facets = sic.nearest_facets(mats)
-        assert all(facet is not None for facet in facets)
-        for mat, facet in zip(mats, facets):
-            assert sic._instance_rho(mat, facet)[0] == sic_rho(mat)[0]
+        feasible = [sic.strictly_feasible(mat) for mat in mats]
+        assert feasible.count(True) >= 15 and feasible.count(False) >= 1
+        calls = []
+        monkeypatch.setattr(sic, "ConvexHull", counted)
+        rho = sic.stack_rho(mats)
+        enclosing = [mat for mat, sf in zip(mats, feasible) if not sf]
+        assert len(calls) == len(enclosing)
+        assert all(np.array_equal(got, mat) for got, mat in zip(calls, enclosing))
+        for mat, got in zip(mats, rho):
+            assert got == sic_rho(mat)[0]
+
+    def test_qhull_failure_on_an_enclosing_instance_is_typed(self, monkeypatch):
+        def broken_hull(points):
+            calls.append(points)
+            raise QhullError("QH6154 simulated precision error")
+
+        # Full-rank instances past the scan whose hulls hold the origin.
+        mats = self.enclosing(np.random.default_rng(6), 4, 20, 3)
+        assert len(mats) == 4
+        calls = []
+        monkeypatch.setattr(sic, "ConvexHull", broken_hull)
+        assert np.isnan(sic.stack_rho(mats)).all()
+        assert len(calls) == len(mats)
+        for mat in mats:
+            with pytest.raises(DegenerateHullError):
+                sic_rho(mat)
 
     def test_affinely_dependent_rows_fall_back(self):
         # Two antipodal directions only: no 3 rows span a plane, so the scan
         # finds nothing and the flat-hull branch answers pi/2.
         p = np.array([1.0, 0.0, 0.0])
         mat = np.array([p, -p, p, -p, p])
-        assert sic.facet_scan(mat[None]) == [None]
+        assert not self.scan(mat[None])[0][0].any()
+        center, support, cos_rho = sic._nearest_facet(mat)
+        assert cos_rho == 0.0 and support == tuple(range(5))
+        assert abs(center @ p) <= 1e-12
         rho, center, _ = sic_rho(mat)
         assert rho == pytest.approx(math.pi / 2, abs=1e-12)
         assert abs(center @ p) <= 1e-12
