@@ -251,57 +251,76 @@ def _add_common(parser, fixed_pools=False):
                         help="tolerance formula (default lemma)")
 
 
-def _parser() -> argparse.ArgumentParser:
+_FILE_COMMANDS = (
+    ("classify", _cmd_classify, "feasibility class of an instance file"),
+    ("cond", _cmd_cond, "condition number and class of an instance file"),
+    ("sic", _cmd_sic, "smallest including cap of an instance file"),
+)
+
+_EXPERIMENTS = (
+    ("exp-tail", "tail", "tail probability vs closed-form bounds"),
+    ("exp-mean", "expectation", "mean log-condition vs its bound"),
+    ("exp-wendel", "wendel", "uniform feasibility frequency vs exact formula"),
+    ("exp-tube", "tube", "boundary-neighborhood volume vs its bound"),
+    ("exp-properties", "property-suite", "structural property checks"),
+    ("validate-sampler", "sampler-check", "sampler fidelity checks"),
+)
+
+
+def _add_experiment(p, kind):
+    _add_common(p, fixed_pools=kind == "property-suite")
+    if kind == "tail":
+        p.add_argument("--t-grid", dest="t_grid", type=parse_t_grid,
+                       help="geometric grid lo:hi:points")
+    if kind == "wendel":
+        p.add_argument("--k", type=parse_k_values,
+                       help="row counts, lo:hi or comma list")
+    if kind == "tube":
+        p.add_argument("--phi", type=parse_angle,
+                       help="neighborhood angle (required, here or in --config)")
+        p.add_argument("--cap-radius", dest="cap_radius", type=parse_angle,
+                       help="radius of the convex cap K (required, here or in --config)")
+        p.add_argument("--offset", type=parse_angle,
+                       help="angle between the ball center and K's center")
+
+
+def _parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI parser.  Every subcommand is listed, but only the one named
+    in argv (its first word not starting with "-") gets its arguments;
+    with argv None, all of them do."""
     parser = argparse.ArgumentParser(
         prog="lpcond",
         description="Condition numbers of spherical feasibility instances and "
                     "Monte Carlo verification of their smoothed-analysis bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
 
-    for name, fn, help_text in (
-        ("classify", _cmd_classify, "feasibility class of an instance file"),
-        ("cond", _cmd_cond, "condition number and class of an instance file"),
-        ("sic", _cmd_sic, "smallest including cap of an instance file"),
-    ):
+    def built(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--instance", required=True, help="instance file (header 'n m')")
-        p.set_defaults(func=fn)
+        return p if named in (None, name) else None
 
-    p = sub.add_parser("sample", help="draw seeded instances to files")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample)
-
-    experiments = (
-        ("exp-tail", "tail", "tail probability vs closed-form bounds"),
-        ("exp-mean", "expectation", "mean log-condition vs its bound"),
-        ("exp-wendel", "wendel", "uniform feasibility frequency vs exact formula"),
-        ("exp-tube", "tube", "boundary-neighborhood volume vs its bound"),
-        ("exp-properties", "property-suite", "structural property checks"),
-        ("validate-sampler", "sampler-check", "sampler fidelity checks"),
-    )
-    for name, kind, help_text in experiments:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p, fixed_pools=kind == "property-suite")
-        if kind == "tail":
-            p.add_argument("--t-grid", dest="t_grid", type=parse_t_grid,
-                           help="geometric grid lo:hi:points")
-        if kind == "wendel":
-            p.add_argument("--k", type=parse_k_values,
-                           help="row counts, lo:hi or comma list")
-        if kind == "tube":
-            p.add_argument("--phi", type=parse_angle, help="neighborhood angle")
-            p.add_argument("--cap-radius", dest="cap_radius", type=parse_angle,
-                           help="radius of the convex cap K")
-            p.add_argument("--offset", type=parse_angle,
-                           help="angle between the ball center and K's center")
-        p.set_defaults(func=lambda args, kind=kind: _run_experiment(kind, args))
+    for name, fn, help_text in _FILE_COMMANDS:
+        p = built(name, help_text)
+        if p:
+            p.add_argument("--instance", required=True, help="instance file (header 'n m')")
+            p.set_defaults(func=fn)
+    p = built("sample", "draw seeded instances to files")
+    if p:
+        _add_common(p)
+        p.set_defaults(func=_cmd_sample)
+    for name, kind, help_text in _EXPERIMENTS:
+        p = built(name, help_text)
+        if p:
+            _add_experiment(p, kind)
+            p.set_defaults(func=lambda args, kind=kind: _run_experiment(kind, args))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -360,14 +360,15 @@ def run_expectation_experiment(cfg: ExperimentConfig):
 
 
 def feasible_fraction(m: int, k: int, N: int, master_seed: int):
-    """Empirical probability that k uniform rows on S^m are feasible."""
+    """Empirical probability that k uniform rows on S^m are feasible: one
+    `sic.stack_feasible` call per block of samples."""
 
     def do_chunk(lo, hi):
         hits = 0
         for start, stop in samplers.sample_ranges(lo, hi, k):
             indices = samplers.stream_indices(PURPOSE_WENDEL, start, stop)
-            for mat in samplers.uniform_sphere_batch(m, master_seed, indices, k):
-                hits += sic.strictly_feasible(mat)
+            mats = samplers.uniform_sphere_batch(m, master_seed, indices, k)
+            hits += int(sic.stack_feasible(mats).sum())
         return hits
 
     hits = sum(_run_chunks(N, 1, do_chunk))

@@ -5,7 +5,9 @@ make every draw a pure function of its coordinates, so results never depend
 on scheduling.  Gaussians come from the inverse-normal transform of
 uniforms: each variate consumes exactly one uniform, keeping streams
 aligned.  Perturbation laws are the radially symmetric cap distributions
-with density C r^(-beta) h(r) in r = sin(colatitude).
+with density C r^(-beta) h(r) in r = sin(colatitude); their masses and
+colatitude CDFs are composite Gauss-Legendre integrals, or closed forms
+(`sphere.integral_I`), so no quadrature library is needed.
 
 Bulk draws never build a generator per stream.  numpy's Philox is
 Philox4x64-10, a pure function of (key, counter), so `keyed_uniforms`
@@ -27,12 +29,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .errors import ConfigError
 from .sic import Instance
-from .sphere import SpherePoint, integral_I, rotation_to, row_norms
+from .sphere import SpherePoint, gauss_legendre, integral_I, rotation_to, row_norms
 
 _MASK64 = (1 << 64) - 1
 _ROW_BITS = 16
@@ -252,21 +253,43 @@ def compute_delta_c(m: int, beta: float, H: float, delta_mode: str = "lemma") ->
     raise ConfigError(f"unknown delta mode {delta_mode!r}")
 
 
-def _colatitude_mass(m: int, beta: float, alpha: float, h_func) -> float:
-    """Integral of sin^(m-beta-1) h(sin t) over [0, alpha], pole-safe.
+# `_colatitude_mass` integrates on this many uniform cells in s, the
+# first split into this many more toward the pole, halving each time.
+_MASS_CELLS = 64
+_MASS_HALVINGS = 40
+
+
+def _colatitude_mass(m: int, beta: float, alpha: float, h_table: HTable | None = None) -> float:
+    """Integral of sin^(m-beta-1) h(sin t) over [0, alpha], h = 1 when
+    h_table is None; pole-safe.
 
     Uses the substitution theta = alpha * s^(1/(m-beta)), under which the
-    integrand extends continuously to s = 0 for any beta < m.
+    integrand extends continuously to s = 0 for any beta < m, and
+    composite Gauss-Legendre in s.  The integrand's expansion at s = 0
+    holds fractional powers of s, so the cell at the pole is split
+    geometrically toward it; cells also split where h has a kink (a table
+    node), so each cell is smooth.  Relative error about 1e-15.  With h = 1
+    and m - beta a whole number the integral is I_{m-beta}(alpha), in
+    closed form (`integral_I`).
     """
     p = m - beta
+    if h_table is None and p == int(p):
+        return integral_I(int(p), alpha)
+    first = 1.0 / _MASS_CELLS
+    edges = np.concatenate([[0.0], first * np.exp2(-np.arange(_MASS_HALVINGS, 0, -1)),
+                            np.linspace(first, 1.0, _MASS_CELLS)])
+    if h_table is not None:
+        r = np.asarray(h_table.r_nodes)
+        r = r[(r > 0.0) & (r < math.sin(alpha))]
+        edges = np.union1d(edges, (np.arcsin(r) / alpha) ** p)
 
     def integrand(s):
         theta = alpha * s ** (1.0 / p)
-        sin_t = math.sin(theta)
-        return sin_t ** (m - 1 - beta) * float(h_func(sin_t)) * (alpha / p) * s ** (1.0 / p - 1.0)
+        sin_t = np.sin(theta)
+        h = 1.0 if h_table is None else h_table(sin_t)
+        return sin_t ** (m - 1 - beta) * h * (alpha / p) * s ** (1.0 / p - 1.0)
 
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+    return float(gauss_legendre(integrand, edges).sum())
 
 
 def _substituted_radial(params: "AdversarialParams"):
@@ -307,7 +330,7 @@ def make_adversarial_params(
     c = 0.5 * (1.0 - beta / m)
     # Mass identity: integral of sin^(m-beta-1) h(sin t) over [0, alpha]
     # must equal I_{m-beta}(alpha).
-    i_m_beta = _colatitude_mass(m, beta, alpha, lambda r: 1.0)
+    i_m_beta = _colatitude_mass(m, beta, alpha)
     if h_table is None:
         H = 1.0
         scaled = None
@@ -363,15 +386,8 @@ def build_radial_cdf(params: AdversarialParams) -> RadialCdf:
     Composite Gauss-Legendre on the pole-regularizing substitution.
     """
     p = params.m - params.beta
-    integrand = _substituted_radial(params)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(0.0, 1.0, _RADIAL_CELLS + 1)
-    los, his = edges[:-1], edges[1:]
-    half = 0.5 * (his - los)
-    mids = 0.5 * (his + los)
-    pts = mids[:, None] + half[:, None] * nodes[None, :]
-    vals = integrand(pts)
-    cells = (vals @ weights) * half
+    cells = gauss_legendre(_substituted_radial(params), edges)
     cdf = np.concatenate([[0.0], np.cumsum(cells)])
     cdf = np.maximum.accumulate(cdf)
     if cdf[-1] <= 0:

@@ -7,14 +7,19 @@ unit y of min_i <a_i, y> (Cheung and Cucker).  `stack_rho` solves a stack
 of instances and is the one production path for rho: at small sizes one
 max-min scan over the row subsets of every instance answers either class,
 and only the instances where it may be imprecise take the per-instance
-solve, which reads rho off the convex hull (an NNLS least-distance solve,
-or, only when the origin is inside, the nearest hull facet of
-`_nearest_facet`: the scan's best d-row normal, or Qhull) and re-solves
-the support rows.  Larger instances all take the per-instance solve.
-`sic_rho` is its one-instance view and `cond_and_class` a view of that;
-`strictly_feasible` is the same NNLS.  `sic_bruteforce`, the exhaustive
-support-subset enumeration, is the reference oracle the solver is checked
-against.
+solve, which reads rho off the convex hull (the least distance
+dist(0, conv A), or, only when the origin is inside, the nearest hull
+facet of `_nearest_facet`: the scan's best d-row normal, or Qhull) and
+re-solves the support rows.  Larger instances all take the per-instance
+solve.  The least distances of a stack come from one call of
+`nnls_stack`, a Lawson-Hanson NNLS run on the whole stack with a compact
+passive set and a KKT certificate per instance.  `sic_rho` is the
+one-instance view of `stack_rho` and `cond_and_class` a view of that.
+`stack_feasible` decides feasibility for a stack (the facet scan's sign
+at small sizes, else the same NNLS), and `strictly_feasible` is its
+one-instance view.  `sic_bruteforce`, the exhaustive support-subset
+enumeration, is the reference oracle the solver is checked against.
+Of scipy the module uses Qhull (`scipy.spatial`) alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConvergenceError, DegenerateHullError, InstanceTooLargeError
@@ -65,6 +69,22 @@ _SCAN_SUBSETS = 256
 _SCAN_MAX_DIM = 4
 # A scan holds at most this many (instance, candidate) pairs per array.
 _SCAN_PAIRS = 1 << 13
+# `nnls_stack` on unit-scale data: a column of positive gradient enters
+# the passive set only if its part orthogonal to the passive columns
+# exceeds _RANK_TOL (else it depends on them) and takes more than
+# _EXACT_FIT of the residual (else the fit is exact to roundoff); an
+# answer must meet the KKT conditions to _KKT_TOL within
+# _STEPS_PER_COLUMN * n steps.
+_RANK_TOL = 1e-14
+_EXACT_FIT = 1e-14
+_KKT_TOL = 1e-10
+_STEPS_PER_COLUMN = 3
+# `stack_feasible` takes the sign of the facet scan up to this many d-row
+# subsets; past it the NNLS is cheaper (at k = 9 rows in R^4, 126
+# subsets, the scan costs about twice the NNLS).  A scan value within
+# _SIGN_MARGIN of 0 is left to the NNLS.
+_SIGN_SUBSETS = 35
+_SIGN_MARGIN = 1e-9
 # Rows minus and plus their center, in one array operation.
 _MINUS_PLUS = np.array([-1.0, 1.0])[:, None, None]
 # Scan directions are scaled by at least this length: a zero one scores 0.
@@ -260,34 +280,6 @@ def sic_bruteforce(A: Instance) -> SicResult:
                      dist_to_sigma=abs(math.pi / 2 - rho))
 
 
-def _least_distance(mat: np.ndarray):
-    """Nearest point of conv(rows) to the origin, with its NNLS weights.
-
-    The least-distance program min ||x|| s.t. mat x >= 1 in the NNLS form
-    of Lawson and Hanson (Solving Least Squares Problems, ch. 23):
-    minimize ||E u - f|| over u >= 0 with E = [mat^T; 1^T], f = e_{m+2}.
-    The nearest point is mat^T u / sum(u), read off the weights rather than
-    the residual, whose last entry cancels near ill-posed inputs.  Rows
-    with u > 0 are the support of the nearest face.
-    """
-    n, d = mat.shape
-    E = np.ones((d + 1, n))
-    E[:d] = mat.T
-    f = np.zeros(d + 1)
-    f[-1] = 1.0
-    try:
-        u, _ = nnls(E, f)
-    except RuntimeError as exc:
-        raise ConvergenceError(f"least-distance NNLS failed: {exc}") from exc
-    return mat.T @ u / float(u.sum()), u
-
-
-def strictly_feasible(mat: np.ndarray) -> bool:
-    """True iff the origin is outside conv(rows), i.e. rho < pi/2."""
-    z, _ = _least_distance(np.asarray(mat, dtype=float))
-    return float(z @ z) > _ORIGIN_TOL * _ORIGIN_TOL
-
-
 def _scans(n: int, d: int) -> bool:
     """Whether an n x d instance is solved by the stack scan (`stack_rho`)."""
     return d <= _SCAN_MAX_DIM and math.comb(n, d) <= _SCAN_SUBSETS
@@ -308,7 +300,10 @@ def _subset_index(n: int, sizes: tuple):
 
 def _dot(x, y):
     """<x, y> of coordinate-major arrays, summed coordinate by coordinate."""
-    return sum((x[k] * y[k] for k in range(1, len(x))), x[0] * y[0])
+    acc = x[0] * y[0]
+    for k in range(1, len(x)):
+        acc += x[k] * y[k]
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,6 +381,215 @@ def _max_min(mats: np.ndarray, sizes: tuple):
     return value, centers.T, wins
 
 
+def _orthogonalize(Q: np.ndarray, v: np.ndarray):
+    """(w, c, |w|): the part w of the columns v (r, G) orthogonal to the
+    orthonormal columns Q (P, r, G), its coefficients c (P, G) on them,
+    and its norm.  Gram-Schmidt, run twice ("twice is enough")."""
+    if not len(Q):
+        return v, Q[:, 0], np.sqrt(_dot(v, v))
+    QT = Q.transpose(1, 0, 2)
+    c = _dot(QT, v)
+    v = v - _dot(c, Q)
+    again = _dot(QT, v)
+    v = v - _dot(again, Q)
+    return v, c + again, np.sqrt(_dot(v, v))
+
+
+def nnls_stack(E: np.ndarray, f: np.ndarray):
+    """(u, certified): u[b] = argmin ||E[b] u - f[b]|| over u >= 0 for a
+    stack E (B, r, n), f (B, r), and whether u[b] is certified optimal.
+
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    ch. 23), run on the whole stack at once.  Each instance keeps its
+    passive set compact, at most r columns in order of entry, with an
+    orthonormal basis Q of their span and the triangular R of E_P = Q R.
+    A step enters the column of largest positive gradient, orthogonalized
+    against the kept Q only; as in Lawson-Hanson, a column whose part
+    orthogonal to Q is at most _RANK_TOL, or whose weight in the new
+    least-squares solution would not be positive (its basis vector takes
+    at most _EXACT_FIT of f), is passed over for the next one.  A weight
+    driven to zero leaves, and only the instances that dropped a column
+    rebuild Q and R, from the first slot that changed.
+    An instance is certified if it stopped within _STEPS_PER_COLUMN * n
+    steps and meets the KKT conditions to _KKT_TOL: max E^T(f - Eu) and
+    |u . E^T(f - Eu)| at most 1e-10, on inputs of unit scale.  Every sum
+    runs coordinate by coordinate, so an instance solves to the same bits
+    in any stack.
+    """
+    E = np.asarray(E, dtype=float)
+    f = np.asarray(f, dtype=float)
+    B, r, n = E.shape
+    cap = _STEPS_PER_COLUMN * n
+    # Coordinate-major: slot p of instance b holds passive column cols[p, b],
+    # its entries Ec[p, :, b], basis vector Q[p, :, b], column R[p, :, b] of
+    # the triangular factor, and weight uc[p, b].  Slots from k[b] on are
+    # empty: zero, with R the identity there.
+    Et = np.ascontiguousarray(E.transpose(1, 2, 0))
+    ft = np.ascontiguousarray(f.T)
+    lanes, slots = np.arange(B), np.arange(r)[:, None]
+    cols = np.zeros((r, B), dtype=np.intp)
+    k = np.zeros(B, dtype=np.intp)
+    Ec, Q, R = np.zeros((3, r, r, B))
+    R[range(r), range(r)] = 1.0
+    uc = np.zeros((r, B))
+    passive = np.zeros((n, B), dtype=bool)
+    live = np.ones(B, dtype=bool)  # not yet at the optimum
+    entering = live.copy()  # at a passive-set optimum: a column may enter
+    y = np.zeros((r, B))  # Q^T f
+    for step in itertools.count(1):
+        # The gradient at a passive-set optimum, from the residual f - Q Q^T f
+        # projected off span(Q) once more: its part in the span is roundoff
+        # that would swamp the gradients of near ill-posed inputs (1e-19 at
+        # a distance of 1e-10).
+        top = int(k.max())
+        resid = ft
+        if top:
+            resid = ft - _dot(y[:top], Q[:top])
+            resid = resid - _dot(_dot(Q[:top].transpose(1, 0, 2), resid), Q[:top])
+        grad = _dot(Et, resid)
+        added = np.zeros(B, dtype=bool)
+        g = lanes[live & entering & (k < r)]
+        w = np.where(passive[:, g], -np.inf, grad[:, g])
+        while g.size:
+            t = w.argmax(axis=0)
+            some = w[t, np.arange(g.size)] > 0.0
+            if not some.all():
+                g, w, t = g[some], w[:, some], t[some]
+            col = Et[:, t, g]
+            v, c, norm = _orthogonalize(Q[:top, :, g], col)
+            q = v / np.maximum(norm, _RANK_TOL)
+            ok = (norm > _RANK_TOL) & (_dot(q, ft[:, g]) > _EXACT_FIT)
+            a, ka = g[ok], k[g[ok]]
+            Q[ka, :, a] = q[:, ok].T
+            R[ka, :top, a] = c[:, ok].T
+            R[ka, ka, a] = norm[ok]
+            Ec[ka, :, a] = col[:, ok].T
+            cols[ka, a] = t[ok]
+            passive[t[ok], a] = True
+            k[a] += 1
+            added[a] = True
+            if ok.all():
+                break
+            w[t[~ok], np.flatnonzero(~ok)] = -np.inf
+            g, w = g[~ok], w[:, ~ok]
+        live &= added | ~entering
+        if not live.any() or step > cap:
+            break
+        top = int(k.max())
+        y[:top] = _dot(Q[:top].transpose(1, 0, 2), ft)
+        s, rest = np.zeros((r, B)), y[:top].copy()
+        for p in range(top - 1, -1, -1):
+            s[p] = rest[p] / R[p, p]
+            rest[:p] -= R[p, :p] * s[p]
+        positive = (s > 0.0).sum(axis=0) == k
+        uc = np.where(live & positive, s, uc)
+        entering = ~live | positive
+        if entering.all():
+            continue
+        # Move toward s until the first passive weight reaches zero; drop it.
+        h = lanes[~entering]
+        sh, uh, vh = s[:, h], uc[:, h], slots < k[h]
+        neg = vh & (sh <= 0.0)
+        ratio = np.where(neg, uh / np.where(neg, np.maximum(uh - sh, 1e-300), 1.0), np.inf)
+        alpha = ratio.min(axis=0)
+        moved = uh + alpha * (sh - uh)
+        drop = vh & ((moved <= 0.0) | (ratio == alpha))
+        passive[cols[:, h][drop], np.broadcast_to(h, drop.shape)[drop]] = False
+        order = np.argsort(drop | ~vh, axis=0, kind="stable")
+        kept = np.take_along_axis(vh & ~drop, order, axis=0)
+        uc[:, h] = np.where(kept, np.take_along_axis(moved, order, axis=0), 0.0)
+        cols[:, h] = np.take_along_axis(cols[:, h], order, axis=0)
+        Eh = np.where(kept[:, None], np.take_along_axis(Ec[:, :, h], order[:, None], axis=0), 0.0)
+        k[h] = kh = kept.sum(axis=0)
+        first = int(drop.argmax(axis=0).min())
+        Qh, Rh = Q[:, :, h], R[:, :, h]
+        Qh[first:] = Rh[first:] = 0.0
+        Rh[range(first, r), range(first, r)] = 1.0
+        for j in range(first, int(kh.max())):
+            on = j < kh
+            v, c, norm = _orthogonalize(Qh[:j], Eh[j])
+            Qh[j] = np.where(on, v / np.where(on, norm, 1.0), 0.0)
+            Rh[j, :j] = np.where(on, c, 0.0)
+            Rh[j, j] = np.where(on, norm, 1.0)
+        Ec[:, :, h], Q[:, :, h], R[:, :, h] = Eh, Qh, Rh
+    top = int(k.max())
+    grad = _dot(Et, ft - _dot(Ec[:top], uc[:top]) if top else ft)
+    valid = slots < k
+    u = np.zeros((B, n))
+    u[np.broadcast_to(lanes, valid.shape)[valid], cols[valid]] = uc[valid]
+    slack = _dot(uc, np.take_along_axis(grad, cols, axis=0))
+    return u, ~live & (grad.max(axis=0) <= _KKT_TOL) & (np.abs(slack) <= _KKT_TOL)
+
+
+def _least_distances(mats: np.ndarray):
+    """(z, u, certified): the nearest point z of conv(rows) to the origin
+    for each instance of a stack (B, n, d), with its NNLS weights u.
+
+    The least-distance program min ||x|| s.t. mat x >= 1 in the NNLS form
+    of Lawson and Hanson (Solving Least Squares Problems, ch. 23):
+    minimize ||E u - f|| over u >= 0 with E = [mat^T; 1^T], f = e_{m+2},
+    one `nnls_stack` call for the stack.  The nearest point is mat^T u /
+    sum(u), read off the weights rather than the residual, whose last
+    entry cancels near ill-posed inputs.  Rows with u > 0 are the support
+    of the nearest face.
+    """
+    B, n, d = mats.shape
+    E = np.ones((B, d + 1, n))
+    E[:, :d] = mats.transpose(0, 2, 1)
+    f = np.zeros((B, d + 1))
+    f[:, d] = 1.0
+    u, certified = nnls_stack(E, f)
+    uT = u.T
+    total = _dot(uT, np.ones(n))
+    z = _dot(uT[..., None], mats.transpose(1, 0, 2)) / np.where(total > 0.0, total, 1.0)[:, None]
+    return z, u, certified
+
+
+def _least_distance(mat: np.ndarray):
+    """(z, u) of `_least_distances` for one instance; ConvergenceError
+    where the NNLS is not certified."""
+    z, u, certified = _least_distances(mat[None])
+    if not certified[0]:
+        raise ConvergenceError("least-distance NNLS found no certified optimum")
+    return z[0], u[0]
+
+
+def stack_feasible(mats: np.ndarray) -> np.ndarray:
+    """Whether the origin is outside conv(rows), i.e. rho < pi/2, for each
+    instance of a stack (B, k, d).
+
+    Up to _SIGN_SUBSETS d-row subsets the sign of the facet scan
+    (`_max_min` over the d-subsets' normals) decides: some facet
+    hyperplane separates the hull from the origin iff it is outside.  A
+    best value within _SIGN_MARGIN of 0 (flat hulls score 0), and every
+    instance past the crossover, takes the least-distance NNLS instead,
+    feasible iff the distance exceeds _ORIGIN_TOL; ConvergenceError
+    where that is not certified.
+    """
+    mats = np.asarray(mats, dtype=float)
+    B, k, d = mats.shape
+    feasible = np.zeros(B, dtype=bool)
+    rest = np.arange(B)
+    if d <= k and math.comb(k, d) <= _SIGN_SUBSETS:
+        value = _max_min(mats, (d,))[0]
+        feasible = value > 0.0
+        rest = np.flatnonzero(np.abs(value) <= _SIGN_MARGIN)
+    if rest.size:
+        z, _, certified = _least_distances(mats[rest])
+        if not certified.all():
+            raise ConvergenceError(
+                f"least-distance NNLS found no certified optimum on "
+                f"{int((~certified).sum())} of {rest.size} instances")
+        feasible[rest] = _dot(z.T, z.T) > _ORIGIN_TOL * _ORIGIN_TOL
+    return feasible
+
+
+def strictly_feasible(mat: np.ndarray) -> bool:
+    """True iff the origin is outside conv(rows), i.e. rho < pi/2: the
+    one-instance view of `stack_feasible`."""
+    return bool(stack_feasible(np.asarray(mat, dtype=float)[None])[0])
+
+
 def _stack_caps(mats: np.ndarray):
     """(rho, centers, candidates, routed) of the stack scan of (B, n, d).
 
@@ -410,15 +614,19 @@ def _stack_caps(mats: np.ndarray):
 def stack_rho(mats: np.ndarray) -> np.ndarray:
     """rho of every instance of a stack (B, n, d) of unit rows: one
     `_stack_caps` scan where `_scans` holds, its routed instances (else
-    all) by `_instance_rho`; NaN where that raised one of the solver's
-    typed errors."""
+    all) by `_instance_rho`, their least distances from one
+    `_least_distances` call; NaN where the NNLS is not certified or
+    `_instance_rho` raised one of the solver's typed errors."""
     if _scans(*mats.shape[1:]):
         rho, _, _, routed = _stack_caps(mats)
     else:
-        rho, routed = np.empty(len(mats)), range(len(mats))
-    for i in routed:
+        rho, routed = np.empty(len(mats)), np.arange(len(mats))
+    if not routed.size:
+        return rho
+    zs, us, certified = _least_distances(mats[routed])
+    for i, z, u, ok in zip(routed.tolist(), zs, us, certified.tolist()):
         try:
-            rho[i] = _instance_rho(mats[i])[0]
+            rho[i] = _instance_rho(mats[i], z, u)[0] if ok else np.nan
         except (ConvergenceError, DegenerateHullError):
             rho[i] = np.nan
     return rho
@@ -452,14 +660,14 @@ def _nearest_facet(mat: np.ndarray):
     return -hull.equations[f, :-1], support, float(hull.equations[f, -1])
 
 
-def _instance_rho(mat: np.ndarray):
-    """(rho, center, support) of one instance: cos rho = dist(0, conv A) by
-    NNLS when the origin is outside the hull, else dist(0, bd conv A) from
-    the nearest facet (`_nearest_facet`).  Where that is imprecise (near
-    pi/2, tiny caps) the support rows are re-solved with the oracle's
-    equidistant cap, else the rows near the rim enumerated."""
+def _instance_rho(mat: np.ndarray, z: np.ndarray, u: np.ndarray):
+    """(rho, center, support) of one instance, given its nearest point z of
+    conv A and NNLS weights u (`_least_distances`): cos rho = |z| when the
+    origin is outside the hull, else dist(0, bd conv A) from the nearest
+    facet (`_nearest_facet`).  Where that is imprecise (near pi/2, tiny
+    caps) the support rows are re-solved with the oracle's equidistant
+    cap, else the rows near the rim enumerated."""
     d = mat.shape[1]
-    z, u = _least_distance(mat)
     dist = math.sqrt(float(z @ z))
     if dist > _ORIGIN_TOL:
         center, support = z / dist, tuple(i for i, w in enumerate(u.tolist()) if w > 0.0)
@@ -479,11 +687,14 @@ def _instance_rho(mat: np.ndarray):
             return radius, polished, support
     # The support itself is wrong where the NNLS cannot resolve it (tiny
     # caps); the true one is among the rows near the rim of the first cap.
-    slack = _NEAR_TOL if rho >= _TINY_CAP else math.inf
-    subsets, count = _subsets(np.flatnonzero(angles >= rho - slack), d)
+    # Below _TINY_CAP every row is a candidate, so the enumeration is the
+    # oracle's own, and its cap is taken even where the NNLS center covers
+    # a little tighter: the solver answers as its oracle does.
+    tiny = rho < _TINY_CAP
+    subsets, count = _subsets(np.flatnonzero(angles >= rho - (math.inf if tiny else _NEAR_TOL)), d)
     if count <= _NEAR_SUBSETS:
         best = _best_candidate(mat, subsets)
-        if best is not None and best[0] <= rho + _CONTAIN_TOL:
+        if best is not None and (tiny or best[0] <= rho + _CONTAIN_TOL):
             return best[0], best[1], tuple(int(i) for i in best[2])
     return rho, center, (int(np.argmax(angles)),)
 
@@ -491,9 +702,9 @@ def _instance_rho(mat: np.ndarray):
 def sic_rho(mat):
     """(rho, center, support) of the smallest cap containing the rows of mat.
 
-    Where `_scans` holds, the one-instance view of `stack_rho`, bit for
-    bit; past it `_instance_rho`.  Raises the solver's typed errors where
-    `stack_rho` gives NaN.
+    The one-instance view of `stack_rho`, bit for bit: the stack scan
+    where `_scans` holds, else, or where it routes, `_instance_rho`.
+    Raises the solver's typed errors where `stack_rho` gives NaN.
     """
     mat = np.asarray(mat, dtype=float)
     if _scans(*mat.shape):
@@ -501,7 +712,7 @@ def sic_rho(mat):
         if not routed.size:
             n, d = mat.shape
             return float(rho[0]), centers[0], _subset_index(n, tuple(range(1, d + 1)))[0][wins[0]]
-    return _instance_rho(mat)
+    return _instance_rho(mat, *_least_distance(mat))
 
 
 def cond_and_class(A: Instance):

@@ -8,8 +8,10 @@ the tests pin down on known configurations.  `if_check_per_instance` is
 the property suite's infeasible-transition check one instance at a time,
 on the Caratheodory membership test and the NNLS boundary distance.
 `af_check_per_instance` is its feasible-witness check one row at a time,
-on `sconv_distance_scipy`, the hull distance by scipy's NNLS.  None of
-them is on a production path.
+on `sconv_distance_scipy`, the hull distance by scipy's NNLS.
+`least_distance_scipy` is the per-instance least-distance solve the
+package ran before its stacked NNLS kernel, and `strictly_feasible_scipy`
+the Wendel decision on it.  None of them is on a production path.
 """
 
 from __future__ import annotations
@@ -295,6 +297,26 @@ def if_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
     return {"check": "infeasible-transition", "qualifying": qualifying,
             "violations": violations, "skipped": skipped,
             "status": harness._status(qualifying, violations)}
+
+
+def least_distance_scipy(mat: np.ndarray):
+    """(z, u): the nearest point z of conv(rows of mat) to the origin and
+    its weights u, by one scipy NNLS call on the least-distance program in
+    Lawson and Hanson's form: min ||E u - f|| over u >= 0, E = [mat^T;
+    1^T], f = e_{m+2}, z = mat^T u / sum(u)."""
+    n, d = mat.shape
+    E = np.ones((d + 1, n))
+    E[:d] = mat.T
+    f = np.zeros(d + 1)
+    f[-1] = 1.0
+    u, _ = nnls(E, f)
+    return mat.T @ u / float(u.sum()), u
+
+
+def strictly_feasible_scipy(mat: np.ndarray) -> bool:
+    """Whether the origin is outside conv(rows): |z| above `sic._ORIGIN_TOL`."""
+    z, _ = least_distance_scipy(mat)
+    return float(z @ z) > sic._ORIGIN_TOL * sic._ORIGIN_TOL
 
 
 def sconv_distance_scipy(x, gens) -> float:

@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lpcond
 from lpcond.cli import (
     _merge,
+    _parser,
     _read_config_file,
     main,
     parse_angle,
@@ -155,6 +159,47 @@ class TestCommands:
         for flag in ("--m", "--n", "--alpha", "--beta", "--N", "--seed",
                      "--t-grid", "--center", "--out", "--workers", "--delta-mode"):
             assert flag in out
+
+
+COMMANDS = ("classify", "cond", "sic", "sample", "exp-tail", "exp-mean", "exp-wendel",
+            "exp-tube", "exp-properties", "validate-sampler")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in COMMANDS])
+    def test_matches_the_full_parser(self, capsys, argv):
+        # main builds the named subcommand's arguments only.
+        with pytest.raises(SystemExit):
+            _parser(None).parse_args(argv)
+        full = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == full
+
+    def test_tube_help_says_phi_and_cap_radius_are_required(self, capsys):
+        assert main(["exp-tube", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--phi PHI neighborhood angle (required, here or in --config)" in text
+        assert ("--cap-radius CAP_RADIUS radius of the convex cap K (required, here or in "
+                "--config)") in text
+
+    @pytest.mark.parametrize("given", [[], ["--phi", "0.06"], ["--cap-radius", "piOver4"]])
+    def test_tube_without_phi_or_cap_radius_exit_one(self, tmp_path, capsys, given):
+        out = tmp_path / "o"
+        argv = ["exp-tube", "--seed", "0", "--workers", "1", "--out", os.fspath(out)]
+        assert main(argv + given) == 1
+        assert capsys.readouterr().err == "error: tube experiment needs cap_radius and phi\n"
+        assert not os.path.exists(out)
+
+
+def test_cli_import_loads_neither_scipy_optimize_nor_integrate():
+    code = ("import sys, lpcond.cli; print(' '.join(m for m in ('scipy.optimize', "
+            "'scipy.integrate', 'scipy.spatial') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(lpcond.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert done.stdout.split() == ["scipy.spatial"]
 
 
 class TestExperimentsEndToEnd:

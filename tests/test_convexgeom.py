@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpcond import convexgeom, harness, samplers, sic
+from lpcond import harness, samplers, sic
 from lpcond.convexgeom import (
     MEMBER_TOL,
     SpherePolytope,
@@ -16,10 +16,10 @@ from lpcond.convexgeom import (
     distance_to_boundary,
     distance_to_dual,
     distance_to_sconv,
-    nnls_stack,
     sconv_distances,
 )
 from lpcond.errors import ConvergenceError, DegenerateHullError
+from lpcond.sic import nnls_stack
 from lpcond.sphere import Cap, SpherePoint
 from oracles import sconv_distance_scipy
 
@@ -49,14 +49,15 @@ def project(x, P):
     """(z, lam): the nearest point z = sum lam_i b_i of cone(generators)
     to x, by `nnls_stack` on a stack of one."""
     xv = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
-    lam = nnls_stack(P.generators.T[None], xv[None])[0]
-    return P.generators.T @ lam, lam
+    lam, certified = nnls_stack(P.generators.T[None], xv[None])
+    assert certified[0]
+    return P.generators.T @ lam[0], lam[0]
 
 
 class TestNnls:
     def test_kkt_certificate_random(self):
-        # nnls_stack raises unless its answer meets the 1e-10 KKT
-        # certificate; check the certificate here as well.
+        # nnls_stack certifies only answers that meet the 1e-10 KKT
+        # conditions; check the certificate here as well.
         rng = np.random.default_rng(1)
         for _ in range(200):
             d, k = rng.integers(2, 7), rng.integers(1, 8)
@@ -97,8 +98,8 @@ class TestNnlsStack:
             for k in range(1, 8):
                 gens = np.array([adversarial_cone(rng, family, k, d) for _ in range(30)])
                 X = random_units(rng, 30, d)
-                lam = nnls_stack(gens.transpose(0, 2, 1), X)
-                assert np.all(lam >= 0)
+                lam, certified = nnls_stack(gens.transpose(0, 2, 1), X)
+                assert certified.all() and np.all(lam >= 0)
                 resid = X - (lam[:, None, :] @ gens)[:, 0]
                 grad = (gens @ resid[..., None])[..., 0]
                 assert np.all(grad.max(axis=1) <= 1e-10)
@@ -111,22 +112,26 @@ class TestNnlsStack:
         rng = np.random.default_rng(30)
         gens = np.array([random_units(rng, 5, 3) for _ in range(50)])
         X = random_units(rng, 50, 3)
-        lam = nnls_stack(gens.transpose(0, 2, 1), X)
+        lam, _ = nnls_stack(gens.transpose(0, 2, 1), X)
         for j in (0, 17, 49):
-            assert np.array_equal(nnls_stack(gens[j].T[None], X[j][None])[0], lam[j])
+            assert np.array_equal(nnls_stack(gens[j].T[None], X[j][None])[0][0], lam[j])
 
     def test_iteration_cap_is_a_typed_error(self, monkeypatch):
         # The octant's center needs all three generators: three steps.
         E, f = np.eye(3)[None], unit([1.0, 1.0, 1.0])[None]
-        monkeypatch.setattr(convexgeom, "_STEPS_PER_COLUMN", 1)
-        assert np.allclose(nnls_stack(E, f), f)
-        monkeypatch.setattr(convexgeom, "_STEPS_PER_COLUMN", 2 / 3)
+        monkeypatch.setattr(sic, "_STEPS_PER_COLUMN", 1)
+        lam, certified = nnls_stack(E, f)
+        assert certified[0] and np.allclose(lam, f)
+        monkeypatch.setattr(sic, "_STEPS_PER_COLUMN", 2 / 3)
+        assert not nnls_stack(E, f)[1][0]
         with pytest.raises(ConvergenceError):
-            nnls_stack(E, f)
+            sconv_distances(f, E)
 
     def test_no_certificate_is_a_typed_error(self):
+        E, f = np.eye(3)[None], np.array([[np.nan, 0.0, 1.0]])
+        assert not nnls_stack(E, f)[1][0]
         with pytest.raises(ConvergenceError):
-            nnls_stack(np.eye(3)[None], np.array([[np.nan, 0.0, 1.0]]))
+            sconv_distances(f, E)
 
 
 class TestProjection:

@@ -166,11 +166,11 @@ class TestDrawConditionRecords:
         solve = sic._instance_rho
         calls = []
 
-        def failing_once(mat):
+        def failing_once(mat, *solved):
             calls.append(mat)
             if len(calls) == 3:
                 raise ConvergenceError("simulated solver failure")
-            return solve(mat)
+            return solve(mat, *solved)
 
         monkeypatch.setattr(sic, "_instance_rho", failing_once)
         _, _, _, (_, rho) = self.draw(2, 5, 1000)
@@ -180,7 +180,7 @@ class TestDrawConditionRecords:
         assert counts["sf"] + counts["ip"] + counts["if"] == 999
 
     def test_untyped_error_propagates(self, monkeypatch):
-        def buggy(mat):
+        def buggy(mat, *solved):
             raise ZeroDivisionError("simulated bug")
 
         monkeypatch.setattr(sic, "_POLISH_DIST", 2.0)

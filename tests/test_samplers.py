@@ -7,6 +7,7 @@ from scipy.special import ndtri
 
 from lpcond import sic
 from lpcond.errors import ConfigError
+from lpcond import samplers
 from lpcond.samplers import (
     BLOCK_ROWS,
     PURPOSE_CENTER,
@@ -250,6 +251,44 @@ class TestDeltaC:
         p2 = make_adversarial_params(2, 1.0, 0.0, delta_mode="beta0-remark")
         assert p1.delta_c != p2.delta_c
         assert p2.delta_c == 1.0
+
+
+def colatitude_mass_quad(m, beta, alpha, h=None):
+    """Integral of sin^(m-beta-1) h(sin t) over [0, alpha] by adaptive
+    quadrature: the pole's t^(m-beta-1) as quad's algebraic weight, the
+    range split where h has a kink."""
+    expo = m - 1 - beta
+    h = h or (lambda r: 1.0)
+    kinks = [math.asin(r) for r in getattr(h, "r_nodes", ()) if 0.0 < r < math.sin(alpha)]
+    edges = [0.0] + kinks + [alpha]
+    total, _ = quad(lambda t: (math.sin(t) / t) ** expo * float(h(math.sin(t))) if t > 0.0
+                    else float(h(0.0)), 0.0, edges[1], weight="alg", wvar=(expo, 0.0),
+                    epsabs=0.0, epsrel=2e-14, limit=200)
+    for lo, hi in zip(edges[1:-1], edges[2:]):
+        total += quad(lambda t: math.sin(t) ** expo * float(h(math.sin(t))), lo, hi,
+                      epsabs=0.0, epsrel=2e-14, limit=200)[0]
+    return total
+
+
+class TestColatitudeMass:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_against_quadrature(self, m):
+        for beta in sorted({0.0, 0.5, m - 0.5}):
+            for alpha in (1e-3, math.pi / 6, math.pi / 2):
+                assert samplers._colatitude_mass(m, beta, alpha) == pytest.approx(
+                    colatitude_mass_quad(m, beta, alpha), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m, beta, alpha", [(1, 0.5, math.pi / 2), (2, 0.5, math.pi / 6),
+                                                (3, 0.0, math.pi / 2)])
+    def test_h_table_against_quadrature(self, m, beta, alpha):
+        h = HTable((0.0, 0.25, 0.5), (1.0, 2.0, 1.0))
+        assert samplers._colatitude_mass(m, beta, alpha, h) == pytest.approx(
+            colatitude_mass_quad(m, beta, alpha, h), rel=1e-13, abs=0.0)
+
+    def test_the_uniform_law_is_normalized_exactly(self):
+        # h = 1 and beta = 0: the mass is I_m itself, so C_norm is 1.
+        for m in range(1, 7):
+            assert make_adversarial_params(m, math.pi / 6, 0.0).C_norm == 1.0
 
 
 class TestRadialCdf:

@@ -17,7 +17,13 @@ from lpcond.sic import (
     sic_rho,
 )
 from lpcond.sphere import SpherePoint
-from oracles import DegenerateSubsetError, circumcap, gordan_classify
+from oracles import (
+    DegenerateSubsetError,
+    circumcap,
+    gordan_classify,
+    least_distance_scipy,
+    strictly_feasible_scipy,
+)
 
 
 def random_instance(rng, n, m):
@@ -240,10 +246,8 @@ class TestSicRho:
             sic_rho(circle_points(*np.linspace(0.0, 2 * math.pi, 40, endpoint=False)))
 
     def test_nnls_failure_is_typed(self, monkeypatch):
-        def broken_nnls(A, b):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(sic, "nnls", broken_nnls)
+        # A step cap below one step: the NNLS stops uncertified.
+        monkeypatch.setattr(sic, "_STEPS_PER_COLUMN", 0.01)
         # Exactly ill-posed, so the scan routes it to the NNLS solve.
         with pytest.raises(ConvergenceError):
             sic_rho(ILL_POSED_S1)
@@ -569,3 +573,110 @@ class TestDerived:
     def test_cond_from_rho_band(self):
         assert math.isinf(cond_from_rho(math.pi / 2 + 5e-9))
         assert math.isfinite(cond_from_rho(math.pi / 2 + 5e-8))
+
+
+def least_distance_family(rng, family, n, d):
+    """n unit rows in R^d from one adversarial family: random, a duplicate
+    or antipodal last row, a last row 1e-7 from the first, all rows on one
+    great circle, or exactly ill-posed (rows on a closed hemisphere with an
+    antipodal pair on its rim: the origin on the hull's boundary)."""
+    mat = unit_rows(rng.standard_normal((n, d)))
+    if family == "duplicate":
+        mat[-1] = mat[0]
+    elif family == "antipodal":
+        mat[-1] = -mat[0]
+    elif family == "near-parallel":
+        tangent = rng.standard_normal(d)
+        tangent -= (tangent @ mat[0]) * mat[0]
+        mat[-1] = unit_rows(mat[0] + 1e-7 * unit_rows(tangent))
+    elif family == "great-circle":
+        mat[:, 2:] = 0.0
+        mat = unit_rows(mat)
+    elif family == "ill-posed":
+        mat[:, -1] = np.abs(mat[:, -1])
+        mat[-2, -1] = 0.0
+        mat[-2] = unit_rows(mat[-2])
+        mat[-1] = -mat[-2]
+    return mat
+
+
+class TestLeastDistanceKernel:
+    """`sic.nnls_stack` on least-distance problems, against scipy's NNLS."""
+
+    FAMILIES = ("random", "duplicate", "antipodal", "near-parallel", "great-circle", "ill-posed")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", (2, 3, 4, 5))
+    def test_against_scipy_nnls(self, family, d):
+        rng = np.random.default_rng([d, self.FAMILIES.index(family)])
+        for n in (d + 1, d + 3, 12, 40):
+            mats = np.array([least_distance_family(rng, family, n, d) for _ in range(25)])
+            z, u, certified = sic._least_distances(mats)
+            assert certified.all() and np.all(u >= 0)
+            dist = np.linalg.norm(z, axis=1)
+            for mat, got in zip(mats, dist):
+                zr, _ = least_distance_scipy(mat)
+                oracle = float(np.linalg.norm(zr))
+                assert abs(got - oracle) <= 1e-12
+                assert (got > sic._ORIGIN_TOL) == (oracle > sic._ORIGIN_TOL)
+
+    def test_an_instance_solves_alike_alone_and_in_a_stack(self):
+        rng = np.random.default_rng(8)
+        mats = unit_rows(rng.standard_normal((300, 12, 4)))
+        z, u, _ = sic._least_distances(mats)
+        for j in range(0, 300, 23):
+            zj, uj, _ = sic._least_distances(mats[j:j + 1])
+            assert np.array_equal(zj[0], z[j]) and np.array_equal(uj[0], u[j])
+
+    def test_a_capped_instance_fails_alone(self, monkeypatch):
+        # Past the scan sizes (C(40, 3) row triples), so every instance takes
+        # the kernel.  Rows alternating between two directions need two
+        # steps; random rows around the origin need at least four (the
+        # origin inside takes d + 1 = 4 columns).
+        rng = np.random.default_rng(21)
+        pair = unit_rows(rng.standard_normal((2, 3)))
+        easy = np.tile(pair, (20, 1))
+        hard = TestFacetScan.enclosing(rng, 1, 40, 3)[0]
+        mats = np.array([easy, hard, easy[::-1]])
+        free = sic.stack_rho(mats)
+        assert not np.isnan(free).any()
+        monkeypatch.setattr(sic, "_STEPS_PER_COLUMN", 3.5 / 40)
+        capped = sic.stack_rho(mats)
+        assert np.isnan(capped[1])
+        assert capped[0] == free[0] and capped[2] == free[2]
+        with pytest.raises(ConvergenceError):
+            sic.stack_feasible(mats)
+        with pytest.raises(ConvergenceError):
+            sic.strictly_feasible(hard)
+        with pytest.raises(ConvergenceError):
+            sic_rho(hard)
+
+
+class TestStackFeasible:
+    @pytest.mark.parametrize("m", (1, 2, 3, 4))
+    def test_matches_the_scipy_decision(self, m):
+        # Wendel's sizes k = m+2, 2m+2, 3m+2: the facet-scan sign below the
+        # crossover, the kernel past it.
+        rng = np.random.default_rng(40 + m)
+        for k in (m + 2, 2 * m + 2, 3 * m + 2):
+            mats = unit_rows(rng.standard_normal((4096, k, m + 1)))
+            oracle = np.array([strictly_feasible_scipy(mat) for mat in mats])
+            assert np.array_equal(sic.stack_feasible(mats), oracle)
+
+    def test_near_zero_scan_values_take_the_kernel(self, monkeypatch):
+        # Exactly ill-posed rows score 0 in the scan; a great circle's flat
+        # hull scores 0 too.
+        calls = []
+        solve = sic._least_distances
+
+        def counted(mats):
+            calls.append(len(mats))
+            return solve(mats)
+
+        monkeypatch.setattr(sic, "_least_distances", counted)
+        rng = np.random.default_rng(3)
+        mats = np.array([least_distance_family(rng, "ill-posed", 5, 3),
+                         least_distance_family(rng, "great-circle", 5, 3),
+                         unit_rows(np.abs(rng.standard_normal((5, 3))))])
+        assert sic.stack_feasible(mats).tolist() == [False, False, True]
+        assert calls == [2]

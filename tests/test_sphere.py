@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from lpcond.errors import DimensionMismatchError
 from lpcond.sphere import (
@@ -107,6 +108,14 @@ class TestCap:
 
 
 class TestVolumesAndIntegrals:
+    @pytest.mark.parametrize("alpha", [1e-3, math.pi / 6, math.pi / 2])
+    def test_integral_I_against_quadrature(self, alpha):
+        # Small alpha takes Gauss-Legendre, the others the recurrence.
+        for k in range(1, 7):
+            ref, _ = quad(lambda t: math.sin(t) ** (k - 1), 0.0, alpha,
+                          epsabs=0.0, epsrel=2e-14, limit=200)
+            assert integral_I(k, alpha) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     def test_integral_I_closed_forms(self):
         assert integral_I(1, 0.7) == pytest.approx(0.7, abs=1e-12)
         assert integral_I(2, math.pi / 2) == pytest.approx(1.0, abs=1e-10)
