@@ -6,8 +6,8 @@ on scheduling.  Gaussians come from the inverse-normal transform of
 uniforms: each variate consumes exactly one uniform, keeping streams
 aligned.  Perturbation laws are the radially symmetric cap distributions
 with density C r^(-beta) h(r) in r = sin(colatitude); their masses and
-colatitude CDFs are composite Gauss-Legendre integrals, or closed forms
-(`sphere.integral_I`), so no quadrature library is needed.
+colatitude CDFs are composite Gauss-Legendre integrals (among them
+`sphere.integral_I`), so no quadrature library is needed.
 
 Bulk draws never build a generator per stream.  numpy's Philox is
 Philox4x64-10, a pure function of (key, counter), so `keyed_uniforms`
@@ -269,8 +269,8 @@ def _colatitude_mass(m: int, beta: float, alpha: float, h_table: HTable | None =
     holds fractional powers of s, so the cell at the pole is split
     geometrically toward it; cells also split where h has a kink (a table
     node), so each cell is smooth.  Relative error about 1e-15.  With h = 1
-    and m - beta a whole number the integral is I_{m-beta}(alpha), in
-    closed form (`integral_I`).
+    and m - beta a whole number the integral is I_{m-beta}(alpha)
+    (`integral_I`), so the law's normalization is exactly 1 at beta = 0.
     """
     p = m - beta
     if h_table is None and p == int(p):

@@ -196,17 +196,24 @@ def _covers(mat: np.ndarray, center: np.ndarray, radius: float) -> bool:
 def _equidistant(sub: np.ndarray):
     """(center, radius) of the cap through the rows of sub, center in their span.
 
-    The center direction v solves <a_0, v> = 1 and <u_i, v> = 0 for the
-    unit chords u_i from a_0 to the other rows.  Unit chords keep each
+    The center direction v solves <a_0, v> = 1 and
+    <u_i, v> = (|a_i| - |a_0|) / (|a_0| |a_i - a_0|) for the unit chords
+    u_i from a_0 to the other rows, so that <a_i, v> / |a_i| is one value:
+    equal angles to the rows' directions, not equal dot products.  The
+    difference matters at tiny caps, where rows off unit norm by an ulp
+    move a 5e-8 rad angle by 1e-9.  Each norm difference is taken from
+    <a_i - a_0, a_i + a_0>, so it keeps full relative precision, and unit
+    chords keep each
     equation's backward error at eps, so the angles stay equal to full
     precision for tiny caps and near pi/2 alike.  None when the rows admit
     no common positive inner product (their affine hull holds the origin).
     """
     chords = sub[1:] - sub[0]
-    lengths = np.sqrt(np.einsum("ij,ij->i", chords, chords))
-    rows = np.concatenate([sub[:1], chords / np.maximum(lengths, 1e-300)[:, None]])
-    rhs = np.zeros(rows.shape[0])
-    rhs[0] = 1.0
+    lengths = np.maximum(np.sqrt(np.einsum("ij,ij->i", chords, chords)), 1e-300)
+    norms = np.sqrt(np.einsum("ij,ij->i", sub, sub))
+    gaps = np.einsum("ij,ij->i", chords, sub[1:] + sub[0]) / (norms[1:] + norms[0])
+    rows = np.concatenate([sub[:1], chords / lengths[:, None]])
+    rhs = np.concatenate([[1.0], gaps / (norms[0] * lengths)])
     v, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     if rank < rows.shape[0] and float(np.max(np.abs(rows @ v - rhs))) > 1e-9:
         return None
@@ -687,14 +694,11 @@ def _instance_rho(mat: np.ndarray, z: np.ndarray, u: np.ndarray):
             return radius, polished, support
     # The support itself is wrong where the NNLS cannot resolve it (tiny
     # caps); the true one is among the rows near the rim of the first cap.
-    # Below _TINY_CAP every row is a candidate, so the enumeration is the
-    # oracle's own, and its cap is taken even where the NNLS center covers
-    # a little tighter: the solver answers as its oracle does.
-    tiny = rho < _TINY_CAP
-    subsets, count = _subsets(np.flatnonzero(angles >= rho - (math.inf if tiny else _NEAR_TOL)), d)
+    slack = _NEAR_TOL if rho >= _TINY_CAP else math.inf
+    subsets, count = _subsets(np.flatnonzero(angles >= rho - slack), d)
     if count <= _NEAR_SUBSETS:
         best = _best_candidate(mat, subsets)
-        if best is not None and (tiny or best[0] <= rho + _CONTAIN_TOL):
+        if best is not None and best[0] <= rho + _CONTAIN_TOL:
             return best[0], best[1], tuple(int(i) for i in best[2])
     return rho, center, (int(np.argmax(angles)),)
 

@@ -288,7 +288,8 @@ class TestColatitudeMass:
     def test_the_uniform_law_is_normalized_exactly(self):
         # h = 1 and beta = 0: the mass is I_m itself, so C_norm is 1.
         for m in range(1, 7):
-            assert make_adversarial_params(m, math.pi / 6, 0.0).C_norm == 1.0
+            for alpha in (1e-9, math.pi / 6):
+                assert make_adversarial_params(m, alpha, 0.0).C_norm == 1.0
 
 
 class TestRadialCdf:

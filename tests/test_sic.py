@@ -410,6 +410,18 @@ class TestStackRho:
             assert sic_rho(mat)[0] == r
 
     @pytest.mark.parametrize("n, d", SIZES)
+    def test_tiny_caps_center_at_equal_angles(self, n, d):
+        # Rows are unit only to an ulp; equal dot products with the center
+        # would leave the support's angles about 1e-9 rad apart at caps of
+        # 5e-8 rad, and the cap that much too large.
+        rng = np.random.default_rng([n, d, self.FAMILIES.index("tiny-cap")])
+        for inst in self.family_stack(rng, "tiny-cap", n, d):
+            oracle = sic_bruteforce(inst)
+            angles = sic._angles(inst.matrix[list(oracle.support)], oracle.center.coords)
+            assert float(np.ptp(angles)) <= 1e-14
+            assert oracle.rho == pytest.approx(float(np.max(angles)), abs=1e-14)
+
+    @pytest.mark.parametrize("n, d", SIZES)
     def test_result_does_not_depend_on_the_stack(self, n, d):
         # 3000 instances span several _SCAN_PAIRS slices.
         rng = np.random.default_rng(n * 10 + d)

@@ -110,7 +110,6 @@ class TestCap:
 class TestVolumesAndIntegrals:
     @pytest.mark.parametrize("alpha", [1e-3, math.pi / 6, math.pi / 2])
     def test_integral_I_against_quadrature(self, alpha):
-        # Small alpha takes Gauss-Legendre, the others the recurrence.
         for k in range(1, 7):
             ref, _ = quad(lambda t: math.sin(t) ** (k - 1), 0.0, alpha,
                           epsabs=0.0, epsrel=2e-14, limit=200)
@@ -120,6 +119,11 @@ class TestVolumesAndIntegrals:
         assert integral_I(1, 0.7) == pytest.approx(0.7, abs=1e-12)
         assert integral_I(2, math.pi / 2) == pytest.approx(1.0, abs=1e-10)
         assert integral_I(3, math.pi / 2) == pytest.approx(math.pi / 4, abs=1e-10)
+        # At a = 1e-9, sin a == a and cos a == 1.0 in floating point, so no
+        # formula in sin a and cos a resolves I_k; it is a^k / k to within
+        # (k - 1) a^2 / 6.
+        for k in (3, 4):
+            assert integral_I(k, 1e-9) == pytest.approx(1e-9 ** k / k, rel=1e-14, abs=0.0)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
