@@ -23,20 +23,20 @@ from .sphere import unit_vector
 
 _PI_OVER = re.compile(r"^piOver(\d+)$")
 
-_DEFAULTS = {
-    "m": 2, "n": 5, "alpha": math.pi / 6, "beta": 0.0, "h_table": None,
-    "N": 100_000, "seed": 0, "t_grid": None, "phi": None, "center": "random",
-    "out": "lpcond-out", "delta_mode": "lemma",
-    "k": None, "cap_radius": None, "offset": 0.0,
-}
+# Keys (flags and config-file keys) named unlike their ExperimentConfig
+# field; every other key but the ignored `workers` is its field's name.
+_FIELDS = {"seed": "master_seed", "h_table": "h_path", "k": "k_values",
+           "offset": "placement_offset", "out": "out_dir"}
+# The one default the CLI adds to ExperimentConfig's: where outputs go.
+_OUT_DIR = "lpcond-out"
 
 
 def parse_angle(text) -> float:
     """Angle flag: plain radians or the piOverK shorthand."""
-    if isinstance(text, (int, float)):
-        return float(text)
     match = _PI_OVER.match(text)
     if match:
+        if int(match.group(1)) == 0:
+            raise ValueError(f"{text} divides by zero")
         return math.pi / int(match.group(1))
     return float(text)
 
@@ -55,8 +55,10 @@ def parse_t_grid(text) -> tuple:
 
 def parse_k_values(text) -> tuple:
     if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(p) for p in text.split(":"))
+        if lo > hi:
+            raise ValueError(f"k range {text!r} is empty")
+        return tuple(range(lo, hi + 1))
     return tuple(int(p) for p in text.split(","))
 
 
@@ -95,19 +97,14 @@ def _explicit(args) -> dict:
     return given
 
 
-def _merge(args) -> dict:
-    """Builtin defaults, then config file, then explicit flags."""
-    return {**_DEFAULTS, **_explicit(args)}
-
-
-def _experiment_config(kind, opt) -> ExperimentConfig:
-    return ExperimentConfig(
-        kind=kind, m=opt["m"], n=opt["n"], alpha=opt["alpha"], beta=opt["beta"],
-        h_path=opt["h_table"], delta_mode=opt["delta_mode"], N=opt["N"],
-        master_seed=opt["seed"], center=opt["center"], t_grid=opt["t_grid"],
-        k_values=opt["k"], phi=opt["phi"], cap_radius=opt["cap_radius"],
-        placement_offset=opt["offset"], out_dir=opt["out"],
-    )
+def _experiment_config(kind, args) -> ExperimentConfig:
+    """ExperimentConfig's defaults (outputs under _OUT_DIR), then the
+    config file, then explicit flags."""
+    given = _explicit(args)
+    if kind == "property-suite" and "N" in given:
+        raise ConfigError("exp-properties has fixed pools and takes no --N")
+    fields = {_FIELDS.get(key, key): val for key, val in given.items() if key != "workers"}
+    return ExperimentConfig(kind=kind, **{"out_dir": _OUT_DIR, **fields})
 
 
 def _summary_exit_code(summary: dict) -> int:
@@ -166,8 +163,7 @@ def _cmd_sic(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    opt = _merge(args)
-    cfg = _experiment_config("sample", opt)
+    cfg = _experiment_config("sample", args)
     params = harness.params_from_config(cfg)
     center = harness.resolve_center(cfg, params)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -185,10 +181,7 @@ def _cmd_sample(args) -> int:
 
 
 def _run_experiment(kind, args) -> int:
-    given = _explicit(args)
-    if kind == "property-suite" and "N" in given:
-        raise ConfigError("exp-properties has fixed pools and takes no --N")
-    cfg = _experiment_config(kind, {**_DEFAULTS, **given})
+    cfg = _experiment_config(kind, args)
     runner = {
         "tail": harness.run_tail_experiment,
         "expectation": harness.run_expectation_experiment,

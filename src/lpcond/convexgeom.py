@@ -1,8 +1,11 @@
 """Spherical convex hulls as polyhedral cones.
 
-Membership, nearest-point projection, distances to hulls, duals and
-boundaries, plus the closed-form cap distances used by the volume
-experiments.
+Distances to hulls, duals and boundaries, the facets of a stack of
+cones (`cone_facets`), and the closed-form cap distances of the volume
+experiment (`cap_distances_batch`, with `cap_distance_suite` its
+one-point view).  `cone_member_batch`, membership by Caratheodory
+subsets, runs in no experiment: tests keep it as an oracle independent
+of the projection.
 
 Projection onto a cone is nonnegative least squares, solved for a whole
 stack of instances at once by `sic.nnls_stack`, the stacked
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import sic
 from .errors import ConvergenceError, DegenerateHullError, DualEmptyError
-from .sphere import Cap, SpherePoint, angular_distance, clipped_arccos, row_norms
+from .sphere import Cap, SpherePoint, clipped_arccos, row_norms
 
 # A point is treated as a member of a hull when its hull distance is below
 # this; chosen so NNLS roundoff never flips membership of true members.
@@ -146,19 +149,10 @@ def distance_to_boundary(x: SpherePoint, P: SpherePolytope) -> float:
 
 
 def cap_distance_suite(x: SpherePoint, C: Cap):
-    """(d(x,K), d(x,K_dual), d(x,bd K)) for a cap K, in closed form.
-
-    Requires radius <= pi/2 so that the dual is the antipodal cap of
-    radius pi/2 - radius.
-    """
-    if C.radius > math.pi / 2 + 1e-12:
-        raise ValueError("cap radius beyond pi/2: dual is not a cap")
-    dc = angular_distance(x, C.center)
-    r = C.radius
-    d_hull = max(0.0, dc - r)
-    d_dual = max(0.0, (math.pi - dc) - (math.pi / 2 - r))
-    d_bd = abs(dc - r)
-    return d_hull, d_dual, d_bd
+    """(d(x,K), d(x,K_dual), d(x,bd K)) for a cap K: the one-point view of
+    `cap_distances_batch`."""
+    d_hull, d_dual, d_bd = cap_distances_batch(x.coords[None], C.center.coords, C.radius)
+    return float(d_hull[0]), float(d_dual[0]), float(d_bd[0])
 
 
 def cone_member_batch(X: np.ndarray, gens: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -209,7 +203,12 @@ def cone_facets(gens: np.ndarray) -> np.ndarray:
 
 
 def cap_distances_batch(X: np.ndarray, center: np.ndarray, radius: float):
-    """Vectorized cap_distance_suite over rows of X; returns three arrays."""
+    """(d(x,K), d(x,K_dual), d(x,bd K)) for each row x of X and the cap K
+    of the given center and radius, in closed form, as three arrays.
+
+    Requires radius <= pi/2 so that the dual is the antipodal cap of
+    radius pi/2 - radius.
+    """
     if radius > math.pi / 2 + 1e-12:
         raise ValueError("cap radius beyond pi/2: dual is not a cap")
     dc = clipped_arccos(X @ center)

@@ -18,15 +18,7 @@ class InstanceTooLargeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver hit its iteration cap without a certified answer.
-
-    Carries the best available bracket on the quantity being solved for.
-    """
-
-    def __init__(self, message, lower=None, upper=None):
-        super().__init__(message)
-        self.lower = lower
-        self.upper = upper
+    """Iterative solver hit its iteration cap without a certified answer."""
 
 
 class ConfigError(ValueError):

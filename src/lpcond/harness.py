@@ -3,14 +3,15 @@
 Estimates tail probabilities and expectations of the condition number under
 seeded perturbation laws, evaluates the matching closed-form upper bounds,
 runs the exact-formula feasibility (Wendel) and neighborhood-volume checks,
-and persists plot-ready tables plus per-sample records.
+and persists plot-ready tables plus per-sample records.  `ExperimentConfig`
+holds the defaults of every experiment.
 
 All experiments draw through counter-based streams keyed by sample index
 (or by fixed-size chunk for the bulk geometric experiments), and run their
 chunks serially, in chunk order, so reruns are byte-identical.  A
 condition-number draw is kept as two columns, the stream index and rho of
 each sample; classes, condition numbers and the CSV rows are derived from
-them.
+them, ln C only where it is read (the mean and the CSV).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -75,7 +76,7 @@ class ExperimentConfig:
     delta_mode: str = "lemma"
     N: int = 100_000
     master_seed: int = 0
-    center: str = "random"  # "random" or "file:PATH"
+    center: str = "random"  # random, file:PATH, equal-rows or great-circle
     t_grid: tuple | None = None
     k_values: tuple | None = None
     phi: float | None = None
@@ -84,21 +85,14 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ConfigError(f"the sphere dimension m must be at least 1, got {self.m}")
         if self.N < 1:
             raise ConfigError(f"the sample count N must be at least 1, got {self.N}")
 
     def echo(self) -> dict:
-        """Config echo for summaries: scientific knobs only, no runtime ones."""
-        d = {
-            "kind": self.kind, "m": self.m, "n": self.n, "alpha": self.alpha,
-            "beta": self.beta, "h_path": self.h_path, "delta_mode": self.delta_mode,
-            "N": self.N, "master_seed": self.master_seed, "center": self.center,
-            "t_grid": list(self.t_grid) if self.t_grid else None,
-            "k_values": list(self.k_values) if self.k_values else None,
-            "phi": self.phi, "cap_radius": self.cap_radius,
-            "placement_offset": self.placement_offset,
-        }
-        return d
+        """Config echo for summaries: every field but the output directory."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +106,7 @@ def params_from_config(cfg: ExperimentConfig) -> AdversarialParams:
     )
 
 
-def threshold_F(params: AdversarialParams, n: int) -> float:
+def threshold_F(params: AdversarialParams) -> float:
     m = params.m
     return 13.0 * m * (m + 1) / (2.0 * params.sigma * params.delta_c)
 
@@ -147,10 +141,10 @@ def bound_Emain(params: AdversarialParams, n: int):
     return value, params.beta != 0.0
 
 
-def default_t_grid(params: AdversarialParams, n: int, points: int = 12,
-                   span: float = 1e4) -> tuple:
-    lo = threshold_F(params, n)
-    return tuple(float(t) for t in np.geomspace(lo, lo * span, points))
+def default_t_grid(params: AdversarialParams) -> tuple:
+    """12 geometric points from threshold_F to 1e4 times it."""
+    lo = threshold_F(params)
+    return tuple(float(t) for t in np.geomspace(lo, lo * 1e4, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -256,36 +250,37 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
 
 
 def _summary(cfg: ExperimentConfig, **sections) -> dict:
-    """A summary body: the config echo, and every `SUMMARY_SCHEMA` section
-    None but the given ones."""
+    """A summary body: the config echo, every other section None unless given."""
     return {"config": cfg.echo(), "counts": None, "tail_table": None, "expectation": None,
             "wendel_table": None, "tube_table": None, "property_suite": None, **sections}
 
 
 def _cond_columns(rho: np.ndarray):
-    """(labels, cond, ln_cond) columns of a rho column.
+    """(labels, cond) columns of a rho column.
 
     The class label is SF, IP or IF as `sic.classify_rho` decides, and ""
-    for a failed (NaN) sample.  cond is `sic.cond_from_rho` and ln_cond
-    `math.log` of it, value by value, since numpy's vectorized cos and log
-    may differ from them in the last bit.  ln_cond is NaN where cond is
-    past `sic.COND_OVERFLOW` (or infinite) and for failed samples.
+    for a failed (NaN) sample.  cond is `sic.cond_from_rho`, value by
+    value, since numpy's vectorized cos may differ from it in the last bit.
     """
     half_pi = math.pi / 2
     ill = np.abs(rho - half_pi) <= sic.ILL_POSED_BAND
     labels = np.where(np.isnan(rho), "", np.where(ill, "IP", np.where(rho < half_pi, "SF", "IF")))
-    cond = np.array([sic.cond_from_rho(r) for r in rho.tolist()])
-    finite = cond <= sic.COND_OVERFLOW
-    ln_cond = np.full(rho.shape, np.nan)
-    ln_cond[finite] = [math.log(c) for c in cond[finite].tolist()]
-    return labels, cond, ln_cond
+    return labels, np.array([sic.cond_from_rho(r) for r in rho.tolist()])
 
 
-def _counts(labels: np.ndarray, ln_cond: np.ndarray) -> dict:
-    """Samples per class, overflowing condition numbers and failed solves."""
+def _ln_cond(cond: np.ndarray) -> np.ndarray:
+    """`math.log` of each condition number up to `sic.COND_OVERFLOW`, value
+    by value (numpy's log may differ in the last bit); NaN past it and for
+    failed (NaN) samples."""
+    return np.array([math.log(c) if c <= sic.COND_OVERFLOW else math.nan for c in cond.tolist()])
+
+
+def _counts(labels: np.ndarray, cond: np.ndarray) -> dict:
+    """Samples per class, condition numbers past `sic.COND_OVERFLOW` and
+    failed solves."""
     counts = {key: int(np.sum(labels == key.upper())) for key in ("sf", "ip", "if")}
-    failed = int(np.sum(labels == ""))
-    counts.update(overflow=int(np.isnan(ln_cond).sum()) - failed, failed=failed)
+    counts.update(overflow=int(np.sum(cond > sic.COND_OVERFLOW)),
+                  failed=int(np.sum(labels == "")))
     return counts
 
 
@@ -299,15 +294,15 @@ def run_tail_experiment(cfg: ExperimentConfig):
     params = params_from_config(cfg)
     center = resolve_center(cfg, params)
     seeds, rho = draw_condition_records(cfg, params, center)
-    grid = tuple(cfg.t_grid) if cfg.t_grid else default_t_grid(params, cfg.n)
+    grid = default_t_grid(params) if cfg.t_grid is None else tuple(cfg.t_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("t grid must be nonempty and strictly increasing")
     if grid[0] < 1.0:
         raise ConfigError("the infeasible-tail bound needs t >= 1")
-    labels, conds, ln_cond = _cond_columns(rho)
-    counts = _counts(labels, ln_cond)
+    labels, conds = _cond_columns(rho)
+    counts = _counts(labels, conds)
     n_eff = cfg.N - counts["failed"]
-    t_lo = threshold_F(params, cfg.n)
+    t_lo = threshold_F(params)
     is_sf, is_if = labels == "SF", labels == "IF"
     table = []
     for t in grid:
@@ -337,9 +332,10 @@ def run_expectation_experiment(cfg: ExperimentConfig):
     params = params_from_config(cfg)
     center = resolve_center(cfg, params)
     seeds, rho = draw_condition_records(cfg, params, center)
-    labels, _, ln_cond = _cond_columns(rho)
-    counts = _counts(labels, ln_cond)
-    lns = ln_cond[~np.isnan(ln_cond)]
+    labels, cond = _cond_columns(rho)
+    counts = _counts(labels, cond)
+    lns = _ln_cond(cond)
+    lns = lns[~np.isnan(lns)]
     bound, informational = bound_Emain(params, cfg.n)
     if lns.size >= 2:
         mean = float(np.mean(lns))
@@ -376,7 +372,7 @@ def feasible_fraction(m: int, k: int, N: int, master_seed: int):
 
 
 def run_wendel_experiment(cfg: ExperimentConfig):
-    ks = cfg.k_values or (cfg.m + 2, 2 * cfg.m + 2, 3 * cfg.m + 2)
+    ks = (cfg.m + 2, 2 * cfg.m + 2, 3 * cfg.m + 2) if cfg.k_values is None else cfg.k_values
     table = []
     for k in ks:
         if k <= cfg.m:
@@ -477,8 +473,7 @@ def _pool_columns(mats: np.ndarray):
     failed = int(np.isnan(rho).sum())
     if failed:
         raise ConvergenceError(f"the solver failed on {failed} property-pool instances")
-    labels, cond, _ = _cond_columns(rho)
-    return rho, labels, cond
+    return (rho, *_cond_columns(rho))
 
 
 def _witness_distances(units: np.ndarray) -> np.ndarray:
@@ -654,6 +649,8 @@ def _multrva_check(cfg: ExperimentConfig):
 
 
 def run_property_suite(cfg: ExperimentConfig):
+    if cfg.n <= cfg.m + 1:
+        raise ConfigError("property suite needs n > m+1")
     suite = {
         "af": _af_check(cfg),
         "if": _if_check(cfg),
@@ -766,7 +763,8 @@ def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
     """
     seeds, rho = records
     rho = np.asarray(rho, dtype=float)
-    labels, cond, ln_cond = _cond_columns(rho)
+    labels, cond = _cond_columns(rho)
+    ln_cond = _ln_cond(cond)
     ipm_proxy = math.sqrt(cfg.m + cfg.n) * (math.log(cfg.m + cfg.n) + ln_cond)
     columns = zip(np.asarray(seeds).tolist(), labels.tolist(), rho.tolist(), cond.tolist(),
                   ln_cond.tolist(), ipm_proxy.tolist())
@@ -799,18 +797,3 @@ def _json_default(obj):
         return float(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
-
-SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["config", "counts", "tail_table", "expectation",
-                 "wendel_table", "tube_table", "property_suite"],
-    "properties": {
-        "config": {"type": "object"},
-        "counts": {"type": ["object", "null"]},
-        "tail_table": {"type": ["array", "null"]},
-        "expectation": {"type": ["object", "null"]},
-        "wendel_table": {"type": ["array", "null"]},
-        "tube_table": {"type": ["array", "null"]},
-        "property_suite": {"type": ["object", "null"]},
-    },
-}

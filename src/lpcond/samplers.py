@@ -207,11 +207,6 @@ class HTable:
     def scaled(self, factor: float) -> "HTable":
         return HTable(self.r_nodes, tuple(v * factor for v in self.h_values))
 
-    @property
-    def sup(self) -> float:
-        # piecewise linear: the supremum is attained at a node
-        return float(max(self.h_values))
-
 
 @dataclass(frozen=True)
 class AdversarialParams:
@@ -339,7 +334,7 @@ def make_adversarial_params(
         if raw <= 0:
             raise ConfigError("h table integrates to zero over the cap")
         scaled = h_table.scaled(i_m_beta / raw)
-        H = scaled.sup
+        H = float(max(scaled.h_values))  # piecewise linear: the sup is at a node
         if H < 1.0 - 1e-9:
             raise ConfigError("normalized h has supremum below 1")
         H = max(H, 1.0)
@@ -373,10 +368,6 @@ class RadialCdf:
     def theta_of_u(self, u) -> np.ndarray:
         s = np.interp(u, self.cdf, self.s_nodes)
         return self.alpha * s ** (1.0 / self.p_exponent)
-
-    def cdf_of_theta(self, theta) -> np.ndarray:
-        s = np.clip(np.asarray(theta, dtype=float) / self.alpha, 0.0, 1.0) ** self.p_exponent
-        return np.interp(s, self.s_nodes, self.cdf)
 
 
 @lru_cache(maxsize=64)

@@ -16,9 +16,9 @@ solve.  The least distances of a stack come from one call of
 passive set and a KKT certificate per instance.  `sic_rho` is the
 one-instance view of `stack_rho` and `cond_and_class` a view of that.
 `stack_feasible` decides feasibility for a stack (the facet scan's sign
-at small sizes, else the same NNLS), and `strictly_feasible` is its
-one-instance view.  `sic_bruteforce`, the exhaustive support-subset
-enumeration, is the reference oracle the solver is checked against.
+at small sizes, else the same NNLS).  `sic_bruteforce`, the exhaustive
+support-subset enumeration, is the reference oracle the solver is
+checked against.
 Of scipy the module uses Qhull (`scipy.spatial`) alone.
 """
 
@@ -552,15 +552,6 @@ def _least_distances(mats: np.ndarray):
     return z, u, certified
 
 
-def _least_distance(mat: np.ndarray):
-    """(z, u) of `_least_distances` for one instance; ConvergenceError
-    where the NNLS is not certified."""
-    z, u, certified = _least_distances(mat[None])
-    if not certified[0]:
-        raise ConvergenceError("least-distance NNLS found no certified optimum")
-    return z[0], u[0]
-
-
 def stack_feasible(mats: np.ndarray) -> np.ndarray:
     """Whether the origin is outside conv(rows), i.e. rho < pi/2, for each
     instance of a stack (B, k, d).
@@ -589,12 +580,6 @@ def stack_feasible(mats: np.ndarray) -> np.ndarray:
                 f"{int((~certified).sum())} of {rest.size} instances")
         feasible[rest] = _dot(z.T, z.T) > _ORIGIN_TOL * _ORIGIN_TOL
     return feasible
-
-
-def strictly_feasible(mat: np.ndarray) -> bool:
-    """True iff the origin is outside conv(rows), i.e. rho < pi/2: the
-    one-instance view of `stack_feasible`."""
-    return bool(stack_feasible(np.asarray(mat, dtype=float)[None])[0])
 
 
 def _stack_caps(mats: np.ndarray):
@@ -716,7 +701,10 @@ def sic_rho(mat):
         if not routed.size:
             n, d = mat.shape
             return float(rho[0]), centers[0], _subset_index(n, tuple(range(1, d + 1)))[0][wins[0]]
-    return _instance_rho(mat, *_least_distance(mat))
+    z, u, certified = _least_distances(mat[None])
+    if not certified[0]:
+        raise ConvergenceError("least-distance NNLS found no certified optimum")
+    return _instance_rho(mat, z[0], u[0])
 
 
 def cond_and_class(A: Instance):

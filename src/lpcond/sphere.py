@@ -26,7 +26,7 @@ _GL_NODES = 16
 _I_CELLS = 8
 
 
-def unit_vector(v, reject_tol: float = NORM_REJECT_TOL) -> np.ndarray:
+def unit_vector(v) -> np.ndarray:
     """Validate and renormalize a vector expected to be unit length."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
@@ -34,8 +34,8 @@ def unit_vector(v, reject_tol: float = NORM_REJECT_TOL) -> np.ndarray:
     if arr.size < 2:
         raise ValueError("sphere dimension must be at least 1 (need >= 2 coordinates)")
     nrm = float(np.linalg.norm(arr))
-    if not math.isfinite(nrm) or abs(nrm - 1.0) > reject_tol:
-        raise ValueError(f"vector norm {nrm!r} deviates from 1 by more than {reject_tol}")
+    if not math.isfinite(nrm) or abs(nrm - 1.0) > NORM_REJECT_TOL:
+        raise ValueError(f"vector norm {nrm!r} deviates from 1 by more than {NORM_REJECT_TOL}")
     return arr / nrm
 
 
@@ -75,9 +75,6 @@ class SpherePoint:
         """The m of the ambient S^m."""
         return self.coords.size - 1
 
-    def __repr__(self):
-        return f"SpherePoint({np.array2string(self.coords, precision=6)})"
-
 
 def _check_same_dim(x: SpherePoint, y: SpherePoint):
     if x.coords.size != y.coords.size:
@@ -102,14 +99,6 @@ class Cap:
     def __post_init__(self):
         if not 0.0 <= self.radius <= math.pi:
             raise ValueError(f"cap radius {self.radius} outside [0, pi]")
-
-    @property
-    def dim(self) -> int:
-        return self.center.dim
-
-    def contains(self, x: SpherePoint, tol: float = 1e-9) -> bool:
-        _check_same_dim(self.center, x)
-        return float(self.center.coords @ x.coords) >= math.cos(self.radius) - tol
 
 
 def rotation_to(source: SpherePoint, target: SpherePoint) -> np.ndarray:

@@ -1,6 +1,9 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +11,9 @@ import pytest
 
 import lpcond
 from lpcond.cli import (
-    _merge,
+    _FIELDS,
+    _OUT_DIR,
+    _experiment_config,
     _parser,
     _read_config_file,
     main,
@@ -16,6 +21,7 @@ from lpcond.cli import (
     parse_k_values,
     parse_t_grid,
 )
+from lpcond.harness import ExperimentConfig
 from lpcond.sic import Instance
 from oracles import gordan_classify
 
@@ -40,6 +46,10 @@ class TestParsers:
         assert parse_angle("piOver2") == pytest.approx(math.pi / 2)
         assert parse_angle("0.75") == 0.75
 
+    def test_pi_over_zero_is_a_value_error(self):
+        with pytest.raises(ValueError, match="piOver0 divides by zero"):
+            parse_angle("piOver0")
+
     def test_t_grid(self):
         grid = parse_t_grid("10:1000:3")
         assert grid[0] == pytest.approx(10.0)
@@ -51,6 +61,11 @@ class TestParsers:
     def test_k_values(self):
         assert parse_k_values("4:7") == (4, 5, 6, 7)
         assert parse_k_values("4,6,8") == (4, 6, 8)
+        assert parse_k_values("5:5") == (5,)
+
+    def test_empty_k_range_rejected(self):
+        with pytest.raises(ValueError, match="k range '9:5' is empty"):
+            parse_k_values("9:5")
 
 
 class TestPrecedence:
@@ -77,11 +92,81 @@ class TestPrecedence:
             seed = None   # from file
             n = None      # builtin default
 
-        merged = _merge(Args())
-        assert merged["m"] == 3
-        assert merged["N"] == 20
-        assert merged["seed"] == 9
-        assert merged["n"] == 5
+        cfg = _experiment_config("tail", Args())
+        assert cfg.m == 3
+        assert cfg.N == 20
+        assert cfg.master_seed == 9
+        assert cfg.n == 5
+
+
+class TestDefaults:
+    def test_help_defaults_are_the_config_defaults(self):
+        # Every "(default X)" in the help is ExperimentConfig's default for
+        # the flag's field (the output directory: the CLI's own default).
+        config_defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        config_defaults["out_dir"] = _OUT_DIR
+        parser = _parser(None)
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        seen = set()
+        for command in commands.choices.values():
+            for action in command._actions:
+                found = re.search(r"\(default ([^)]+)\)", action.help or "")
+                if found:
+                    text = found.group(1)
+                    value = action.type(text) if action.type else text
+                    assert value == config_defaults[_FIELDS.get(action.dest, action.dest)], (
+                        action.dest)
+                    seen.add(action.dest)
+        assert seen == {"m", "n", "alpha", "beta", "N", "seed", "out", "delta_mode"}
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("command, flag", [
+        ("exp-tail", "--alpha"), ("exp-tube", "--phi"), ("exp-tube", "--cap-radius"),
+        ("exp-tube", "--offset"),
+    ])
+    def test_pi_over_zero_flag_exit_one(self, tmp_path, capsys, command, flag):
+        assert main([command, flag, "piOver0", "--out", os.fspath(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"lpcond {command}: error: argument {flag}: invalid parse_angle value: 'piOver0'"]
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_pi_over_zero_in_config_file_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("alpha = piOver0\n")
+        out = tmp_path / "o"
+        assert main(["exp-tail", "--config", os.fspath(cfg), "--out", os.fspath(out)]) == 1
+        assert capsys.readouterr().err == "error: piOver0 divides by zero\n"
+        assert not os.path.exists(out)
+
+    def test_empty_k_range_exit_one(self, tmp_path, capsys):
+        # Not the default k = m+2, 2m+2, 3m+2 with k_values null in the summary.
+        out = tmp_path / "o"
+        assert main(["exp-wendel", "--k", "9:5", "--N", "64", "--out", os.fspath(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "lpcond exp-wendel: error: argument --k: invalid parse_k_values value: '9:5'"]
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("k = 9:5\n")
+        assert main(["exp-wendel", "--config", os.fspath(cfg), "--N", "64",
+                     "--out", os.fspath(out)]) == 1
+        assert capsys.readouterr().err == "error: k range '9:5' is empty\n"
+        assert not os.path.exists(out)
+
+    def test_sphere_dimension_zero_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["exp-wendel", "--m", "0", "--N", "64", "--seed", "1",
+                     "--out", os.fspath(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the sphere dimension m must be at least 1, got 0\n")
+        assert not os.path.exists(out)
+
+    def test_properties_need_more_rows_than_m_plus_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["exp-properties", "--m", "1", "--n", "2", "--out", os.fspath(out)]) == 1
+        assert capsys.readouterr().err == "error: property suite needs n > m+1\n"
+        assert not os.path.exists(out)
 
 
 class TestExitCodes:

@@ -248,58 +248,67 @@ class TestDualDistance:
             checked += 1
 
 
-def oracle_boundary_distance(xv, gens, n_dirs=4096, seed=0, polish=True):
-    """Independent boundary distance: bisection along great circles.
+def oracle_boundary_distances(points, gens, n_dirs, seeds):
+    """Independent boundary distances of interior points of sconv(gens):
+    bisection along great circles, for all points in lockstep.
 
     Membership goes through the Caratheodory subset solver, not the facet
-    enumeration being validated.  For ambient dimension 3 the best scan
-    direction is polished by golden-section over the tangent angle.
+    enumeration being validated; each round of the search is one
+    `cone_member_batch` call on the stacked points of every direction.
+    Point p scans n_dirs random tangent directions drawn with seed
+    seeds[p].  For ambient dimension 3 each point's best scan direction is
+    polished by golden-section over the tangent angle, the two probes of
+    every point's step in one search.
     """
-    xv = np.asarray(xv, dtype=float)
-    d = xv.size
-    rng = np.random.default_rng(seed)
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
 
-    def exit_angle(dirs):
+    def exit_angles(starts, dirs):
         lo = np.zeros(dirs.shape[0])
         hi = np.full(dirs.shape[0], math.pi / 2)
         for _ in range(30):
-            pts = np.cos(hi)[:, None] * xv + np.sin(hi)[:, None] * dirs
+            pts = np.cos(hi)[:, None] * starts + np.sin(hi)[:, None] * dirs
             inside = cone_member_batch(pts, gens)
             if not inside.any():
                 break
             hi = np.where(inside, np.minimum(hi * 1.4, math.pi - 1e-9), hi)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            pts = np.cos(mid)[:, None] * xv + np.sin(mid)[:, None] * dirs
+            pts = np.cos(mid)[:, None] * starts + np.sin(mid)[:, None] * dirs
             inside = cone_member_batch(pts, gens)
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         return 0.5 * (lo + hi)
 
-    dirs = rng.standard_normal((n_dirs, d))
-    dirs -= (dirs @ xv)[:, None] * xv
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    angles = exit_angle(dirs)
-    best = float(np.min(angles))
-    if polish and d == 3:
+    scans = []
+    for xv, seed in zip(points, seeds):
+        dirs = np.random.default_rng(seed).standard_normal((n_dirs, d))
+        dirs -= (dirs @ xv)[:, None] * xv
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        scans.append(dirs)
+    dirs = np.concatenate(scans)
+    angles = exit_angles(np.repeat(points, n_dirs, axis=0), dirs).reshape(-1, n_dirs)
+    best = angles.min(axis=1)
+    if d == 3:
         # Parametrize tangent directions by one angle and refine locally.
-        b1 = dirs[int(np.argmin(angles))]
-        b2 = np.cross(xv, b1)
-        b2 /= np.linalg.norm(b2)
+        b1 = dirs.reshape(-1, n_dirs, d)[np.arange(len(points)), angles.argmin(axis=1)]
+        b2 = np.cross(points, b1)
+        b2 /= np.linalg.norm(b2, axis=1, keepdims=True)
 
-        def f(phi):
-            t = math.cos(phi) * b1 + math.sin(phi) * b2
-            return float(exit_angle(t[None, :])[0])
+        def f(phi, copies=1):
+            cos = np.array([math.cos(p) for p in phi.tolist()])[:, None]
+            sin = np.array([math.sin(p) for p in phi.tolist()])[:, None]
+            b1s, b2s = np.tile(b1, (copies, 1)), np.tile(b2, (copies, 1))
+            return exit_angles(np.tile(points, (copies, 1)), cos * b1s + sin * b2s)
 
-        lo_phi, hi_phi = -0.05, 0.05
+        lo_phi, hi_phi = np.full(len(points), -0.05), np.full(len(points), 0.05)
         for _ in range(40):
             m1 = lo_phi + 0.382 * (hi_phi - lo_phi)
             m2 = hi_phi - 0.382 * (hi_phi - lo_phi)
-            if f(m1) <= f(m2):
-                hi_phi = m2
-            else:
-                lo_phi = m1
-        best = min(best, f(0.5 * (lo_phi + hi_phi)))
+            f1, f2 = np.split(f(np.concatenate([m1, m2]), 2), 2)
+            left = f1 <= f2
+            hi_phi, lo_phi = np.where(left, m2, hi_phi), np.where(left, lo_phi, m1)
+        best = np.minimum(best, f(0.5 * (lo_phi + hi_phi)))
     return best
 
 
@@ -339,7 +348,7 @@ class TestBoundaryDistance:
             if distance_to_sconv(SpherePoint(xv), P) > 1e-10:
                 continue
             ours = distance_to_boundary(SpherePoint(xv), P)
-            oracle = oracle_boundary_distance(xv, gens, n_dirs=2048, seed=done)
+            oracle = oracle_boundary_distances(xv[None], gens, n_dirs=2048, seeds=[done])[0]
             assert ours == pytest.approx(oracle, abs=1e-6)
             done += 1
 
@@ -352,7 +361,8 @@ class TestNeighborhood:
         gens, _ = cap_cloud(rng, 4, 0.8)
         P = SpherePolytope(gens)
         phi = 0.15
-        checked_in = checked_out = 0
+        checked_out = 0
+        inside = []
         for x in random_units(rng, 400):
             p = SpherePoint(x)
             d_hull = distance_to_sconv(p, P)
@@ -360,10 +370,13 @@ class TestNeighborhood:
                 assert (distance_to_boundary(p, P) < phi) == (d_hull < phi)
                 checked_out += 1
             elif d_hull <= MEMBER_TOL:
-                d_or = oracle_boundary_distance(x, gens, n_dirs=256, polish=True)
-                if abs(d_or - phi) > 1e-4:  # stay off the undecidable rim
-                    assert (distance_to_boundary(p, P) < phi) == (d_or < phi)
-                    checked_in += 1
+                inside.append(x)
+        d_or = oracle_boundary_distances(inside, gens, n_dirs=256, seeds=[0] * len(inside))
+        checked_in = 0
+        for x, d in zip(inside, d_or.tolist()):
+            if abs(d - phi) > 1e-4:  # stay off the undecidable rim
+                assert (distance_to_boundary(SpherePoint(x), P) < phi) == (d < phi)
+                checked_in += 1
         assert checked_in >= 5 and checked_out >= 5
 
 

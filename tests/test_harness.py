@@ -13,7 +13,6 @@ from lpcond.errors import ConfigError, ConvergenceError
 from lpcond.harness import (
     CSV_HEADER,
     ExperimentConfig,
-    SUMMARY_SCHEMA,
     bound_Emain,
     bound_F,
     bound_I,
@@ -35,7 +34,6 @@ from lpcond.harness import (
 )
 from lpcond.lp import FeasibilityClass
 from lpcond.samplers import RngStream, make_adversarial_params, sample_instance
-from lpcond.sic import strictly_feasible
 from oracles import (
     af_check_per_instance,
     first_reflected_point,
@@ -47,6 +45,21 @@ from oracles import (
 
 
 PARAMS = make_adversarial_params(2, math.pi / 6, 0.0)
+
+SUMMARY_SCHEMA = {
+    "type": "object",
+    "required": ["config", "counts", "tail_table", "expectation",
+                 "wendel_table", "tube_table", "property_suite"],
+    "properties": {
+        "config": {"type": "object"},
+        "counts": {"type": ["object", "null"]},
+        "tail_table": {"type": ["array", "null"]},
+        "expectation": {"type": ["object", "null"]},
+        "wendel_table": {"type": ["array", "null"]},
+        "tube_table": {"type": ["array", "null"]},
+        "property_suite": {"type": ["object", "null"]},
+    },
+}
 
 
 class TestBounds:
@@ -90,9 +103,9 @@ class TestBounds:
         assert bound_Emain(p, 5)[1] is True
 
     def test_threshold_and_default_grid(self):
-        lo = threshold_F(PARAMS, 5)
+        lo = threshold_F(PARAMS)
         assert lo == pytest.approx(13 * 2 * 3 / (2 * 0.5 * PARAMS.delta_c), rel=1e-12)
-        grid = default_t_grid(PARAMS, 5)
+        grid = default_t_grid(PARAMS)
         assert len(grid) == 12
         assert grid[0] == pytest.approx(lo)
         assert all(b > a for a, b in zip(grid, grid[1:]))
@@ -157,8 +170,7 @@ class TestDrawConditionRecords:
 
     @staticmethod
     def counts(rho):
-        labels, _, ln_cond = harness._cond_columns(rho)
-        return harness._counts(labels, ln_cond)
+        return harness._counts(*harness._cond_columns(rho))
 
     def test_typed_solver_error_counts_as_failed(self, monkeypatch):
         # Every sample is routed to the per-instance solve, in sample order.
@@ -248,12 +260,12 @@ class TestTail:
         _, _, summary = tail_run
         assert all(row["covered"] for row in summary["tail_table"])
         assert summary["tail_table"][0]["t"] == pytest.approx(
-            threshold_F(PARAMS, 5), rel=1e-9
+            threshold_F(PARAMS), rel=1e-9
         )
 
     def test_records_consistent(self, tail_run):
         _, (_, rho), _ = tail_run
-        _, conds, _ = harness._cond_columns(rho[:200])
+        _, conds = harness._cond_columns(rho[:200])
         for r, cond in zip(rho[:200].tolist(), conds.tolist()):
             if math.isfinite(cond):
                 assert cond == pytest.approx(1 / abs(math.cos(r)), rel=1e-9)
@@ -305,7 +317,7 @@ class TestWendelExperiment:
         for m in (1, 2, 3, 4):
             mats = rng.standard_normal((200, m + 3, m + 1))
             mats /= np.linalg.norm(mats, axis=2, keepdims=True)
-            fast = np.array([strictly_feasible(mats[i]) for i in range(200)])
+            fast = sic.stack_feasible(mats)
             slow = np.array([
                 gordan_classify(mats[i]) is not FeasibilityClass.INFEASIBLE
                 for i in range(200)

@@ -267,8 +267,7 @@ class TestFacetScan:
     def enclosing(rng, count, n, d):
         """count random instances of n rows on S^(d-1) whose hull holds the origin."""
         mats = unit_rows(rng.standard_normal((4 * count, n, d)))
-        inside = [mat for mat in mats if not sic.strictly_feasible(mat)]
-        return np.array(inside[:count])
+        return mats[~sic.stack_feasible(mats)][:count]
 
     @staticmethod
     def scan(mats):
@@ -319,7 +318,7 @@ class TestFacetScan:
         mats = unit_rows(rng.standard_normal((30, 20, 3)))
         mats[:15, :, 0] = np.abs(mats[:15, :, 0]) + 1.0
         mats = unit_rows(mats)
-        feasible = [sic.strictly_feasible(mat) for mat in mats]
+        feasible = sic.stack_feasible(mats).tolist()
         assert feasible.count(True) >= 15 and feasible.count(False) >= 1
         calls = []
         monkeypatch.setattr(sic, "ConvexHull", counted)
@@ -659,7 +658,7 @@ class TestLeastDistanceKernel:
         with pytest.raises(ConvergenceError):
             sic.stack_feasible(mats)
         with pytest.raises(ConvergenceError):
-            sic.strictly_feasible(hard)
+            sic.stack_feasible(hard[None])
         with pytest.raises(ConvergenceError):
             sic_rho(hard)
 

@@ -95,11 +95,6 @@ class TestRotation:
 
 
 class TestCap:
-    def test_contains_inner_product_rule(self):
-        cap = Cap(E1, math.pi / 4)
-        assert cap.contains(unit([1.0, 1.2, 0.0])) is False
-        assert cap.contains(unit([1.0, 0.5, 0.0])) is True
-
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             Cap(E1, -0.1)
