@@ -2,9 +2,12 @@
 
 Exit codes: 0 success (all bound checks passing or informational),
 2 on any bound-check failure, 1 on usage, I/O, or solver errors.
-Flags override values from an optional key=value config file.  Every
-command runs serially on one thread; `--workers` and a config file's
-`workers` key are accepted and ignored, so scripts that pass them still run.
+Flags override values from an optional key=value config file.  Each key
+(`_KEYS`: its converter and help) is declared once, and each command
+(`_EXPERIMENTS`) takes as flags and as config-file keys only the keys it
+reads, plus `out` and `workers`; any other key is an error naming the
+command and the key.  Every command runs serially on one thread; `workers`
+is accepted and ignored, so scripts that pass it still run.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import os
 import re
 import sys
 
-from . import harness, samplers
+from . import harness
 from .errors import ConfigError, ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from .harness import ExperimentConfig
-from .sic import Instance, classify_rho, cond_and_class, cond_from_rho, sic_rho, unit_rows
+from .sic import Instance, classify_rho, cond_and_class, cond_from_rho, sic_rho
 from .sphere import unit_vector
 
 _PI_OVER = re.compile(r"^piOver(\d+)$")
@@ -32,12 +35,14 @@ _OUT_DIR = "lpcond-out"
 
 
 def parse_angle(text) -> float:
-    """Angle flag: plain radians or the piOverK shorthand."""
+    """Angle flag: plain finite radians or the piOverK shorthand."""
     match = _PI_OVER.match(text)
     if match:
         if int(match.group(1)) == 0:
             raise ValueError(f"{text} divides by zero")
         return math.pi / int(match.group(1))
+    if not math.isfinite(float(text)):
+        raise ValueError(f"angle {text} is not finite")
     return float(text)
 
 
@@ -62,15 +67,52 @@ def parse_k_values(text) -> tuple:
     return tuple(int(p) for p in text.split(","))
 
 
-_CONVERTERS = {
-    "m": int, "n": int, "alpha": parse_angle, "beta": float, "h_table": str,
-    "N": int, "seed": int, "t_grid": parse_t_grid, "phi": parse_angle,
-    "center": str, "out": str, "workers": int, "delta_mode": str,
-    "k": parse_k_values, "cap_radius": parse_angle, "offset": parse_angle,
+# Every key a command may read: its converter and help text.  A key is
+# given as the flag "--" + key (underscores as dashes) or as a config-file
+# line "key = value".
+_KEYS = {
+    "m": (int, "sphere dimension m (default 2)"),
+    "n": (int, "rows per instance (default 5)"),
+    "alpha": (parse_angle, "cap radius in radians or piOverK (default piOver6)"),
+    "beta": (float, "density pole order (default 0)"),
+    "h_table": (str, "two-column h(r) table file"),
+    "N": (int, "sample count (default 100000)"),
+    "seed": (int, "master seed (default 0)"),
+    "center": (str, "center instance: random | file:PATH | equal-rows | great-circle"),
+    "delta_mode": (str, "tolerance formula: lemma | beta0-remark (default lemma)"),
+    "t_grid": (parse_t_grid, "geometric grid lo:hi:points"),
+    "k": (parse_k_values, "row counts, lo:hi or comma list"),
+    "phi": (parse_angle, "neighborhood angle (required, here or in --config)"),
+    "cap_radius": (parse_angle, "radius of the convex cap K (required, here or in --config)"),
+    "offset": (parse_angle, "angle between the ball center and K's center"),
+    "out": (str, "output directory (default lpcond-out)"),
+    "workers": (int, "accepted and ignored: every run is serial"),
 }
+# What a condition-number draw reads (`sample`, `exp-tail`, `exp-mean`).
+_DRAW = ("m", "n", "alpha", "beta", "h_table", "N", "seed", "center")
+# The commands that run an ExperimentConfig: (command, kind, help, the keys
+# it reads besides `out` and the ignored `workers`).
+_EXPERIMENTS = (
+    ("sample", "sample", "draw seeded instances to files", _DRAW),
+    ("exp-tail", "tail", "tail probability vs closed-form bounds",
+     _DRAW + ("delta_mode", "t_grid")),
+    ("exp-mean", "expectation", "mean log-condition vs its bound", _DRAW),
+    ("exp-wendel", "wendel", "uniform feasibility frequency vs exact formula",
+     ("m", "N", "seed", "k")),
+    ("exp-tube", "tube", "boundary-neighborhood volume vs its bound",
+     ("m", "alpha", "N", "seed", "phi", "cap_radius", "offset")),
+    ("exp-properties", "property-suite", "structural property checks", ("m", "n", "seed")),
+    ("validate-sampler", "sampler-check", "sampler fidelity checks",
+     ("m", "alpha", "beta", "N", "seed")),
+)
+# kind -> (command, every key it reads: its flags and its config-file keys).
+_READS = {kind: (command, keys + ("out", "workers")) for command, kind, _, keys in _EXPERIMENTS}
 
 
-def _read_config_file(path) -> dict:
+def _read_config_file(path, kind) -> dict:
+    """A config file's key=value lines, converted.  A key that `kind`'s
+    command does not read is a ConfigError naming the command and the key."""
+    command, keys = _READS[kind]
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -81,28 +123,20 @@ def _read_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONVERTERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONVERTERS[key](val.strip())
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: {command} reads no key {key!r}")
+            values[key] = _KEYS[key][0](val.strip())
     return values
-
-
-def _explicit(args) -> dict:
-    """Values given in the config file, then by explicit flags."""
-    given = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _CONVERTERS:
-        val = getattr(args, key, None)
-        if val is not None:
-            given[key] = val
-    return given
 
 
 def _experiment_config(kind, args) -> ExperimentConfig:
     """ExperimentConfig's defaults (outputs under _OUT_DIR), then the
     config file, then explicit flags."""
-    given = _explicit(args)
-    if kind == "property-suite" and "N" in given:
-        raise ConfigError("exp-properties has fixed pools and takes no --N")
+    given = _read_config_file(args.config, kind) if getattr(args, "config", None) else {}
+    for key in _READS[kind][1]:
+        val = getattr(args, key, None)
+        if val is not None:
+            given[key] = val
     fields = {_FIELDS.get(key, key): val for key, val in given.items() if key != "workers"}
     return ExperimentConfig(kind=kind, **{"out_dir": _OUT_DIR, **fields})
 
@@ -167,9 +201,7 @@ def _cmd_sample(args) -> int:
     params = harness.params_from_config(cfg)
     center = harness.resolve_center(cfg, params)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for lo, hi in samplers.sample_ranges(0, cfg.N, center.n):
-        indices = samplers.stream_indices(samplers.PURPOSE_SAMPLE, lo, hi)
-        mats = unit_rows(samplers.cap_batch(center, params, cfg.master_seed, indices))
+    for lo, mats in harness.sample_blocks(cfg, params, center, 0, cfg.N):
         for idx, mat in enumerate(mats, start=lo):
             path = os.path.join(cfg.out_dir, f"instance_{idx:06d}.txt")
             with open(path, "w") as fh:
@@ -223,64 +255,18 @@ def _print_summary(kind, summary):
               f"(<= {row['ks_radial_threshold']:.5f}) support_ok={row['support_ok']}")
 
 
-def _add_common(parser, fixed_pools=False):
-    parser.add_argument("--config", help="key=value config file (flags win)")
-    parser.add_argument("--m", type=int, help="sphere dimension m (default 2)")
-    parser.add_argument("--n", type=int, help="rows per instance (default 5)")
-    parser.add_argument("--alpha", type=parse_angle,
-                        help="cap radius in radians or piOverK (default piOver6)")
-    parser.add_argument("--beta", type=float, help="density pole order (default 0)")
-    parser.add_argument("--h-table", dest="h_table", help="two-column h(r) table file")
-    parser.add_argument("--N", type=int, help="not accepted: the property suite has fixed "
-                        "pools and takes no --N" if fixed_pools else "sample count (default 100000)")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--center", help="center instance: random | file:PATH | "
-                                         "equal-rows | great-circle")
-    parser.add_argument("--out", help="output directory (default lpcond-out)")
-    parser.add_argument("--workers", type=int,
-                        help="accepted and ignored: every run is serial")
-    parser.add_argument("--delta-mode", dest="delta_mode",
-                        choices=["lemma", "beta0-remark"],
-                        help="tolerance formula (default lemma)")
-
-
 _FILE_COMMANDS = (
     ("classify", _cmd_classify, "feasibility class of an instance file"),
     ("cond", _cmd_cond, "condition number and class of an instance file"),
     ("sic", _cmd_sic, "smallest including cap of an instance file"),
 )
 
-_EXPERIMENTS = (
-    ("exp-tail", "tail", "tail probability vs closed-form bounds"),
-    ("exp-mean", "expectation", "mean log-condition vs its bound"),
-    ("exp-wendel", "wendel", "uniform feasibility frequency vs exact formula"),
-    ("exp-tube", "tube", "boundary-neighborhood volume vs its bound"),
-    ("exp-properties", "property-suite", "structural property checks"),
-    ("validate-sampler", "sampler-check", "sampler fidelity checks"),
-)
-
-
-def _add_experiment(p, kind):
-    _add_common(p, fixed_pools=kind == "property-suite")
-    if kind == "tail":
-        p.add_argument("--t-grid", dest="t_grid", type=parse_t_grid,
-                       help="geometric grid lo:hi:points")
-    if kind == "wendel":
-        p.add_argument("--k", type=parse_k_values,
-                       help="row counts, lo:hi or comma list")
-    if kind == "tube":
-        p.add_argument("--phi", type=parse_angle,
-                       help="neighborhood angle (required, here or in --config)")
-        p.add_argument("--cap-radius", dest="cap_radius", type=parse_angle,
-                       help="radius of the convex cap K (required, here or in --config)")
-        p.add_argument("--offset", type=parse_angle,
-                       help="angle between the ball center and K's center")
-
 
 def _parser(argv=None) -> argparse.ArgumentParser:
     """The CLI parser.  Every subcommand is listed, but only the one named
     in argv (its first word not starting with "-") gets its arguments;
-    with argv None, all of them do."""
+    with argv None, all of them do.  Each subcommand's `error` is its
+    parser's, for the arguments it does not read."""
     parser = argparse.ArgumentParser(
         prog="lpcond",
         description="Condition numbers of spherical feasibility instances and "
@@ -289,31 +275,34 @@ def _parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
 
-    def built(name, help_text):
+    def built(name, help_text, func):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, error=p.error)
         return p if named in (None, name) else None
 
     for name, fn, help_text in _FILE_COMMANDS:
-        p = built(name, help_text)
+        p = built(name, help_text, fn)
         if p:
             p.add_argument("--instance", required=True, help="instance file (header 'n m')")
-            p.set_defaults(func=fn)
-    p = built("sample", "draw seeded instances to files")
-    if p:
-        _add_common(p)
-        p.set_defaults(func=_cmd_sample)
-    for name, kind, help_text in _EXPERIMENTS:
-        p = built(name, help_text)
+    for name, kind, help_text, _ in _EXPERIMENTS:
+        func = _cmd_sample if kind == "sample" else (
+            lambda args, kind=kind: _run_experiment(kind, args))
+        p = built(name, help_text, func)
         if p:
-            _add_experiment(p, kind)
-            p.set_defaults(func=lambda args, kind=kind: _run_experiment(kind, args))
+            p.add_argument("--config", help="key=value config file (flags win)")
+            for key in _READS[kind][1]:
+                convert, key_help = _KEYS[key]
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=convert,
+                               help=key_help)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser(argv).parse_args(argv)
+        args, unread = _parser(argv).parse_known_args(argv)
+        if unread:
+            args.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -216,12 +216,21 @@ def resolve_center(cfg: ExperimentConfig, params: AdversarialParams) -> Instance
     raise ConfigError(f"unknown center source {cfg.center!r}")
 
 
+def sample_blocks(cfg: ExperimentConfig, params: AdversarialParams, center: Instance,
+                  lo: int, hi: int):
+    """Samples lo..hi-1 of the product law as (first sample, stack) pairs
+    of at most `samplers.BLOCK_ROWS` rows: drawn by `samplers.cap_batch`,
+    normalized as `Instance` does.  The one draw experiments and `sample` make."""
+    for start, stop in samplers.sample_ranges(lo, hi, center.n):
+        indices = samplers.stream_indices(PURPOSE_SAMPLE, start, stop)
+        yield start, sic.unit_rows(samplers.cap_batch(center, params, cfg.master_seed, indices))
+
+
 def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
                            center: Instance):
     """Sample N instances from the product law and solve each for rho.
 
-    Each chunk draws its samples with `samplers.cap_batch`, in blocks of
-    at most `samplers.BLOCK_ROWS` rows, normalized as `Instance` does, so
+    Each chunk draws its samples with `sample_blocks`, so
     `sample_instance(center, params, RngStream(master_seed, seeds[i]))`
     replays exactly the rows solved for sample i.  Each block is solved
     by one `sic.stack_rho` call: at small sizes one max-min scan over row
@@ -234,12 +243,8 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
     """
 
     def do_chunk(lo, hi):
-        rho = np.empty(hi - lo)
-        for start, stop in samplers.sample_ranges(lo, hi, center.n):
-            indices = samplers.stream_indices(PURPOSE_SAMPLE, start, stop)
-            mats = sic.unit_rows(samplers.cap_batch(center, params, cfg.master_seed, indices))
-            rho[start - lo:stop - lo] = sic.stack_rho(mats)
-        return rho
+        return np.concatenate([sic.stack_rho(mats)
+                               for _, mats in sample_blocks(cfg, params, center, lo, hi)])
 
     seeds = samplers.stream_indices(PURPOSE_SAMPLE, 0, cfg.N)
     rho = np.concatenate(_run_chunks(cfg.N, 1, do_chunk))
@@ -756,6 +761,8 @@ def _fmt(value: float) -> str:
 
 def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
     """Write the per-sample CSV and the summary JSON; returns their paths.
+    The summary is serialized first: one it cannot hold (a NaN, say)
+    raises before the directory or either file is made.
 
     `records` is the (seeds, rho) pair of columns a condition-number
     experiment returns, or `NO_RECORDS`.  Each CSV row is derived from its
@@ -770,6 +777,9 @@ def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
                   ln_cond.tolist(), ipm_proxy.tolist())
     lines = [f"{i},{cfg.master_seed},{seed},{label},{_fmt(r)},{_fmt(c)},{_fmt(ln)},{_fmt(p)}\n"
              for i, (seed, label, r, c, ln, p) in enumerate(columns)]
+    body = dict(summary)
+    body.setdefault("N", rho.size)
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "records.csv")
     json_path = os.path.join(out_dir, "summary.json")
@@ -777,12 +787,8 @@ def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
         with open(csv_path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             fh.writelines(lines)
-        body = dict(summary)
-        body.setdefault("N", rho.size)
         with open(json_path, "w") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_default)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise OSError(f"failed writing experiment outputs under {out_dir}: {exc}") from exc
     return csv_path, json_path

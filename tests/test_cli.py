@@ -7,10 +7,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lpcond
+from lpcond import sic
 from lpcond.cli import (
+    _EXPERIMENTS,
     _FIELDS,
     _OUT_DIR,
     _experiment_config,
@@ -46,6 +49,11 @@ class TestParsers:
         assert parse_angle("piOver2") == pytest.approx(math.pi / 2)
         assert parse_angle("0.75") == 0.75
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_angle_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match=f"angle {text} is not finite"):
+            parse_angle(text)
+
     def test_pi_over_zero_is_a_value_error(self):
         with pytest.raises(ValueError, match="piOver0 divides by zero"):
             parse_angle("piOver0")
@@ -72,14 +80,14 @@ class TestPrecedence:
     def test_config_file_parsed(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\nm = 3\nalpha = piOver4\nN=500\n")
-        values = _read_config_file(cfg)
+        values = _read_config_file(cfg, "tail")
         assert values == {"m": 3, "alpha": pytest.approx(math.pi / 4), "N": 500}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("bogus = 1\n")
         with pytest.raises(Exception):
-            _read_config_file(cfg)
+            _read_config_file(cfg, "tail")
 
     def test_flags_override_file_override_defaults(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -131,6 +139,24 @@ class TestRejectedInputs:
         assert [line for line in err.splitlines() if "error:" in line] == [
             f"lpcond {command}: error: argument {flag}: invalid parse_angle value: 'piOver0'"]
         assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_angle_flag_exit_one(self, tmp_path, capsys, text):
+        out = tmp_path / "o"
+        assert main(["exp-tube", "--phi", text, "--cap-radius", "piOver4", "--N", "100",
+                     "--out", os.fspath(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"lpcond exp-tube: error: argument --phi: invalid parse_angle value: '{text}'"]
+        assert not os.path.exists(out)
+
+    def test_non_finite_angle_in_config_file_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("phi = nan\ncap_radius = piOver4\nN = 100\n")
+        out = tmp_path / "o"
+        assert main(["exp-tube", "--config", os.fspath(cfg), "--out", os.fspath(out)]) == 1
+        assert capsys.readouterr().err == "error: angle nan is not finite\n"
+        assert not os.path.exists(out)
 
     def test_pi_over_zero_in_config_file_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"
@@ -276,6 +302,79 @@ class TestHelp:
         assert not os.path.exists(out)
 
 
+# The keys each command reads (flag "--" + key with "_" as "-"), besides
+# --config, --out and --workers; the file commands read --instance alone.
+DRAW = ["m", "n", "alpha", "beta", "h_table", "N", "seed", "center"]
+READS = {
+    "sample": DRAW,
+    "exp-tail": DRAW + ["delta_mode", "t_grid"],
+    "exp-mean": DRAW,
+    "exp-wendel": ["m", "N", "seed", "k"],
+    "exp-tube": ["m", "alpha", "N", "seed", "phi", "cap_radius", "offset"],
+    "exp-properties": ["m", "n", "seed"],
+    "validate-sampler": ["m", "alpha", "beta", "N", "seed"],
+}
+# A valid value of every key but out and workers.
+VALUES = {"m": "2", "n": "5", "alpha": "piOver6", "beta": "0", "h_table": "h.txt",
+          "N": "10", "seed": "0", "center": "random", "delta_mode": "lemma",
+          "t_grid": "10:1000:3", "k": "4", "phi": "0.06", "cap_radius": "piOver4",
+          "offset": "0"}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestEachCommandReadsItsKeys:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_exactly_the_keys_read(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        if command in READS:
+            expected = ["--config"] + [_flag(k) for k in READS[command]] + ["--out", "--workers"]
+        else:
+            expected = ["--instance"]
+        assert listed == ["--help"] + expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unread_flag_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        base = [command, "--out", os.fspath(out)] if command in READS else [
+            command, "--instance", os.fspath(tmp_path / "x.txt")]
+        for key in sorted(set(VALUES) - set(READS.get(command, ()))):
+            assert main(base + [_flag(key), VALUES[key]]) == 1, key
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"lpcond {command}: error: unrecognized arguments: {_flag(key)} {VALUES[key]}"]
+            assert not os.path.exists(out), key
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_unread_config_key_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        cfg = tmp_path / "c.cfg"
+        for key in sorted(set(VALUES) - set(READS[command])):
+            cfg.write_text(f"{key} = {VALUES[key]}\n")
+            assert main([command, "--config", os.fspath(cfg), "--out", os.fspath(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {cfg}:1: {command} reads no key {key!r}\n"), key
+            assert not os.path.exists(out), key
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_read_keys_accepted_in_config_file(self, tmp_path, command):
+        kind = {c: k for c, k, _, _ in _EXPERIMENTS}[command]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{key} = {VALUES[key]}\n" for key in READS[command])
+                       + "out = o\nworkers = 2\n")
+        assert set(_read_config_file(cfg, kind)) == set(READS[command]) | {"out", "workers"}
+
+    def test_out_and_workers_read_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(f"out = {out}\nworkers = 3\nN = 64\nk = 4\n")
+        assert main(["exp-wendel", "--config", os.fspath(cfg)]) == 0
+        assert os.path.exists(out / "summary.json")
+
+
 def test_cli_import_loads_neither_scipy_optimize_nor_integrate():
     code = ("import sys, lpcond.cli; print(' '.join(m for m in ('scipy.optimize', "
             "'scipy.integrate', 'scipy.spatial') if m in sys.modules))")
@@ -317,6 +416,17 @@ class TestExperimentsEndToEnd:
         header = open(os.path.join(out, files[0])).readline().split()
         assert header == ["5", "2"]
 
+    def test_sample_writes_the_rows_an_experiment_solves(self, tmp_path, capsys):
+        # The same draw: each file's rows, stacked and solved, give the
+        # records' rho bit for bit.
+        args = ["--m", "2", "--n", "5", "--N", "6", "--seed", "4", "--out"]
+        assert main(["sample"] + args + [os.fspath(tmp_path / "s")]) == 0
+        assert main(["exp-tail"] + args + [os.fspath(tmp_path / "t")]) == 0
+        files = sorted(os.listdir(tmp_path / "s"))
+        mats = np.stack([np.loadtxt(tmp_path / "s" / f, skiprows=1) for f in files])
+        lines = open(tmp_path / "t" / "records.csv").read().splitlines()[1:]
+        assert sic.stack_rho(mats).tolist() == [float(line.split(",")[4]) for line in lines]
+
     def test_tube_config_error_exit_one(self, tmp_path, capsys):
         code = main(["exp-tube", "--m", "2", "--alpha", "piOver6", "--phi", "0.9",
                      "--cap-radius", "piOver4", "--N", "100",
@@ -342,23 +452,27 @@ class TestExperimentsEndToEnd:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_properties_take_no_sample_count(self, tmp_path, capsys, source):
-        # The property suite's pools are fixed; an explicit N would be ignored.
+        # The property suite's pools are fixed: it reads no N.
         argv = ["exp-properties", "--out", os.fspath(tmp_path / "o")]
+        cfg = tmp_path / "p.cfg"
         if source == "flag":
             argv += ["--N", "500"]
         else:
-            cfg = tmp_path / "p.cfg"
             cfg.write_text("m = 1\nN = 500\n")
             argv += ["--config", os.fspath(cfg)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == "error: exp-properties has fixed pools and takes no --N\n"
+        if source == "flag":
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                "lpcond exp-properties: error: unrecognized arguments: --N 500"]
+        else:
+            assert err == f"error: {cfg}:2: exp-properties reads no key 'N'\n"
         assert not os.path.exists(tmp_path / "o")
 
     def test_properties_help_says_no_sample_count(self, capsys):
         assert main(["exp-properties", "--help"]) == 0
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "--N N not accepted: the property suite has fixed pools and takes no --N" in help_text
+        help_text = capsys.readouterr().out
+        assert "--N" not in help_text
         assert "sample count" not in help_text
 
     @pytest.mark.parametrize("header, rows, named", [

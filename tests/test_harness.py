@@ -580,6 +580,15 @@ class TestPersistence:
         assert data["N"] == 0
         jsonschema.validate(data, SUMMARY_SCHEMA)
 
+    def test_unserializable_summary_writes_nothing(self, tmp_path):
+        # The summary is serialized before the directory or either file is made.
+        cfg = ExperimentConfig(kind="tube", N=100)
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            persist(harness.NO_RECORDS, {"tube_table": [{"phi": math.nan}]}, cfg,
+                    os.fspath(out))
+        assert not os.path.exists(out)
+
     def test_config_echo_excludes_runtime_knobs(self, tmp_path):
         cfg = ExperimentConfig(kind="wendel", m=2, N=100, k_values=(4,),
                                master_seed=1, out_dir="x")
