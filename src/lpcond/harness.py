@@ -10,8 +10,9 @@ All experiments draw through counter-based streams keyed by sample index
 (or by fixed-size chunk for the bulk geometric experiments), and run their
 chunks serially, in chunk order, so reruns are byte-identical.  A
 condition-number draw is kept as two columns, the stream index and rho of
-each sample; classes, condition numbers and the CSV rows are derived from
-them, ln C only where it is read (the mean and the CSV).
+each sample; its records add the class, condition number and ln C of each
+sample, derived from rho once (`_records`), and the experiment's counts
+and the CSV rows both read them.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ _CCINE_POOL, _CCINE_TARGET = 400, 250
 _MULTRVA_N = 200_000
 
 CSV_HEADER = "sample_index,seed_hi,seed_lo,class,rho,cond,ln_cond,ipm_proxy"
-# The records of an experiment that keeps none: empty (stream index, rho) columns.
-NO_RECORDS = ((), ())
+# The records of an experiment that keeps none: five empty columns (`_records`).
+NO_RECORDS = ((),) * 5
 
 
 @dataclass
@@ -260,17 +261,27 @@ def _summary(cfg: ExperimentConfig, **sections) -> dict:
             "wendel_table": None, "tube_table": None, "property_suite": None, **sections}
 
 
-def _cond_columns(rho: np.ndarray):
-    """(labels, cond) columns of a rho column.
-
-    The class label is SF, IP or IF as `sic.classify_rho` decides, and ""
-    for a failed (NaN) sample.  cond is `sic.cond_from_rho`, value by
-    value, since numpy's vectorized cos may differ from it in the last bit.
-    """
+def _labels(rho: np.ndarray) -> np.ndarray:
+    """The class label of each rho: SF, IP or IF as `sic.classify_rho`
+    decides, and "" for a failed (NaN) sample."""
     half_pi = math.pi / 2
     ill = np.abs(rho - half_pi) <= sic.ILL_POSED_BAND
-    labels = np.where(np.isnan(rho), "", np.where(ill, "IP", np.where(rho < half_pi, "SF", "IF")))
-    return labels, np.array([sic.cond_from_rho(r) for r in rho.tolist()])
+    return np.where(np.isnan(rho), "", np.where(ill, "IP", np.where(rho < half_pi, "SF", "IF")))
+
+
+def _cond_columns(rho: np.ndarray):
+    """(labels, cond) columns of a rho column: `_labels`, and
+    `sic.cond_from_rho` value by value, since numpy's vectorized cos may
+    differ from it in the last bit."""
+    return _labels(rho), np.array([sic.cond_from_rho(r) for r in rho.tolist()])
+
+
+def _records(seeds: np.ndarray, rho: np.ndarray):
+    """The records of a condition-number draw: the columns (seeds, rho,
+    labels, cond, ln_cond) of `draw_condition_records`' (seeds, rho),
+    each derived from rho once (`_cond_columns`, `_ln_cond`)."""
+    labels, cond = _cond_columns(rho)
+    return seeds, rho, labels, cond, _ln_cond(cond)
 
 
 def _ln_cond(cond: np.ndarray) -> np.ndarray:
@@ -298,13 +309,13 @@ def run_tail_experiment(cfg: ExperimentConfig):
         raise ConfigError("tail experiment needs n > m+1")
     params = params_from_config(cfg)
     center = resolve_center(cfg, params)
-    seeds, rho = draw_condition_records(cfg, params, center)
+    records = _records(*draw_condition_records(cfg, params, center))
     grid = default_t_grid(params) if cfg.t_grid is None else tuple(cfg.t_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("t grid must be nonempty and strictly increasing")
     if grid[0] < 1.0:
         raise ConfigError("the infeasible-tail bound needs t >= 1")
-    labels, conds = _cond_columns(rho)
+    _, _, labels, conds, _ = records
     counts = _counts(labels, conds)
     n_eff = cfg.N - counts["failed"]
     t_lo = threshold_F(params)
@@ -327,8 +338,8 @@ def run_tail_experiment(cfg: ExperimentConfig):
             "covered": covered,
             "vacuous_F": bf >= 1.0, "vacuous_I": bi >= 1.0,
         })
-    return (seeds, rho), _summary(cfg, counts=counts, tail_table=table,
-                                  delta_c=params.delta_c, threshold_F=t_lo)
+    return records, _summary(cfg, counts=counts, tail_table=table,
+                             delta_c=params.delta_c, threshold_F=t_lo)
 
 
 def run_expectation_experiment(cfg: ExperimentConfig):
@@ -336,10 +347,9 @@ def run_expectation_experiment(cfg: ExperimentConfig):
         raise ConfigError("expectation experiment needs n > m+1")
     params = params_from_config(cfg)
     center = resolve_center(cfg, params)
-    seeds, rho = draw_condition_records(cfg, params, center)
-    labels, cond = _cond_columns(rho)
+    records = _records(*draw_condition_records(cfg, params, center))
+    _, _, labels, cond, lns = records
     counts = _counts(labels, cond)
-    lns = _ln_cond(cond)
     lns = lns[~np.isnan(lns)]
     bound, informational = bound_Emain(params, cfg.n)
     if lns.size >= 2:
@@ -357,7 +367,7 @@ def run_expectation_experiment(cfg: ExperimentConfig):
         "status": status, "used": int(lns.size),
         "overflow": counts["overflow"],
     }
-    return (seeds, rho), _summary(cfg, counts=counts, expectation=expectation)
+    return records, _summary(cfg, counts=counts, expectation=expectation)
 
 
 def feasible_fraction(m: int, k: int, N: int, master_seed: int):
@@ -470,14 +480,21 @@ def _status(qualifying: int, violations: int) -> str:
     return "pass" if violations == 0 else "fail"
 
 
-def _pool_columns(mats: np.ndarray):
-    """(rho, labels, cond) of a property pool of unit rows, by one stack
-    solve (`_cond_columns`); a typed solver failure on any instance of the
-    pool ends the suite with a ConvergenceError."""
+def _pool_rho(mats: np.ndarray) -> np.ndarray:
+    """rho of a property pool of unit rows, by one stack solve; a typed
+    solver failure on any instance of the pool ends the suite with a
+    ConvergenceError."""
     rho = sic.stack_rho(mats)
     failed = int(np.isnan(rho).sum())
     if failed:
         raise ConvergenceError(f"the solver failed on {failed} property-pool instances")
+    return rho
+
+
+def _pool_columns(mats: np.ndarray):
+    """(rho, labels, cond) of a property pool of unit rows (`_pool_rho`,
+    `_cond_columns`)."""
+    rho = _pool_rho(mats)
     return (rho, *_cond_columns(rho))
 
 
@@ -612,9 +629,10 @@ def _ccine_check(cfg: ExperimentConfig):
     m = cfg.m
     n = max(cfg.n, m + 6)
     units = sic.unit_rows(_uniform_instances(cfg.master_seed, 4, m, n, _CCINE_POOL))
-    profile = [_pool_columns(sic.unit_rows(units[:, :k])) for k in range(m + 2, n + 1)]
-    full_rho = profile[-1][0]
-    prefix_if = np.array([np.where(labels == "IF", rho, -np.inf) for rho, labels, _ in profile[:-1]])
+    profile = [_pool_rho(sic.unit_rows(units[:, :k])) for k in range(m + 2, n + 1)]
+    full_rho = profile[-1]
+    prefix_if = np.array([np.where(_labels(rho) == "IF", rho, -np.inf)
+                          for rho in profile[:-1]])
     qualify_idx = np.flatnonzero(np.isfinite(prefix_if).any(axis=0))[:_CCINE_TARGET]
     worst = prefix_if.max(axis=0)[qualify_idx]
     violations = int(np.sum(worst > full_rho[qualify_idx] + _PREFIX_RHO_TOL))
@@ -764,16 +782,13 @@ def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
     The summary is serialized first: one it cannot hold (a NaN, say)
     raises before the directory or either file is made.
 
-    `records` is the (seeds, rho) pair of columns a condition-number
-    experiment returns, or `NO_RECORDS`.  Each CSV row is derived from its
-    sample's rho by `_cond_columns`, as the experiment's counts were.
+    `records` are the columns a condition-number experiment returns
+    (`_records`), or `NO_RECORDS`: each CSV row is its sample's columns,
+    which the experiment's counts were taken from.
     """
-    seeds, rho = records
-    rho = np.asarray(rho, dtype=float)
-    labels, cond = _cond_columns(rho)
-    ln_cond = _ln_cond(cond)
+    seeds, rho, labels, cond, ln_cond = (np.asarray(column) for column in records)
     ipm_proxy = math.sqrt(cfg.m + cfg.n) * (math.log(cfg.m + cfg.n) + ln_cond)
-    columns = zip(np.asarray(seeds).tolist(), labels.tolist(), rho.tolist(), cond.tolist(),
+    columns = zip(seeds.tolist(), labels.tolist(), rho.tolist(), cond.tolist(),
                   ln_cond.tolist(), ipm_proxy.tolist())
     lines = [f"{i},{cfg.master_seed},{seed},{label},{_fmt(r)},{_fmt(c)},{_fmt(ln)},{_fmt(p)}\n"
              for i, (seed, label, r, c, ln, p) in enumerate(columns)]

@@ -19,7 +19,8 @@ normalized inverse-normal transform of the next m.  Every step is
 elementwise (the rotation to each center row is an explicit per-coordinate
 sum, never a matrix product), so a draw is the same bits in any batch: the
 single-instance view `sample_instance` replays exactly the rows a batch of
-any size drew for that sample.
+any size drew for that sample.  The inverse normal CDF is `ndtri`, a
+numpy port of Cephes' that gives scipy.special.ndtri's bits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.random import Generator, Philox
 
 from .errors import ConfigError
 from .sic import Instance
@@ -64,9 +65,9 @@ class RngStream:
     master: int
     index: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         key = ((self.master & _MASK64) << 64) | (self.index & _MASK64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
     def with_row(self, row: int) -> "RngStream":
         if not 0 <= row < (1 << _ROW_BITS):
@@ -134,21 +135,92 @@ def keyed_uniforms(master: int, indices, count: int, offset: int = 0) -> np.ndar
     return (words[:, :count] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
+# Cephes' ndtri (S. L. Moshier): rational approximations of the inverse
+# normal CDF in y - 1/2 for y in (exp(-2), 1 - exp(-2)), and in
+# 1/sqrt(-2 log y) in the tails, below and above exp(-32).  Numerator
+# coefficients lead; each denominator's leading 1 is implied.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _rational(x: np.ndarray, p: tuple, q: tuple):
+    """(P(x), Q(x)), each by Horner's rule from its leading coefficient,
+    Q's leading 1 implied: Cephes' polevl and p1evl, step for step."""
+    num, den = np.full_like(x, p[0]), x + q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return num, den
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """The C library's log of each value of a 1-d array, as Cephes takes
+    it.  numpy's vectorized log differs from it in the last bit on a few
+    inputs in a thousand, but numpy runs that kernel on forward strides
+    only: on a reversed view it calls the C library's log element by
+    element.  The port's test against scipy.special.ndtri checks this."""
+    return np.log(x[::-1])[::-1]
+
+
+def ndtri(u) -> np.ndarray:
+    """The inverse of the standard normal CDF at each u in (0, 1): Cephes'
+    ndtri, the same coefficients and operations in the same order, so
+    bit for bit scipy.special.ndtri."""
+    shape = np.shape(u)
+    y = np.asarray(u, dtype=float).ravel()
+    upper = y > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y, y)
+    central = y > _EXP_M2
+    mid, tail = np.flatnonzero(central), np.flatnonzero(~central)
+    out = np.empty_like(y)
+    c = y.take(mid) - 0.5
+    c2 = c * c
+    num, den = _rational(c2, _P0, _Q0)
+    out[mid] = (c + c * (c2 * num / den)) * _SQRT_2PI
+    x = np.sqrt(-2.0 * _libm_log(y.take(tail)))
+    z = 1.0 / x
+    num, den = _rational(z, _P1, _Q1)
+    far = np.flatnonzero(x >= 8.0)
+    if far.size:
+        num[far], den[far] = _rational(z.take(far), _P2, _Q2)
+    x = (x - _libm_log(x) / x) - z * num / den
+    out[tail] = np.where(upper.take(tail), x, -x)
+    return out.reshape(shape)
+
+
 def _open_unit(u: np.ndarray) -> np.ndarray:
     # random() lives in [0, 1); clip away exact zero for ndtri.
     return np.clip(u, 1e-300, None)
 
 
-def _uniforms(gen: np.random.Generator, size) -> np.ndarray:
+def _uniforms(gen: Generator, size) -> np.ndarray:
     return _open_unit(gen.random(size))
 
 
-def gaussians(gen: np.random.Generator, size) -> np.ndarray:
+def gaussians(gen: Generator, size) -> np.ndarray:
     """Standard normals, one uniform consumed per variate."""
     return ndtri(_uniforms(gen, size))
 
 
-def uniform_sphere_block(m: int, gen: np.random.Generator, count: int) -> np.ndarray:
+def uniform_sphere_block(m: int, gen: Generator, count: int) -> np.ndarray:
     g = gaussians(gen, (count, m + 1))
     return g / row_norms(g)[:, None]
 
@@ -445,7 +517,7 @@ def cap_batch(center: Instance, params: AdversarialParams, master: int,
 
 
 def cap_block(center_vec: np.ndarray, params: AdversarialParams,
-              gen: np.random.Generator, count: int) -> np.ndarray:
+              gen: Generator, count: int) -> np.ndarray:
     """Vectorized draws around one fixed center from a single stream."""
     table = build_radial_cdf(params)
     thetas = table.theta_of_u(_uniforms(gen, count))
@@ -455,7 +527,7 @@ def cap_block(center_vec: np.ndarray, params: AdversarialParams,
 
 
 def rejection_cap_block(center_vec: np.ndarray, alpha: float, m: int,
-                        gen: np.random.Generator, count: int) -> np.ndarray:
+                        gen: Generator, count: int) -> np.ndarray:
     """Uniform-in-cap oracle: uniform sphere draws filtered by membership."""
     cos_a = math.cos(alpha)
     out = []
@@ -474,7 +546,7 @@ def sample_instance(center: Instance, params: AdversarialParams, rng: RngStream)
     return Instance(cap_batch(center, params, rng.master, [rng.index & _MASK64])[0])
 
 
-def perturb_rows(mat: np.ndarray, delta: float, gen: np.random.Generator) -> np.ndarray:
+def perturb_rows(mat: np.ndarray, delta: float, gen: Generator) -> np.ndarray:
     """Rotate every row by exactly `delta` in a random tangent direction."""
     mat = np.asarray(mat, dtype=float)
     g = gaussians(gen, mat.shape)

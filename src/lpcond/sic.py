@@ -9,17 +9,20 @@ max-min scan over the row subsets of every instance answers either class,
 and only the instances where it may be imprecise take the per-instance
 solve, which reads rho off the convex hull (the least distance
 dist(0, conv A), or, only when the origin is inside, the nearest hull
-facet of `_nearest_facet`: the scan's best d-row normal, or Qhull) and
-re-solves the support rows.  Larger instances all take the per-instance
-solve.  The least distances of a stack come from one call of
-`nnls_stack`, a Lawson-Hanson NNLS run on the whole stack with a compact
-passive set and a KKT certificate per instance.  `sic_rho` is the
-one-instance view of `stack_rho` and `cond_and_class` a view of that.
-`stack_feasible` decides feasibility for a stack (the facet scan's sign
-at small sizes, else the same NNLS).  `sic_bruteforce`, the exhaustive
-support-subset enumeration, is the reference oracle the solver is
-checked against.
-Of scipy the module uses Qhull (`scipy.spatial`) alone.
+facet: one stacked scan of the d-row normals, `_scan_facets`, up to
+_FACET_SUBSETS subsets, else Qhull) and re-solves the support rows.
+Larger instances all take the per-instance solve.  The least distances
+of a stack come from one call of `nnls_stack`, a Lawson-Hanson NNLS run
+on the whole stack with a compact passive set and a KKT certificate per
+instance.  `sic_rho` is the one-instance view of `stack_rho` and
+`cond_and_class` a view of that.  `stack_feasible` decides feasibility
+for a stack (the facet scan's sign at small sizes, else the same NNLS).
+`sic_bruteforce`, the exhaustive support-subset enumeration, is the
+reference oracle the solver is checked against.
+Loading the module imports numpy alone.  scipy's Qhull (`_qhull`) is
+imported only on the facet scan's fallbacks: past its bound, at more
+than _SCAN_MAX_DIM coordinates, where a zero normal wins, and for flat
+hulls.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from .lp import FeasibilityClass
@@ -61,13 +63,17 @@ _NEAR_TOL = 1e-7
 _NEAR_SUBSETS = 1000
 # Up to this many d-subsets of rows, and this many coordinates (a normal
 # takes d 2^(d-1) products), `stack_rho` scans every row subset of 1..d
-# rows (`_stack_caps`), and `_nearest_facet` scans the d-row normals;
-# beyond them every instance takes the NNLS, and Qhull finds the facet of
-# those whose hull holds the origin.  At 4 coordinates a facet scan of 512
-# subsets costs about one Qhull call.
+# rows (`_stack_caps`); beyond them every instance takes the NNLS.  Of
+# those whose hull holds the origin, `_scan_facets` scans the d-row
+# normals up to _FACET_SUBSETS subsets, and Qhull finds the facet past
+# them.  At 4 coordinates and C(12, 4) = 495 subsets the facet scan
+# takes about 0.8 of Qhull's time per instance; it grows with C(n, d) n,
+# Qhull about with n.
 _SCAN_SUBSETS = 256
+_FACET_SUBSETS = 512
 _SCAN_MAX_DIM = 4
-# A scan holds at most this many (instance, candidate) pairs per array.
+# A scan holds at most this many (instance, candidate) pairs per array:
+# 8 instances of C(12, 4) normals taken both ways.
 _SCAN_PAIRS = 1 << 13
 # `nnls_stack` on unit-scale data: a column of positive gradient enters
 # the passive set only if its part orthogonal to the passive columns
@@ -315,33 +321,36 @@ def _dot(x, y):
 
 @functools.lru_cache(maxsize=None)
 def _laplace_plan(d: int):
-    """Index arrays of the Laplace expansion in `_normals`: per difference
-    after the first, the coordinate and smaller minor of each term of each
-    grown minor; then each normal coordinate's minor and sign."""
+    """The Laplace expansion of `_normals`: per difference after the
+    first, each grown minor's terms (coordinate, smaller minor) in column
+    order, signs alternating; then each normal coordinate's minor."""
     keys, steps = [(c,) for c in range(d)], []
     for size in range(2, d):
         grown = list(itertools.combinations(range(d), size))
-        terms = [(cols[t], keys.index(cols[:t] + cols[t + 1:])) for cols in grown for t in range(size)]
-        steps.append((size, *map(np.array, zip(*terms))))
+        steps.append([[(cols[t], keys.index(cols[:t] + cols[t + 1:])) for t in range(size)]
+                      for cols in grown])
         keys = grown
-    last = [keys.index(tuple(c for c in range(d) if c != j)) for j in range(d)]
-    return steps, np.array(last), (-1.0) ** np.arange(d)[:, None, None]
+    return steps, [keys.index(tuple(c for c in range(d) if c != j)) for j in range(d)]
 
 
-def _normals(diffs: np.ndarray) -> np.ndarray:
-    """Normals of the hyperplanes through d points, from their d-1
-    differences diffs (d-1, d, ...): coordinate j is the signed minor
-    without column j (Laplace expansion in column order, like Qhull's
-    determinant hyperplanes), zero where the points are affinely dependent."""
-    steps, last, signs = _laplace_plan(diffs.shape[1])
-    minors = diffs[0]
-    for row, (size, cols, rest) in zip(diffs[1:], steps):
-        terms = row.take(cols, axis=0) * minors.take(rest, axis=0)
-        terms = terms.reshape(len(cols) // size, size, *row.shape[1:])
-        minors = terms[:, 0]
-        for t in range(1, size):
-            minors = minors - terms[:, t] if t % 2 else minors + terms[:, t]
-    return minors.take(last, axis=0) * signs
+def _normals(diffs) -> np.ndarray:
+    """Normals (d, ...) of the hyperplanes through d points, from their d-1
+    differences: diffs[r][c] is coordinate c of difference r.  Coordinate
+    j is the signed minor without column j, by explicit cofactors (Laplace
+    expansion in column order, like Qhull's determinant hyperplanes), each
+    minor a sum of products of whole coordinate arrays; zero where the
+    points are affinely dependent."""
+    steps, last = _laplace_plan(len(diffs[0]))
+    minors = list(diffs[0])
+    for row, step in zip(diffs[1:], steps):
+        grown = []
+        for (c, k), *rest in step:
+            minor = row[c] * minors[k]
+            for t, (c, k) in enumerate(rest, 1):
+                minor = minor - row[c] * minors[k] if t % 2 else minor + row[c] * minors[k]
+            grown.append(minor)
+        minors = grown
+    return np.stack([-minors[k] if j % 2 else minors[k] for j, k in enumerate(last)])
 
 
 def _directions(coords: np.ndarray, cols: np.ndarray):
@@ -349,13 +358,17 @@ def _directions(coords: np.ndarray, cols: np.ndarray):
     cols (k, S) of the rows coords (d, P, n) of P instances: the row, a
     chord's midpoint, Cramer's rule on a triangle's edge Gram system (d =
     4), or the hyperplane normal of d rows.  Unnormalized; a degenerate
-    subset gives a zero or arbitrary direction, still a valid candidate."""
-    d, k = coords.shape[0], len(cols)
+    subset gives a zero or arbitrary direction, still a valid candidate.
+    A normal's differences are gathered, contiguous, from all the row
+    differences, so each cofactor product runs on whole arrays."""
+    d, P, n = coords.shape
+    k = len(cols)
     if k == 1:
         return coords
-    pts = coords.take(cols, axis=2)
     if k == d:
-        return _normals((pts[:, :, 1:] - pts[:, :, :1]).transpose(2, 0, 1, 3))
+        diffs = (coords[:, :, None, :] - coords[:, :, :, None]).reshape(d, P, n * n)
+        return _normals([diffs.take(cols[0] * n + col, axis=2) for col in cols[1:]])
+    pts = coords.take(cols, axis=2)
     if k == 2:
         return pts[:, :, 0] + pts[:, :, 1]
     a, u, v = pts[:, :, 0], pts[:, :, 1] - pts[:, :, 0], pts[:, :, 2] - pts[:, :, 0]
@@ -369,14 +382,16 @@ def _max_min(mats: np.ndarray, sizes: tuple):
     given sizes (ending at d, whose normals count both ways); a zero
     direction scores 0.  Elementwise operations and one matrix product per
     instance, so a result does not depend on its stack; sliced to at most
-    _SCAN_PAIRS (instance, candidate) pairs (an empty stack gives empty ones)."""
+    _SCAN_PAIRS (instance, candidate) pairs (an empty stack gives empty ones),
+    each slice's rows gathered coordinate-major and contiguous."""
     B, n, d = mats.shape
     combos, cols = _subset_index(n, sizes)
     C = len(combos)
     step, found = max(1, _SCAN_PAIRS // C), []
     for lo in range(0, max(B, 1), step):
         part = mats[lo:lo + step]
-        dirs = [_directions(part.transpose(2, 0, 1), c) for c in cols]
+        coords = np.ascontiguousarray(part.transpose(2, 0, 1))
+        dirs = [_directions(coords, c) for c in cols]
         w = np.concatenate(dirs + [-dirs[-1]], axis=2)
         length = np.maximum(np.sqrt(_dot(w, w)), _TINY_LENGTH)
         value = (part @ w.transpose(1, 0, 2)).min(axis=1) / length
@@ -606,66 +621,109 @@ def _stack_caps(mats: np.ndarray):
 def stack_rho(mats: np.ndarray) -> np.ndarray:
     """rho of every instance of a stack (B, n, d) of unit rows: one
     `_stack_caps` scan where `_scans` holds, its routed instances (else
-    all) by `_instance_rho`, their least distances from one
-    `_least_distances` call; NaN where the NNLS is not certified or
-    `_instance_rho` raised one of the solver's typed errors."""
+    all) by `_solve_routed`; NaN where the NNLS is not certified or the
+    per-instance solve raised one of the solver's typed errors."""
     if _scans(*mats.shape[1:]):
         rho, _, _, routed = _stack_caps(mats)
     else:
         rho, routed = np.empty(len(mats)), np.arange(len(mats))
-    if not routed.size:
-        return rho
-    zs, us, certified = _least_distances(mats[routed])
-    for i, z, u, ok in zip(routed.tolist(), zs, us, certified.tolist()):
-        try:
-            rho[i] = _instance_rho(mats[i], z, u)[0] if ok else np.nan
-        except (ConvergenceError, DegenerateHullError):
-            rho[i] = np.nan
+    if routed.size:
+        for i, solved in zip(routed.tolist(), _solve_routed(mats[routed])):
+            rho[i] = np.nan if isinstance(solved, Exception) else solved[0]
     return rho
 
 
-def _nearest_facet(mat: np.ndarray):
-    """(center, support, cos rho) of the hull facet nearest the enclosed origin.
+def _solve_routed(mats: np.ndarray):
+    """(rho, center, support) of each instance of a stack (B, n, d), or the
+    typed error (ConvergenceError, DegenerateHullError) that ends its
+    solve.  The least distances come from one `_least_distances` call; of
+    the certified instances whose hull holds the origin (|z| at most
+    _ORIGIN_TOL), the nearest facets from one `_scan_facets` call; then
+    `_instance_rho` solves each instance."""
+    zs, us, certified = _least_distances(mats)
+    inside = np.flatnonzero(certified & (_dot(zs.T, zs.T) <= _ORIGIN_TOL * _ORIGIN_TOL))
+    facets = [None] * len(mats)
+    for i, facet in zip(inside.tolist(), _scan_facets(mats[inside])):
+        facets[i] = facet
+    solved = []
+    for mat, z, u, ok, facet in zip(mats, zs, us, certified.tolist(), facets):
+        if not ok:
+            solved.append(ConvergenceError("least-distance NNLS found no certified optimum"))
+            continue
+        try:
+            solved.append(_instance_rho(mat, z, u, facet))
+        except (ConvergenceError, DegenerateHullError) as exc:
+            solved.append(exc)
+    return solved
 
-    |cos rho| = dist(0, bd conv A) when the origin is in the hull; the
-    center is the facet's inward normal and the support its vertices.
-    Where `_scans` holds, `_max_min` over the d-subsets' normals gives the
-    facet Qhull would; otherwise, or where a zero normal wins (no subset
-    spans a hyperplane, or a degenerate one beats every facet), Qhull.  A
-    flat hull around the origin is exactly ill-posed: its center is the
-    rows' null vector, all rows on the boundary.
+
+def _scan_facets(mats: np.ndarray):
+    """(center, support, cos rho) of the hull facet nearest the enclosed
+    origin, for each instance of a stack (B, n, d) whose hull holds it;
+    None where the scan does not answer.
+
+    |cos rho| = dist(0, bd conv A); the center is the facet's inward
+    normal and the support its vertices.  Up to _SCAN_MAX_DIM coordinates
+    and _FACET_SUBSETS d-row subsets, one `_max_min` over the d-subsets'
+    normals finds the facet Qhull would.  Past them, and where a zero
+    normal wins (no subset spans a hyperplane, or a degenerate one beats
+    every facet), None: `_hull_facet` answers.
     """
-    n, d = mat.shape
-    if _scans(n, d):
-        cos_rho, centers, wins = _max_min(mat[None], (d,))
-        if centers[0].any():
-            return centers[0], _subset_index(n, (d,))[0][wins[0]], float(cos_rho[0])
+    B, n, d = mats.shape
+    if not B or d > _SCAN_MAX_DIM or not 0 < math.comb(n, d) <= _FACET_SUBSETS:
+        return [None] * B
+    cos_rho, centers, wins = _max_min(mats, (d,))
+    combos = _subset_index(n, (d,))[0]
+    return [(center, combos[win], cos) if center.any() else None
+            for center, win, cos in zip(centers, wins.tolist(), cos_rho.tolist())]
+
+
+def _qhull(points: np.ndarray):
+    """(equations, simplices) of Qhull's convex hull of points; a
+    DegenerateHullError where Qhull fails.  scipy is imported here, and
+    only `_hull_facet` calls it."""
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
-        hull = ConvexHull(mat)
+        hull = ConvexHull(points)
     except QhullError as exc:
+        raise DegenerateHullError(str(exc)) from exc
+    return hull.equations, hull.simplices
+
+
+def _hull_facet(mat: np.ndarray):
+    """(center, support, cos rho) of the hull facet nearest the enclosed
+    origin by Qhull, where `_scan_facets` does not answer.  A flat hull
+    around the origin is exactly ill-posed: its center is the rows' null
+    vector, all rows on the boundary."""
+    n, d = mat.shape
+    try:
+        equations, simplices = _qhull(mat)
+    except DegenerateHullError as exc:
         _, svals, vt = np.linalg.svd(mat)
         if svals.size == d and svals[-1] > _FLAT_TOL:
             raise DegenerateHullError(f"Qhull failed on a full-rank instance: {exc}") from exc
         return vt[-1], tuple(range(n)), 0.0
-    f = int(np.argmax(hull.equations[:, -1]))
-    support = tuple(sorted(int(i) for i in hull.simplices[f]))
-    return -hull.equations[f, :-1], support, float(hull.equations[f, -1])
+    f = int(np.argmax(equations[:, -1]))
+    support = tuple(sorted(int(i) for i in simplices[f]))
+    return -equations[f, :-1], support, float(equations[f, -1])
 
 
-def _instance_rho(mat: np.ndarray, z: np.ndarray, u: np.ndarray):
+def _instance_rho(mat: np.ndarray, z: np.ndarray, u: np.ndarray, facet):
     """(rho, center, support) of one instance, given its nearest point z of
     conv A and NNLS weights u (`_least_distances`): cos rho = |z| when the
     origin is outside the hull, else dist(0, bd conv A) from the nearest
-    facet (`_nearest_facet`).  Where that is imprecise (near pi/2, tiny
-    caps) the support rows are re-solved with the oracle's equidistant
-    cap, else the rows near the rim enumerated."""
+    facet: `facet`, the instance's `_scan_facets` result, or where that is
+    None, `_hull_facet`.  Where that is imprecise (near pi/2, tiny caps)
+    the support rows are re-solved with the oracle's equidistant cap, else
+    the rows near the rim enumerated."""
     d = mat.shape[1]
     dist = math.sqrt(float(z @ z))
     if dist > _ORIGIN_TOL:
         center, support = z / dist, tuple(i for i, w in enumerate(u.tolist()) if w > 0.0)
         sign, rho, precise = 1.0, math.acos(min(dist, 1.0)), dist >= _POLISH_DIST
     else:
-        center, support, cos_rho = _nearest_facet(mat)
+        center, support, cos_rho = facet or _hull_facet(mat)
         sign, rho, precise = -1.0, math.acos(cos_rho), True
     if precise and rho >= _TINY_CAP and _covers(mat, center, rho):
         return rho, center, support
@@ -701,10 +759,10 @@ def sic_rho(mat):
         if not routed.size:
             n, d = mat.shape
             return float(rho[0]), centers[0], _subset_index(n, tuple(range(1, d + 1)))[0][wins[0]]
-    z, u, certified = _least_distances(mat[None])
-    if not certified[0]:
-        raise ConvergenceError("least-distance NNLS found no certified optimum")
-    return _instance_rho(mat, z[0], u[0])
+    solved = _solve_routed(mat[None])[0]
+    if isinstance(solved, Exception):
+        raise solved
+    return solved
 
 
 def cond_and_class(A: Instance):

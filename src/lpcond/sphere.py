@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionMismatchError
 
@@ -130,7 +131,7 @@ def _validate_alpha(alpha: float):
 def _gl_rule():
     """Nodes and weights of the Gauss-Legendre rule on [-1, 1], computed
     once: leggauss costs about 250 us a call, more than a rule it feeds."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    nodes, weights = leggauss(_GL_NODES)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

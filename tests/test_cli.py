@@ -375,15 +375,43 @@ class TestEachCommandReadsItsKeys:
         assert os.path.exists(out / "summary.json")
 
 
-def test_cli_import_loads_neither_scipy_optimize_nor_integrate():
-    code = ("import sys, lpcond.cli; print(' '.join(m for m in ('scipy.optimize', "
-            "'scipy.integrate', 'scipy.spatial') if m in sys.modules))")
+def _fresh_python(code, *args):
+    """The stdout words of `python -c code args` in a new interpreter."""
     src = os.path.dirname(os.path.dirname(lpcond.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, check=True, timeout=120)
-    assert done.stdout.split() == ["scipy.spatial"]
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, lpcond.cli; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == []
+
+
+# Runs the CLI on argv after `import lpcond.cli`, then prints its exit code
+# and every scipy or numpy module the call imported.
+_CALL_IMPORTS = """
+import contextlib, io, sys
+import lpcond.cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lpcond.cli.main(sys.argv[1:])
+print(code, *sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('scipy', 'numpy')))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("exp-tail", "--m", "2", "--n", "5", "--N", "300"),
+    ("exp-mean", "--m", "3", "--n", "12", "--N", "64"),
+    ("exp-wendel", "--m", "3", "--k", "5,7,9", "--N", "64"),
+    ("exp-properties", "--m", "1", "--n", "3"),
+], ids=lambda argv: argv[0])
+def test_benchmark_commands_import_no_scipy_nor_numpy_module(argv, tmp_path):
+    out = os.fspath(tmp_path / "out")
+    assert _fresh_python(_CALL_IMPORTS, *argv, "--seed", "3", "--workers", "1", "--out", out) == ["0"]
 
 
 class TestExperimentsEndToEnd:

@@ -264,7 +264,7 @@ class TestTail:
         )
 
     def test_records_consistent(self, tail_run):
-        _, (_, rho), _ = tail_run
+        _, (_, rho, *_), _ = tail_run
         _, conds = harness._cond_columns(rho[:200])
         for r, cond in zip(rho[:200].tolist(), conds.tolist()):
             if math.isfinite(cond):
@@ -510,9 +510,10 @@ class TestPrefixMonotonicity:
     def test_roundoff_in_rho_is_no_violation(self, suite, monkeypatch):
         # Master seed 23, pool sample 290: the first infeasible prefix and
         # the full instance share one cap; through Qhull, which solves
-        # instances past the facet scan, their rho differ by roundoff,
-        # which moves C ~ 1.2e3 by about 3e-10.
+        # instances past both scans, their rho differ by roundoff, which
+        # moves C ~ 1.2e3 by about 3e-10.
         monkeypatch.setattr(sic, "_SCAN_SUBSETS", 0)
+        monkeypatch.setattr(sic, "_FACET_SUBSETS", 0)
         m, n = 2, 8
         units = sic.unit_rows(harness._uniform_instances(23, 4, m, n, 291)[290])
         prefix, full = sic.sic_rho(sic.unit_rows(units[:m + 2]))[0], sic.sic_rho(units)[0]

@@ -180,6 +180,26 @@ class TestCapBatch:
             cap_batch(random_center(3, 6, 4), make_adversarial_params(2, 0.5), 1, [0])
 
 
+class TestNdtri:
+    """The numpy port of Cephes' ndtri against scipy.special.ndtri, bit for bit."""
+
+    def test_edge_values(self):
+        # The smallest uniform drawn, the half, one ulp inside 1, and the
+        # branch points exp(-2), 1 - exp(-2) and exp(-32), each with its
+        # neighbours.
+        e = math.exp(-2.0)
+        points = [1e-300, 2.0**-53, 0.5, 1.0 - 2.0**-53, e, 1.0 - e, math.exp(-32.0)]
+        values = np.array(points + [np.nextafter(p, 0.0) for p in points]
+                          + [np.nextafter(p, 1.0) for p in points])
+        values = values[(values > 0.0) & (values < 1.0)]
+        assert values.size == 3 * len(points) - 1
+        assert np.array_equal(samplers.ndtri(values), ndtri(values))
+
+    def test_a_million_keyed_uniforms(self):
+        u = np.clip(keyed_uniforms(11, np.arange(1000), 1024), 1e-300, None)
+        assert np.array_equal(samplers.ndtri(u), ndtri(u))
+
+
 class TestUniformSphere:
     def test_unit_norm_and_mean(self):
         gen = stream(0, PURPOSE_SAMPLE, 0).generator()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull
 
 from lpcond import sic
 from lpcond.errors import ConvergenceError, DegenerateHullError, InstanceTooLargeError
@@ -238,9 +238,9 @@ class TestSicRho:
 
     def test_qhull_failure_is_typed(self, monkeypatch):
         def broken_hull(points):
-            raise QhullError("QH6154 simulated precision error")
+            raise DegenerateHullError("QH6154 simulated precision error")
 
-        monkeypatch.setattr(sic, "ConvexHull", broken_hull)
+        monkeypatch.setattr(sic, "_qhull", broken_hull)
         # 40 rows around S^1: 780 row pairs, past the facet scan, so Qhull runs.
         with pytest.raises(DegenerateHullError):
             sic_rho(circle_points(*np.linspace(0.0, 2 * math.pi, 40, endpoint=False)))
@@ -272,11 +272,8 @@ class TestFacetScan:
     @staticmethod
     def scan(mats):
         """(center, support, cos rho) of the best d-row normal of every
-        instance of a stack (B, n, d): the facet scan of `_nearest_facet`."""
-        _, n, d = mats.shape
-        cos_rho, centers, wins = sic._max_min(mats, (d,))
-        combos = sic._subset_index(n, (d,))[0]
-        return [(center, combos[s], cos) for center, cos, s in zip(centers, cos_rho, wins)]
+        instance of a stack (B, n, d), None where a zero normal wins."""
+        return sic._scan_facets(mats)
 
     @pytest.mark.parametrize("n, d", [(3, 2), (6, 2), (5, 3), (9, 3), (7, 4), (12, 4)])
     def test_matches_qhull_nearest_facet(self, n, d):
@@ -304,15 +301,16 @@ class TestFacetScan:
         mats = self.enclosing(rng, 60, 6, 3)
         scanned = [sic_rho(mat)[0] for mat in mats]
         monkeypatch.setattr(sic, "_SCAN_SUBSETS", 0)
+        monkeypatch.setattr(sic, "_FACET_SUBSETS", 0)
         hulled = [sic_rho(mat)[0] for mat in mats]
         assert np.max(np.abs(np.subtract(scanned, hulled))) <= 1e-12
 
     def test_qhull_runs_only_where_the_hull_holds_the_origin(self, monkeypatch):
         def counted(points):
             calls.append(np.array(points))
-            return ConvexHull(points)
+            return qhull(points)
 
-        # 20 rows on S^2: 1140 row triples, past the scan, so every instance
+        # 20 rows on S^2: 1140 row triples, past both scans, so every instance
         # takes the NNLS, and Qhull runs once for each that holds the origin.
         rng = np.random.default_rng(4)
         mats = unit_rows(rng.standard_normal((30, 20, 3)))
@@ -320,8 +318,8 @@ class TestFacetScan:
         mats = unit_rows(mats)
         feasible = sic.stack_feasible(mats).tolist()
         assert feasible.count(True) >= 15 and feasible.count(False) >= 1
-        calls = []
-        monkeypatch.setattr(sic, "ConvexHull", counted)
+        calls, qhull = [], sic._qhull
+        monkeypatch.setattr(sic, "_qhull", counted)
         rho = sic.stack_rho(mats)
         enclosing = [mat for mat, sf in zip(mats, feasible) if not sf]
         assert len(calls) == len(enclosing)
@@ -332,26 +330,51 @@ class TestFacetScan:
     def test_qhull_failure_on_an_enclosing_instance_is_typed(self, monkeypatch):
         def broken_hull(points):
             calls.append(points)
-            raise QhullError("QH6154 simulated precision error")
+            raise DegenerateHullError("QH6154 simulated precision error")
 
         # Full-rank instances past the scan whose hulls hold the origin.
         mats = self.enclosing(np.random.default_rng(6), 4, 20, 3)
         assert len(mats) == 4
         calls = []
-        monkeypatch.setattr(sic, "ConvexHull", broken_hull)
+        monkeypatch.setattr(sic, "_qhull", broken_hull)
         assert np.isnan(sic.stack_rho(mats)).all()
         assert len(calls) == len(mats)
         for mat in mats:
             with pytest.raises(DegenerateHullError):
                 sic_rho(mat)
 
+    def test_stacked_facet_scan_is_the_one_instance_scan(self):
+        # Mean's size: 495 row quadruples, past the full scan, within the facet scan.
+        mats = self.enclosing(np.random.default_rng(12), 40, 12, 4)
+        stack = self.scan(mats)
+        assert len(stack) == 40 and None not in stack
+        for mat, (center, support, cos_rho) in zip(mats, stack):
+            [(alone_center, alone_support, alone_cos)] = self.scan(mat[None])
+            assert np.array_equal(alone_center, center)
+            assert alone_support == support and alone_cos == cos_rho
+        assert sic.stack_rho(mats).tolist() == [sic_rho(mat)[0] for mat in mats]
+
+    def test_zero_normal_winner_falls_back_to_qhull(self, monkeypatch):
+        # A repeated row: every quadruple holding both copies has a zero
+        # normal, which scores 0, above every facet of a hull around the
+        # origin, so the scan gives way to Qhull.
+        mat = self.enclosing(np.random.default_rng(14), 1, 11, 4)[0]
+        mat = np.vstack([mat, mat[:1]])
+        assert self.scan(mat[None]) == [None]
+        calls, qhull = [], sic._qhull
+        monkeypatch.setattr(sic, "_qhull", lambda points: calls.append(points) or qhull(points))
+        rho, center, _ = sic_rho(mat)
+        assert len(calls) == 1 and np.array_equal(calls[0], mat)
+        assert rho == pytest.approx(sic_bruteforce(Instance(mat)).rho, abs=1e-8)
+        assert np.max(np.arccos(np.clip(mat @ center, -1.0, 1.0))) <= rho + 1e-9
+
     def test_affinely_dependent_rows_fall_back(self):
         # Two antipodal directions only: no 3 rows span a plane, so the scan
         # finds nothing and the flat-hull branch answers pi/2.
         p = np.array([1.0, 0.0, 0.0])
         mat = np.array([p, -p, p, -p, p])
-        assert not self.scan(mat[None])[0][0].any()
-        center, support, cos_rho = sic._nearest_facet(mat)
+        assert self.scan(mat[None]) == [None]
+        center, support, cos_rho = sic._hull_facet(mat)
         assert cos_rho == 0.0 and support == tuple(range(5))
         assert abs(center @ p) <= 1e-12
         rho, center, _ = sic_rho(mat)
