@@ -165,9 +165,12 @@ def wendel_p(k: int, m: int) -> float:
 
 def pkm_partial_sum(m: int, k_max: int) -> Fraction:
     """sum_{k=4m+1}^{k_max} k p(k, m); the full series is o(1) in m.  One
-    integer over 2^(k_max-1): terms k S(k) 2^(k_max-k), S(k) = sum_{i<=m} C(k-1, i)."""
-    total = sum(k * sum(math.comb(k - 1, i) for i in range(m + 1)) << (k_max - k)
-                for k in range(4 * m + 1, k_max + 1))
+    integer over 2^(k_max-1), sum_k k S(k) 2^(k_max-k) by Horner's rule,
+    S(k) = sum_{i<=m} C(k-1, i) by Pascal's rule: S(k+1) = 2 S(k) - C(k-1, m)."""
+    total, s, c = 0, sum(math.comb(4 * m, i) for i in range(m + 1)), math.comb(4 * m, m)
+    for k in range(4 * m + 1, k_max + 1):
+        total = 2 * total + k * s
+        s, c = 2 * s - c, c * k // (k - m)
     return Fraction(total, 2 ** (k_max - 1))
 
 
@@ -271,9 +274,10 @@ def _labels(rho: np.ndarray) -> np.ndarray:
 
 def _cond_columns(rho: np.ndarray):
     """(labels, cond) columns of a rho column: `_labels`, and
-    `sic.cond_from_rho` value by value, since numpy's vectorized cos may
-    differ from it in the last bit."""
-    return _labels(rho), np.array([sic.cond_from_rho(r) for r in rho.tolist()])
+    `sic.cond_from_rho` of each value, bit for bit: inf in the ill-posed
+    band, else 1/|cos rho| with the C library's cos (`samplers._libm`)."""
+    ill = np.abs(rho - math.pi / 2) <= sic.ILL_POSED_BAND
+    return _labels(rho), np.where(ill, math.inf, 1.0 / np.abs(samplers._libm(np.cos, rho)))
 
 
 def _records(seeds: np.ndarray, rho: np.ndarray):
@@ -285,10 +289,12 @@ def _records(seeds: np.ndarray, rho: np.ndarray):
 
 
 def _ln_cond(cond: np.ndarray) -> np.ndarray:
-    """`math.log` of each condition number up to `sic.COND_OVERFLOW`, value
-    by value (numpy's log may differ in the last bit); NaN past it and for
-    failed (NaN) samples."""
-    return np.array([math.log(c) if c <= sic.COND_OVERFLOW else math.nan for c in cond.tolist()])
+    """`math.log` of each condition number up to `sic.COND_OVERFLOW`, bit
+    for bit (`samplers._libm`); NaN past it and for failed (NaN) samples."""
+    ln = np.full(cond.shape, math.nan)
+    kept = np.flatnonzero(cond <= sic.COND_OVERFLOW)
+    ln[kept] = samplers._libm(np.log, cond.take(kept))
+    return ln
 
 
 def _counts(labels: np.ndarray, cond: np.ndarray) -> dict:
@@ -370,30 +376,35 @@ def run_expectation_experiment(cfg: ExperimentConfig):
     return records, _summary(cfg, counts=counts, expectation=expectation)
 
 
-def feasible_fraction(m: int, k: int, N: int, master_seed: int):
-    """Empirical probability that k uniform rows on S^m are feasible: one
-    `sic.stack_feasible` call per block of samples."""
+def feasible_fractions(m: int, ks, N: int, master_seed: int) -> list:
+    """Empirical probability that k uniform rows on S^m are feasible, for
+    each k of ks.  Each block of samples draws max(ks) points per stream
+    once; a stream's first k points are, bit for bit, the prefix of that
+    draw (`uniform_sphere_batch` is elementwise), so each k takes one
+    `sic.stack_feasible` call on the block's contiguous k-row prefix."""
+    top = max(ks)
 
     def do_chunk(lo, hi):
-        hits = 0
-        for start, stop in samplers.sample_ranges(lo, hi, k):
+        hits = [0] * len(ks)
+        for start, stop in samplers.sample_ranges(lo, hi, top):
             indices = samplers.stream_indices(PURPOSE_WENDEL, start, stop)
-            mats = samplers.uniform_sphere_batch(m, master_seed, indices, k)
-            hits += int(sic.stack_feasible(mats).sum())
+            rows = samplers.uniform_sphere_batch(m, master_seed, indices, top)
+            for j, k in enumerate(ks):
+                hits[j] += int(sic.stack_feasible(np.ascontiguousarray(rows[:, :k])).sum())
         return hits
 
-    hits = sum(_run_chunks(N, 1, do_chunk))
-    return hits / N
+    return [sum(column) / N for column in zip(*_run_chunks(N, 1, do_chunk))]
 
 
 def run_wendel_experiment(cfg: ExperimentConfig):
     ks = (cfg.m + 2, 2 * cfg.m + 2, 3 * cfg.m + 2) if cfg.k_values is None else cfg.k_values
-    table = []
     for k in ks:
         if k <= cfg.m:
             raise ConfigError(f"wendel needs k > m, got k={k}")
+    p_hats = feasible_fractions(cfg.m, ks, cfg.N, cfg.master_seed)
+    table = []
+    for k, p_hat in zip(ks, p_hats):
         p_exact = wendel_p(k, cfg.m)
-        p_hat = feasible_fraction(cfg.m, k, cfg.N, cfg.master_seed)
         gate = 4.0 * math.sqrt(p_exact * (1.0 - p_exact) / cfg.N)
         table.append({
             "k": k, "m": cfg.m, "p_hat": p_hat, "p_exact": p_exact,

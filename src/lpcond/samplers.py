@@ -171,13 +171,15 @@ def _rational(x: np.ndarray, p: tuple, q: tuple):
     return num, den
 
 
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    """The C library's log of each value of a 1-d array, as Cephes takes
-    it.  numpy's vectorized log differs from it in the last bit on a few
-    inputs in a thousand, but numpy runs that kernel on forward strides
-    only: on a reversed view it calls the C library's log element by
-    element.  The port's test against scipy.special.ndtri checks this."""
-    return np.log(x[::-1])[::-1]
+def _libm(ufunc, x: np.ndarray) -> np.ndarray:
+    """The C library's value of a numpy math ufunc (np.log, np.cos) at
+    each value of a 1-d array, as Cephes and the `math` module take it.
+    numpy's vectorized kernels differ from it in the last bit on a few
+    inputs in a thousand, but numpy runs them on forward strides only: on
+    a reversed view it calls the C library element by element.  The
+    tests against scipy.special.ndtri and the per-value condition-number
+    columns check this."""
+    return ufunc(x[::-1])[::-1]
 
 
 def ndtri(u) -> np.ndarray:
@@ -195,13 +197,13 @@ def ndtri(u) -> np.ndarray:
     c2 = c * c
     num, den = _rational(c2, _P0, _Q0)
     out[mid] = (c + c * (c2 * num / den)) * _SQRT_2PI
-    x = np.sqrt(-2.0 * _libm_log(y.take(tail)))
+    x = np.sqrt(-2.0 * _libm(np.log, y.take(tail)))
     z = 1.0 / x
     num, den = _rational(z, _P1, _Q1)
     far = np.flatnonzero(x >= 8.0)
     if far.size:
         num[far], den[far] = _rational(z.take(far), _P2, _Q2)
-    x = (x - _libm_log(x) / x) - z * num / den
+    x = (x - _libm(np.log, x) / x) - z * num / den
     out[tail] = np.where(upper.take(tail), x, -x)
     return out.reshape(shape)
 

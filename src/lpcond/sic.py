@@ -16,7 +16,8 @@ of a stack come from one call of `nnls_stack`, a Lawson-Hanson NNLS run
 on the whole stack with a compact passive set and a KKT certificate per
 instance.  `sic_rho` is the one-instance view of `stack_rho` and
 `cond_and_class` a view of that.  `stack_feasible` decides feasibility
-for a stack (the facet scan's sign at small sizes, else the same NNLS).
+for a stack: the facet scan's sign at the sizes `stack_rho` scans, else
+the same NNLS.
 `sic_bruteforce`, the exhaustive support-subset enumeration, is the
 reference oracle the solver is checked against.
 Loading the module imports numpy alone.  scipy's Qhull (`_qhull`) is
@@ -63,12 +64,15 @@ _NEAR_TOL = 1e-7
 _NEAR_SUBSETS = 1000
 # Up to this many d-subsets of rows, and this many coordinates (a normal
 # takes d 2^(d-1) products), `stack_rho` scans every row subset of 1..d
-# rows (`_stack_caps`); beyond them every instance takes the NNLS.  Of
-# those whose hull holds the origin, `_scan_facets` scans the d-row
-# normals up to _FACET_SUBSETS subsets, and Qhull finds the facet past
-# them.  At 4 coordinates and C(12, 4) = 495 subsets the facet scan
-# takes about 0.8 of Qhull's time per instance; it grows with C(n, d) n,
-# Qhull about with n.
+# rows (`_stack_caps`) and `stack_feasible` takes the sign of the d-row
+# normals' scan; beyond them every instance takes the NNLS.  On 128
+# instances the sign's scan beat the NNLS up to C(k, 3) = 220 and
+# C(k, 4) = 330 subsets, and lost at 286 and 495.  Of the instances
+# `stack_rho` gives the NNLS whose hull holds the origin, `_scan_facets`
+# scans the d-row normals up to _FACET_SUBSETS subsets, and Qhull finds
+# the facet past them.  At 4 coordinates and C(12, 4) = 495 subsets the
+# facet scan takes about 0.8 of Qhull's time per instance; it grows with
+# C(n, d) n, Qhull about with n.
 _SCAN_SUBSETS = 256
 _FACET_SUBSETS = 512
 _SCAN_MAX_DIM = 4
@@ -85,11 +89,7 @@ _RANK_TOL = 1e-14
 _EXACT_FIT = 1e-14
 _KKT_TOL = 1e-10
 _STEPS_PER_COLUMN = 3
-# `stack_feasible` takes the sign of the facet scan up to this many d-row
-# subsets; past it the NNLS is cheaper (at k = 9 rows in R^4, 126
-# subsets, the scan costs about twice the NNLS).  A scan value within
-# _SIGN_MARGIN of 0 is left to the NNLS.
-_SIGN_SUBSETS = 35
+# A `stack_feasible` scan value within this of 0 is left to the NNLS.
 _SIGN_MARGIN = 1e-9
 # Rows minus and plus their center, in one array operation.
 _MINUS_PLUS = np.array([-1.0, 1.0])[:, None, None]
@@ -294,7 +294,8 @@ def sic_bruteforce(A: Instance) -> SicResult:
 
 
 def _scans(n: int, d: int) -> bool:
-    """Whether an n x d instance is solved by the stack scan (`stack_rho`)."""
+    """Whether an n x d instance is solved by the stack scan (`stack_rho`,
+    `stack_feasible`)."""
     return d <= _SCAN_MAX_DIM and math.comb(n, d) <= _SCAN_SUBSETS
 
 
@@ -571,19 +572,18 @@ def stack_feasible(mats: np.ndarray) -> np.ndarray:
     """Whether the origin is outside conv(rows), i.e. rho < pi/2, for each
     instance of a stack (B, k, d).
 
-    Up to _SIGN_SUBSETS d-row subsets the sign of the facet scan
-    (`_max_min` over the d-subsets' normals) decides: some facet
-    hyperplane separates the hull from the origin iff it is outside.  A
-    best value within _SIGN_MARGIN of 0 (flat hulls score 0), and every
-    instance past the crossover, takes the least-distance NNLS instead,
-    feasible iff the distance exceeds _ORIGIN_TOL; ConvergenceError
-    where that is not certified.
+    Where `_scans` holds, the sign of the facet scan (`_max_min` over the
+    d-subsets' normals) decides: some facet hyperplane separates the hull
+    from the origin iff it is outside.  A best value within _SIGN_MARGIN
+    of 0 (flat hulls score 0), and every instance of a larger stack,
+    takes the least-distance NNLS instead, feasible iff the distance
+    exceeds _ORIGIN_TOL; ConvergenceError where that is not certified.
     """
     mats = np.asarray(mats, dtype=float)
     B, k, d = mats.shape
     feasible = np.zeros(B, dtype=bool)
     rest = np.arange(B)
-    if d <= k and math.comb(k, d) <= _SIGN_SUBSETS:
+    if d <= k and _scans(k, d):
         value = _max_min(mats, (d,))[0]
         feasible = value > 0.0
         rest = np.flatnonzero(np.abs(value) <= _SIGN_MARGIN)

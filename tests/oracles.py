@@ -240,6 +240,34 @@ def wendel_p_pascal(k: int, m: int) -> Fraction:
     return Fraction(sum(row[: m + 1]), 2 ** (k - 1))
 
 
+def feasible_fraction_per_k(m: int, k: int, N: int, master_seed: int) -> float:
+    """The empirical feasible fraction of k uniform rows on S^m, drawn for
+    this k alone: each block of samples draws its k points per stream and
+    takes one `sic.stack_feasible` call."""
+
+    def do_chunk(lo, hi):
+        hits = 0
+        for start, stop in samplers.sample_ranges(lo, hi, k):
+            indices = samplers.stream_indices(samplers.PURPOSE_WENDEL, start, stop)
+            mats = samplers.uniform_sphere_batch(m, master_seed, indices, k)
+            hits += int(sic.stack_feasible(mats).sum())
+        return hits
+
+    return sum(harness._run_chunks(N, 1, do_chunk)) / N
+
+
+def cond_per_value(rho: np.ndarray) -> np.ndarray:
+    """`sic.cond_from_rho` of each value of a rho column, one at a time."""
+    return np.array([sic.cond_from_rho(r) for r in rho.tolist()])
+
+
+def ln_cond_per_value(cond: np.ndarray) -> np.ndarray:
+    """`math.log` of each condition number up to `sic.COND_OVERFLOW`, one at
+    a time; NaN past it and for NaN."""
+    return np.array([math.log(c) if c <= sic.COND_OVERFLOW else math.nan
+                     for c in cond.tolist()])
+
+
 def circumcap(points, sign: int = 1) -> Cap:
     """Equidistant cap through 1..m+1 points, center on the `sign` side."""
     if sign not in (1, -1):

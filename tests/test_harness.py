@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lpcond import cli, harness, sic
+from lpcond import cli, harness, samplers, sic
 from lpcond.errors import ConfigError, ConvergenceError
 from lpcond.harness import (
     CSV_HEADER,
@@ -36,9 +36,12 @@ from lpcond.lp import FeasibilityClass
 from lpcond.samplers import RngStream, make_adversarial_params, sample_instance
 from oracles import (
     af_check_per_instance,
+    cond_per_value,
+    feasible_fraction_per_k,
     first_reflected_point,
     gordan_classify,
     if_check_per_instance,
+    ln_cond_per_value,
     sconv_distance_scipy,
     wendel_p_pascal,
 )
@@ -312,6 +315,36 @@ class TestWendelExperiment:
         with pytest.raises(ConfigError):
             run_wendel_experiment(cfg)
 
+    @pytest.mark.parametrize("m, ks, N, block_rows", [
+        (3, (9, 5, 7), 500, samplers.BLOCK_ROWS),
+        (2, cli.parse_k_values("4:10"), harness.CHUNK + 300, 640),
+    ])
+    def test_one_draw_is_the_per_k_draw(self, monkeypatch, m, ks, N, block_rows):
+        # Unsorted ks, and a lo:hi range over two chunks of many blocks.
+        monkeypatch.setattr(samplers, "BLOCK_ROWS", block_rows)
+        indices = samplers.stream_indices(samplers.PURPOSE_WENDEL, 0, 64)
+        rows = samplers.uniform_sphere_batch(m, 9, indices, max(ks))
+        for k in ks:
+            assert np.array_equal(rows[:, :k], samplers.uniform_sphere_batch(m, 9, indices, k))
+        expect = [feasible_fraction_per_k(m, k, N, 9) for k in ks]
+        assert harness.feasible_fractions(m, ks, N, 9) == expect
+
+    def test_one_draw_per_block(self, monkeypatch):
+        monkeypatch.setattr(samplers, "BLOCK_ROWS", 640)
+        draw, shapes = samplers.uniform_sphere_batch, []
+
+        def counted(m, master, indices, count, start=0):
+            shapes.append((len(indices), count))
+            return draw(m, master, indices, count, start)
+
+        monkeypatch.setattr(samplers, "uniform_sphere_batch", counted)
+        N, chunk = harness.CHUNK + 300, harness.CHUNK
+        harness.feasible_fractions(2, (6, 10, 4), N, 3)
+        blocks = [block for lo in range(0, N, chunk)
+                  for block in samplers.sample_ranges(lo, min(lo + chunk, N), 10)]
+        assert shapes == [(stop - start, 10) for start, stop in blocks]
+        assert max(samples * count for samples, count in shapes) <= 640
+
     def test_nnls_feasibility_matches_gordan(self):
         rng = np.random.default_rng(11)
         for m in (1, 2, 3, 4):
@@ -323,6 +356,32 @@ class TestWendelExperiment:
                 for i in range(200)
             ])
             assert np.array_equal(fast, slow)
+
+
+class TestCondColumns:
+    def test_columns_are_the_per_value_loops(self):
+        # numpy's forward-stride cos and log differ from the C library's in
+        # the last bit on a few inputs in a thousand; the columns must not.
+        rng = np.random.default_rng(17)
+        half_pi, band = math.pi / 2, sic.ILL_POSED_BAND
+        edges = half_pi + np.array([-band, band])
+        rho = np.concatenate([
+            rng.uniform(0.0, math.pi, 600_000),
+            half_pi + rng.uniform(-1e-3, 1e-3, 300_000),
+            half_pi + rng.uniform(-3 * band, 3 * band, 100_000),
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 4.0),
+            [0.0, half_pi, math.pi, math.nan, math.nan],
+        ])
+        rng.shuffle(rho)
+        _, cond = harness._cond_columns(rho)
+        assert np.array_equal(cond.view(np.uint64), cond_per_value(rho).view(np.uint64))
+        assert np.isinf(cond).sum() > 30_000 and np.isnan(cond).sum() == 2
+        cond = np.concatenate([cond, np.geomspace(1.0, 1e20, 10_000),
+                               np.nextafter(sic.COND_OVERFLOW, [0.0, math.inf]),
+                               [sic.COND_OVERFLOW, math.inf, math.nan]])
+        ln = harness._ln_cond(cond)
+        assert np.array_equal(ln.view(np.uint64), ln_cond_per_value(cond).view(np.uint64))
+        assert np.isnan(ln[cond > sic.COND_OVERFLOW]).all()
 
 
 class TestTube:

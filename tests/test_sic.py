@@ -697,9 +697,22 @@ class TestStackFeasible:
             oracle = np.array([strictly_feasible_scipy(mat) for mat in mats])
             assert np.array_equal(sic.stack_feasible(mats), oracle)
 
-    def test_near_zero_scan_values_take_the_kernel(self, monkeypatch):
-        # Exactly ill-posed rows score 0 in the scan; a great circle's flat
-        # hull scores 0 too.
+    @pytest.mark.parametrize("d, k", [(3, 12), (4, 10), (4, 9)])
+    def test_scanned_sizes_match_the_scipy_decision(self, d, k):
+        # The largest scanned sizes, C(12, 3) = 220 and C(10, 4) = 210, and
+        # Wendel's k = 9 on S^3.  Rows pulled toward e_1 by a per-instance
+        # amount mix the classes.
+        assert sic._scans(k, d)
+        rng = np.random.default_rng(50 + 10 * d + k)
+        g = rng.standard_normal((1024, k, d))
+        g[:, :, 0] += rng.uniform(0.0, 1.5, (1024, 1))
+        mats = unit_rows(g)
+        oracle = np.array([strictly_feasible_scipy(mat) for mat in mats])
+        assert 0.2 < oracle.mean() < 0.8
+        assert np.array_equal(sic.stack_feasible(mats), oracle)
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
         calls = []
         solve = sic._least_distances
 
@@ -708,6 +721,25 @@ class TestStackFeasible:
             return solve(mats)
 
         monkeypatch.setattr(sic, "_least_distances", counted)
+        return calls
+
+    def test_scanned_random_stack_takes_no_kernel(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        mats = unit_rows(np.random.default_rng(9).standard_normal((128, 9, 4)))
+        sic.stack_feasible(mats)
+        assert calls == []
+
+    def test_five_coordinates_take_the_kernel(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        mats = unit_rows(np.random.default_rng(10).standard_normal((64, 7, 5)))
+        feasible = sic.stack_feasible(mats)
+        assert calls == [64]
+        assert np.array_equal(feasible, [strictly_feasible_scipy(mat) for mat in mats])
+
+    def test_near_zero_scan_values_take_the_kernel(self, monkeypatch):
+        # Exactly ill-posed rows score 0 in the scan; a great circle's flat
+        # hull scores 0 too.
+        calls = self.kernel_calls(monkeypatch)
         rng = np.random.default_rng(3)
         mats = np.array([least_distance_family(rng, "ill-posed", 5, 3),
                          least_distance_family(rng, "great-circle", 5, 3),
