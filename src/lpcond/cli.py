@@ -263,10 +263,12 @@ _FILE_COMMANDS = (
 
 
 def _parser(argv=None) -> argparse.ArgumentParser:
-    """The CLI parser.  Every subcommand is listed, but only the one named
-    in argv (its first word not starting with "-") gets its arguments;
-    with argv None, all of them do.  Each subcommand's `error` is its
-    parser's, for the arguments it does not read."""
+    """The CLI parser.  Where argv's first word is a command, only that
+    subcommand is built.  Otherwise every subcommand is listed, for the
+    help and the invalid-choice error, but only the one named in argv (its
+    first word not starting with "-") gets its arguments; with argv None,
+    all of them do.  Each subcommand's `error` is its parser's, for the
+    arguments it does not read."""
     parser = argparse.ArgumentParser(
         prog="lpcond",
         description="Condition numbers of spherical feasibility instances and "
@@ -274,8 +276,12 @@ def _parser(argv=None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    known = named in (c[0] for c in _FILE_COMMANDS + _EXPERIMENTS)
+    alone = named if known and argv[0] == named else None
 
     def built(name, help_text, func):
+        if alone not in (None, name):
+            return None
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func, error=p.error)
         return p if named in (None, name) else None

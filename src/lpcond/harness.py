@@ -41,7 +41,7 @@ from .samplers import (
     stream,
 )
 from .sic import Instance
-from .sphere import SpherePoint, clipped_arccos, rotation_to
+from .sphere import SpherePoint, _libm, clipped_arccos, rotation_to
 
 CHUNK = 4096  # fixed work-item granularity of every sampled experiment
 # Slack of the prefix-monotonicity check in rho: far above the solver's
@@ -238,12 +238,15 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
     `sample_instance(center, params, RngStream(master_seed, seeds[i]))`
     replays exactly the rows solved for sample i.  Each block is solved
     by one `sic.stack_rho` call: at small sizes one max-min scan over row
-    subsets answers the whole block and only the samples it routes take
-    the per-instance NNLS solve; past them every sample takes the NNLS,
-    and Qhull runs only where the hull holds the origin.  Returns the columns (seeds,
-    rho): each sample's stream index and rho, NaN where the solve raised
-    one of the solver's typed errors, which counts the sample as failed;
-    any other error propagates.
+    subsets answers the whole block, and only the samples it routes take
+    the hull solve (`sic._solve_routed`), else every sample does.  There
+    a stacked scan of the facet normals tells which hulls hold the origin
+    and their nearest facets; only the other samples take the NNLS, and
+    Qhull runs only where the scan gives no facet (past its bound, or a
+    zero normal winning) and the NNLS puts the origin inside.  Returns
+    the columns (seeds, rho): each sample's stream index and rho, NaN
+    where the solve raised one of the solver's typed errors, which counts
+    the sample as failed; any other error propagates.
     """
 
     def do_chunk(lo, hi):
@@ -275,9 +278,9 @@ def _labels(rho: np.ndarray) -> np.ndarray:
 def _cond_columns(rho: np.ndarray):
     """(labels, cond) columns of a rho column: `_labels`, and
     `sic.cond_from_rho` of each value, bit for bit: inf in the ill-posed
-    band, else 1/|cos rho| with the C library's cos (`samplers._libm`)."""
+    band, else 1/|cos rho| with the C library's cos (`sphere._libm`)."""
     ill = np.abs(rho - math.pi / 2) <= sic.ILL_POSED_BAND
-    return _labels(rho), np.where(ill, math.inf, 1.0 / np.abs(samplers._libm(np.cos, rho)))
+    return _labels(rho), np.where(ill, math.inf, 1.0 / np.abs(_libm(np.cos, rho)))
 
 
 def _records(seeds: np.ndarray, rho: np.ndarray):
@@ -290,10 +293,10 @@ def _records(seeds: np.ndarray, rho: np.ndarray):
 
 def _ln_cond(cond: np.ndarray) -> np.ndarray:
     """`math.log` of each condition number up to `sic.COND_OVERFLOW`, bit
-    for bit (`samplers._libm`); NaN past it and for failed (NaN) samples."""
+    for bit (`sphere._libm`); NaN past it and for failed (NaN) samples."""
     ln = np.full(cond.shape, math.nan)
     kept = np.flatnonzero(cond <= sic.COND_OVERFLOW)
-    ln[kept] = samplers._libm(np.log, cond.take(kept))
+    ln[kept] = _libm(np.log, cond.take(kept))
     return ln
 
 

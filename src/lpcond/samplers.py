@@ -34,7 +34,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ConfigError
 from .sic import Instance
-from .sphere import SpherePoint, gauss_legendre, integral_I, rotation_to, row_norms
+from .sphere import SpherePoint, _libm, gauss_legendre, integral_I, rotation_to, row_norms
 
 _MASK64 = (1 << 64) - 1
 _ROW_BITS = 16
@@ -169,17 +169,6 @@ def _rational(x: np.ndarray, p: tuple, q: tuple):
     for c in q[1:]:
         den = den * x + c
     return num, den
-
-
-def _libm(ufunc, x: np.ndarray) -> np.ndarray:
-    """The C library's value of a numpy math ufunc (np.log, np.cos) at
-    each value of a 1-d array, as Cephes and the `math` module take it.
-    numpy's vectorized kernels differ from it in the last bit on a few
-    inputs in a thousand, but numpy runs them on forward strides only: on
-    a reversed view it calls the C library element by element.  The
-    tests against scipy.special.ndtri and the per-value condition-number
-    columns check this."""
-    return ufunc(x[::-1])[::-1]
 
 
 def ndtri(u) -> np.ndarray:

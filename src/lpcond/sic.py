@@ -6,18 +6,21 @@ condition number 1/|cos rho| (`cond_from_rho`), where cos rho = max over
 unit y of min_i <a_i, y> (Cheung and Cucker).  `stack_rho` solves a stack
 of instances and is the one production path for rho: at small sizes one
 max-min scan over the row subsets of every instance answers either class,
-and only the instances where it may be imprecise take the per-instance
-solve, which reads rho off the convex hull (the least distance
-dist(0, conv A), or, only when the origin is inside, the nearest hull
-facet: one stacked scan of the d-row normals, `_scan_facets`, up to
-_FACET_SUBSETS subsets, else Qhull) and re-solves the support rows.
-Larger instances all take the per-instance solve.  The least distances
-of a stack come from one call of `nnls_stack`, a Lawson-Hanson NNLS run
-on the whole stack with a compact passive set and a KKT certificate per
-instance.  `sic_rho` is the one-instance view of `stack_rho` and
-`cond_and_class` a view of that.  `stack_feasible` decides feasibility
-for a stack: the facet scan's sign at the sizes `stack_rho` scans, else
-the same NNLS.
+and only the instances where it may be imprecise are routed to
+`_solve_routed`; larger instances are all routed.  It reads rho off the
+convex hull.  Up to _FACET_SUBSETS d-row subsets, one stacked scan of
+their normals (`_scan_facets`) tells which hulls hold the origin and
+gives their nearest facets, |cos rho| = dist(0, bd conv A).  The other
+instances take the least distance dist(0, conv A) = cos rho from one call
+of `nnls_stack`, a Lawson-Hanson NNLS run on the whole stack with a
+compact passive set and a KKT certificate per instance; past the scan's
+bound, Qhull finds the facet where the NNLS puts the origin inside.  The
+first caps are checked as stack operations, and only the imprecise ones
+(near pi/2, tiny caps, caps that do not cover) re-solve their support
+rows one instance at a time (`_instance_rho`).  `sic_rho` is the
+one-instance view of `stack_rho` and `cond_and_class` a view of that.
+`stack_feasible` decides feasibility for a stack: the facet scan's sign
+at the sizes `stack_rho` scans, else the same NNLS.
 `sic_bruteforce`, the exhaustive support-subset enumeration, is the
 reference oracle the solver is checked against.
 Loading the module imports numpy alone.  scipy's Qhull (`_qhull`) is
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from .lp import FeasibilityClass
-from .sphere import SpherePoint, row_norms
+from .sphere import SpherePoint, _libm, row_norms
 
 # |rho - pi/2| at or below this band counts as ill-posed.
 ILL_POSED_BAND = 1e-8
@@ -68,17 +71,25 @@ _NEAR_SUBSETS = 1000
 # normals' scan; beyond them every instance takes the NNLS.  On 128
 # instances the sign's scan beat the NNLS up to C(k, 3) = 220 and
 # C(k, 4) = 330 subsets, and lost at 286 and 495.  Of the instances
-# `stack_rho` gives the NNLS whose hull holds the origin, `_scan_facets`
-# scans the d-row normals up to _FACET_SUBSETS subsets, and Qhull finds
-# the facet past them.  At 4 coordinates and C(12, 4) = 495 subsets the
-# facet scan takes about 0.8 of Qhull's time per instance; it grows with
-# C(n, d) n, Qhull about with n.
+# `stack_rho` routes, `_scan_facets` scans the d-row normals up to
+# _FACET_SUBSETS subsets for the hull side and the nearest facet; past
+# them the NNLS gives the side, and Qhull the facet.  At 4 coordinates
+# and C(12, 4) = 495 subsets the facet scan takes about 0.8 of Qhull's
+# time per instance; it grows with C(n, d) n, Qhull about with n.
 _SCAN_SUBSETS = 256
 _FACET_SUBSETS = 512
 _SCAN_MAX_DIM = 4
 # A scan holds at most this many (instance, candidate) pairs per array:
 # 8 instances of C(12, 4) normals taken both ways.
 _SCAN_PAIRS = 1 << 13
+# `_solve_routed` scans the first _PROBE instances of a stack for their
+# nearest facets, and scans the rest too only where at most _OUTSIDE_SHARE
+# of them are outside their hulls; else the rest take the NNLS first.  At
+# C(12, 4) subsets the scan costs about 45 us an instance, and the NNLS
+# about 5 us beyond its fixed cost: scanning an instance outside its hull
+# costs what skipping the NNLS on about nine inside it saves.
+_PROBE = 32
+_OUTSIDE_SHARE = 0.1
 # `nnls_stack` on unit-scale data: a column of positive gradient enters
 # the passive set only if its part orthogonal to the passive columns
 # exceeds _RANK_TOL (else it depends on them) and takes more than
@@ -192,11 +203,19 @@ def _angles(mat: np.ndarray, center: np.ndarray) -> np.ndarray:
                             np.sqrt(np.einsum("...i,...i->...", summ, summ)))
 
 
-def _covers(mat: np.ndarray, center: np.ndarray, radius: float) -> bool:
-    """Every row within radius + _CONTAIN_TOL of center, compared on chords."""
-    diff = mat - center
-    reach = 2.0 * math.sin(min(radius + _CONTAIN_TOL, math.pi) / 2.0)
-    return float(np.einsum("ij,ij->i", diff, diff).max()) <= reach * reach
+def _covers(mat: np.ndarray, center: np.ndarray, radius):
+    """Whether every row lies within radius + _CONTAIN_TOL of the center,
+    compared on chords: for one instance (n, d), or per instance of a
+    stack (B, n, d) with centers (B, d) and radii (B,).  The chords' sums
+    run coordinate by coordinate (`_dot`) and a stack's reach takes the C
+    library's sin (`sphere._libm`), so a stack decides as each of its
+    instances alone."""
+    diff = (mat - center[..., None, :]).T
+    if np.ndim(radius):
+        reach = 2.0 * _libm(np.sin, np.minimum(radius + _CONTAIN_TOL, math.pi) / 2.0)
+    else:
+        reach = 2.0 * math.sin(min(radius + _CONTAIN_TOL, math.pi) / 2.0)
+    return _dot(diff, diff).max(axis=0) <= reach * reach
 
 
 def _equidistant(sub: np.ndarray):
@@ -621,8 +640,9 @@ def _stack_caps(mats: np.ndarray):
 def stack_rho(mats: np.ndarray) -> np.ndarray:
     """rho of every instance of a stack (B, n, d) of unit rows: one
     `_stack_caps` scan where `_scans` holds, its routed instances (else
-    all) by `_solve_routed`; NaN where the NNLS is not certified or the
-    per-instance solve raised one of the solver's typed errors."""
+    all) by `_solve_routed`; NaN where an instance needs the NNLS and it
+    is not certified, or the per-instance solve raised one of the
+    solver's typed errors."""
     if _scans(*mats.shape[1:]):
         rho, _, _, routed = _stack_caps(mats)
     else:
@@ -636,46 +656,98 @@ def stack_rho(mats: np.ndarray) -> np.ndarray:
 def _solve_routed(mats: np.ndarray):
     """(rho, center, support) of each instance of a stack (B, n, d), or the
     typed error (ConvergenceError, DegenerateHullError) that ends its
-    solve.  The least distances come from one `_least_distances` call; of
-    the certified instances whose hull holds the origin (|z| at most
-    _ORIGIN_TOL), the nearest facets from one `_scan_facets` call; then
-    `_instance_rho` solves each instance."""
-    zs, us, certified = _least_distances(mats)
-    inside = np.flatnonzero(certified & (_dot(zs.T, zs.T) <= _ORIGIN_TOL * _ORIGIN_TOL))
-    facets = [None] * len(mats)
-    for i, facet in zip(inside.tolist(), _scan_facets(mats[inside])):
-        facets[i] = facet
-    solved = []
-    for mat, z, u, ok, facet in zip(mats, zs, us, certified.tolist(), facets):
-        if not ok:
-            solved.append(ConvergenceError("least-distance NNLS found no certified optimum"))
+    solve.
+
+    Up to _SCAN_MAX_DIM coordinates and _FACET_SUBSETS d-row subsets,
+    the facet scan (`_scan_facets`) decides the hull side: an
+    instance whose best normal is nonzero and scores below -_SIGN_MARGIN
+    holds the origin, and that normal's facet is its nearest.  The first
+    _PROBE instances are scanned; where at most _OUTSIDE_SHARE of them
+    are not inside, so are the rest, and only the instances not inside
+    take the NNLS (one `_least_distances` call).  Else the rest take the
+    NNLS first, and only those it does not put outside are scanned.
+    Either way an instance gets the same answer.  The first caps, the
+    nearest facet's (rho = acos(cos rho)) and, where the NNLS puts the
+    origin outside, the nearest point's, are checked as stack operations:
+    precise (`_instance_rho`'s test), at least _TINY_CAP, and `_covers`.
+    Every other instance takes `_instance_rho`, with its scanned facet.
+    """
+    B, n, d = mats.shape
+    cos_rho, centers, supports = np.zeros(B), np.zeros((B, d)), [None] * B
+    scanned = np.zeros(B, dtype=bool)
+
+    def scan(idx):
+        if idx.size:
+            cos_rho[idx], centers[idx], found = _scan_facets(mats[idx])
+            for i, support in zip(idx.tolist(), found):
+                supports[i] = support
+            scanned[idx] = True
+
+    def enclosed():
+        return scanned & centers.any(axis=1) & (cos_rho < -_SIGN_MARGIN)
+
+    later = np.arange(0)  # scanned after the NNLS, unless it puts them outside
+    if d <= _SCAN_MAX_DIM and 0 < math.comb(n, d) <= _FACET_SUBSETS:
+        probe = min(B, _PROBE)
+        scan(np.arange(probe))
+        if np.count_nonzero(~enclosed()[:probe]) <= _OUTSIDE_SHARE * probe:
+            scan(np.arange(probe, B))
+        else:
+            later = np.arange(probe, B)
+    rest = np.flatnonzero(~enclosed())
+    zs, us, certified = np.zeros((0, d)), np.zeros((0, n)), np.zeros(0, dtype=bool)
+    if rest.size:
+        zs, us, certified = _least_distances(mats[rest])
+    dist = np.sqrt([float(z @ z) for z in zs])  # to the bit as `_instance_rho` has it
+    if later.size:
+        scan(rest[(~certified | (dist <= _ORIGIN_TOL)) & ~scanned[rest]])
+    inside = enclosed()
+    outside = certified & (dist > _ORIGIN_TOL) & ~inside[rest]
+    enclosing, near = np.flatnonzero(inside), dist[outside]
+    first = np.concatenate([enclosing, rest[outside]])
+    caps = np.concatenate([centers[enclosing], zs[outside] / near[:, None]])
+    rho = _libm(np.arccos, np.concatenate([cos_rho[enclosing], np.minimum(near, 1.0)]))
+    precise = np.concatenate([np.ones(enclosing.size, dtype=bool), near >= _POLISH_DIST])
+    good = precise & (rho >= _TINY_CAP) & _covers(mats[first], caps, rho)
+    faces = [supports[i] for i in enclosing.tolist()]
+    faces += [tuple(np.flatnonzero(u > 0.0).tolist()) for u in us[outside]]
+    solved = [None] * B
+    for i, r, cap, face, ok in zip(first.tolist(), rho.tolist(), caps, faces, good.tolist()):
+        if ok:
+            solved[i] = r, cap, face
+    slot = np.zeros(B, dtype=np.intp)
+    slot[rest] = np.arange(rest.size)
+    for i in [i for i, done in enumerate(solved) if done is None]:
+        if not (inside[i] or certified[slot[i]]):
+            solved[i] = ConvergenceError("least-distance NNLS found no certified optimum")
             continue
+        z, u = (None, None) if inside[i] else (zs[slot[i]], us[slot[i]])
+        facet = None
+        if scanned[i] and centers[i].any():
+            facet = centers[i], supports[i], float(cos_rho[i])
         try:
-            solved.append(_instance_rho(mat, z, u, facet))
+            solved[i] = _instance_rho(mats[i], z, u, facet)
         except (ConvergenceError, DegenerateHullError) as exc:
-            solved.append(exc)
+            solved[i] = exc
     return solved
 
 
 def _scan_facets(mats: np.ndarray):
-    """(center, support, cos rho) of the hull facet nearest the enclosed
-    origin, for each instance of a stack (B, n, d) whose hull holds it;
-    None where the scan does not answer.
+    """(cos rho, centers, supports) of the best d-row normal of each
+    instance of a stack (B, n, d), by one `_max_min` over the d-subsets'
+    normals.
 
-    |cos rho| = dist(0, bd conv A); the center is the facet's inward
-    normal and the support its vertices.  Up to _SCAN_MAX_DIM coordinates
-    and _FACET_SUBSETS d-row subsets, one `_max_min` over the d-subsets'
-    normals finds the facet Qhull would.  Past them, and where a zero
-    normal wins (no subset spans a hyperplane, or a degenerate one beats
-    every facet), None: `_hull_facet` answers.
+    Where the hull holds the origin and the winning normal is nonzero, it
+    is the hull facet nearest the origin, the one Qhull would find:
+    |cos rho| = dist(0, bd conv A), the center is the facet's inward
+    normal and the support its vertices.  A zero center (no subset spans
+    a hyperplane, or a degenerate one beats every facet) answers nothing:
+    `_hull_facet` does.
     """
-    B, n, d = mats.shape
-    if not B or d > _SCAN_MAX_DIM or not 0 < math.comb(n, d) <= _FACET_SUBSETS:
-        return [None] * B
+    n, d = mats.shape[1:]
     cos_rho, centers, wins = _max_min(mats, (d,))
     combos = _subset_index(n, (d,))[0]
-    return [(center, combos[win], cos) if center.any() else None
-            for center, win, cos in zip(centers, wins.tolist(), cos_rho.tolist())]
+    return cos_rho, centers, [combos[win] for win in wins.tolist()]
 
 
 def _qhull(points: np.ndarray):
@@ -709,16 +781,17 @@ def _hull_facet(mat: np.ndarray):
     return -equations[f, :-1], support, float(equations[f, -1])
 
 
-def _instance_rho(mat: np.ndarray, z: np.ndarray, u: np.ndarray, facet):
+def _instance_rho(mat: np.ndarray, z, u, facet):
     """(rho, center, support) of one instance, given its nearest point z of
-    conv A and NNLS weights u (`_least_distances`): cos rho = |z| when the
-    origin is outside the hull, else dist(0, bd conv A) from the nearest
-    facet: `facet`, the instance's `_scan_facets` result, or where that is
-    None, `_hull_facet`.  Where that is imprecise (near pi/2, tiny caps)
-    the support rows are re-solved with the oracle's equidistant cap, else
-    the rows near the rim enumerated."""
+    conv A and NNLS weights u (`_least_distances`), both None where the
+    facet scan put the origin inside: cos rho = |z| when the origin is
+    outside the hull, else dist(0, bd conv A) from the nearest facet:
+    `facet`, (center, support, cos rho) from `_scan_facets`, or where that
+    is None, `_hull_facet`.  Where that is imprecise (near pi/2, tiny
+    caps) the support rows are re-solved with the oracle's equidistant
+    cap, else the rows near the rim enumerated."""
     d = mat.shape[1]
-    dist = math.sqrt(float(z @ z))
+    dist = 0.0 if z is None else math.sqrt(float(z @ z))
     if dist > _ORIGIN_TOL:
         center, support = z / dist, tuple(i for i, w in enumerate(u.tolist()) if w > 0.0)
         sign, rho, precise = 1.0, math.acos(min(dist, 1.0)), dist >= _POLISH_DIST

@@ -45,6 +45,17 @@ def clipped_arccos(c):
     return np.arccos(np.clip(c, -1.0, 1.0))
 
 
+def _libm(ufunc, x: np.ndarray) -> np.ndarray:
+    """The C library's value of a numpy math ufunc (np.log, np.cos,
+    np.arccos, np.sin) at each value of a 1-d array, as Cephes and the
+    `math` module take it.  numpy's vectorized kernels differ from it in
+    the last bit on a few inputs in a thousand, but numpy runs them on
+    forward strides only: on a reversed view it calls the C library
+    element by element.  The tests against scipy.special.ndtri, the
+    per-value condition-number columns and `sic_rho` check this."""
+    return ufunc(x[::-1])[::-1]
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, as an explicit per-coordinate sum.
 

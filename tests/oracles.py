@@ -11,7 +11,9 @@ on the Caratheodory membership test and the NNLS boundary distance.
 on `sconv_distance_scipy`, the hull distance by scipy's NNLS.
 `least_distance_scipy` is the per-instance least-distance solve the
 package ran before its stacked NNLS kernel, and `strictly_feasible_scipy`
-the Wendel decision on it.  None of them is on a production path.
+the Wendel decision on it.  `solve_routed_nnls_first` is the routed
+solve as it ran before the facet scan decided the hull side: the NNLS on
+every instance first.  None of them is on a production path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from lpcond import convexgeom, harness, samplers, sic
-from lpcond.errors import ConvergenceError
+from lpcond.errors import ConvergenceError, DegenerateHullError
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import _equidistant
 from lpcond.sphere import Cap, SpherePoint, clipped_arccos
@@ -345,6 +347,34 @@ def strictly_feasible_scipy(mat: np.ndarray) -> bool:
     """Whether the origin is outside conv(rows): |z| above `sic._ORIGIN_TOL`."""
     z, _ = least_distance_scipy(mat)
     return float(z @ z) > sic._ORIGIN_TOL * sic._ORIGIN_TOL
+
+
+def solve_routed_nnls_first(mats: np.ndarray):
+    """`sic._solve_routed` as it ran before the facet scan came first:
+    the least distances of every instance of the stack from one
+    `_least_distances` call; of the certified instances whose hull holds
+    the origin (|z| at most `_ORIGIN_TOL`), the nearest facets from one
+    `_scan_facets` call; then `_instance_rho` on each instance.  Each
+    entry is (rho, center, support) or the typed error of its solve."""
+    zs, us, certified = sic._least_distances(mats)
+    inside = np.flatnonzero(
+        certified & (sic._dot(zs.T, zs.T) <= sic._ORIGIN_TOL * sic._ORIGIN_TOL))
+    facets = [None] * len(mats)
+    scan = sic._scan_facets(mats[inside]) if inside.size else None
+    if scan is not None:
+        cos_rho, centers, supports = scan
+        for i, center, support, cos in zip(inside.tolist(), centers, supports, cos_rho.tolist()):
+            facets[i] = (center, support, cos) if center.any() else None
+    solved = []
+    for mat, z, u, ok, facet in zip(mats, zs, us, certified.tolist(), facets):
+        if not ok:
+            solved.append(ConvergenceError("least-distance NNLS found no certified optimum"))
+            continue
+        try:
+            solved.append(sic._instance_rho(mat, z, u, facet))
+        except (ConvergenceError, DegenerateHullError) as exc:
+            solved.append(exc)
+    return solved
 
 
 def sconv_distance_scipy(x, gens) -> float:

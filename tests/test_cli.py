@@ -286,6 +286,18 @@ class TestHelp:
         assert main(argv) == 0
         assert capsys.readouterr().out == full
 
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h", "exp-mean"], ["frobnicate"],
+                                      ["classify"], ["exp-mean", "--bogus", "1"]]
+                             + [[c, "--help"] for c in COMMANDS])
+    def test_streams_and_exit_match_the_full_parser(self, monkeypatch, capsys, argv):
+        # main builds only the subcommand its first word names, if any; the
+        # help, usage errors and exit code are those of every one built.
+        code = main(argv)
+        built = capsys.readouterr()
+        monkeypatch.setattr(lpcond.cli, "_parser", lambda _: _parser(None))
+        assert main(argv) == code
+        assert capsys.readouterr() == built
+
     def test_tube_help_says_phi_and_cap_radius_are_required(self, capsys):
         assert main(["exp-tube", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())

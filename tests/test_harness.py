@@ -176,19 +176,28 @@ class TestDrawConditionRecords:
         return harness._counts(*harness._cond_columns(rho))
 
     def test_typed_solver_error_counts_as_failed(self, monkeypatch):
-        # Every sample is routed to the per-instance solve, in sample order.
+        # With _POLISH_DIST at 2 the stack scan routes every sample and no
+        # NNLS cap counts as precise, so each sample outside its hull, sample
+        # 2 among them, takes `_instance_rho`, which fails on sample 2's rows
+        # alone.  (Samples the facet scan puts inside skip it where their
+        # caps cover.)
         monkeypatch.setattr(sic, "_POLISH_DIST", 2.0)
+        cfg = ExperimentConfig(kind="tail", m=2, n=5, N=1000, master_seed=7)
+        params = harness.params_from_config(cfg)
+        [(_, sample_2)] = harness.sample_blocks(
+            cfg, params, harness.resolve_center(cfg, params), 2, 3)
         solve = sic._instance_rho
         calls = []
 
-        def failing_once(mat, *solved):
-            calls.append(mat)
-            if len(calls) == 3:
+        def failing_on_sample_2(mat, *solved):
+            if np.array_equal(mat, sample_2[0]):
+                calls.append(mat)
                 raise ConvergenceError("simulated solver failure")
             return solve(mat, *solved)
 
-        monkeypatch.setattr(sic, "_instance_rho", failing_once)
+        monkeypatch.setattr(sic, "_instance_rho", failing_on_sample_2)
         _, _, _, (_, rho) = self.draw(2, 5, 1000)
+        assert len(calls) == 1
         counts = self.counts(rho)
         assert counts["failed"] == 1
         assert math.isnan(rho[2]) and harness._cond_columns(rho)[0][2] == ""

@@ -22,6 +22,7 @@ from oracles import (
     circumcap,
     gordan_classify,
     least_distance_scipy,
+    solve_routed_nnls_first,
     strictly_feasible_scipy,
 )
 
@@ -273,7 +274,9 @@ class TestFacetScan:
     def scan(mats):
         """(center, support, cos rho) of the best d-row normal of every
         instance of a stack (B, n, d), None where a zero normal wins."""
-        return sic._scan_facets(mats)
+        cos_rho, centers, supports = sic._scan_facets(mats)
+        return [(center, support, cos) if center.any() else None
+                for center, support, cos in zip(centers, supports, cos_rho.tolist())]
 
     @pytest.mark.parametrize("n, d", [(3, 2), (6, 2), (5, 3), (9, 3), (7, 4), (12, 4)])
     def test_matches_qhull_nearest_facet(self, n, d):
@@ -717,7 +720,7 @@ class TestStackFeasible:
         solve = sic._least_distances
 
         def counted(mats):
-            calls.append(len(mats))
+            calls.append(np.array(mats))
             return solve(mats)
 
         monkeypatch.setattr(sic, "_least_distances", counted)
@@ -733,7 +736,7 @@ class TestStackFeasible:
         calls = self.kernel_calls(monkeypatch)
         mats = unit_rows(np.random.default_rng(10).standard_normal((64, 7, 5)))
         feasible = sic.stack_feasible(mats)
-        assert calls == [64]
+        assert [len(c) for c in calls] == [64]
         assert np.array_equal(feasible, [strictly_feasible_scipy(mat) for mat in mats])
 
     def test_near_zero_scan_values_take_the_kernel(self, monkeypatch):
@@ -745,4 +748,145 @@ class TestStackFeasible:
                          least_distance_family(rng, "great-circle", 5, 3),
                          unit_rows(np.abs(rng.standard_normal((5, 3))))])
         assert sic.stack_feasible(mats).tolist() == [False, False, True]
-        assert calls == [2]
+        assert [len(c) for c in calls] == [2]
+
+
+class TestRoutedSolve:
+    """`_solve_routed` takes the hull side from the facet scan, against the
+    NNLS-first solve it replaced: past the stack scan at (12, 4), where
+    every instance is routed, and within it at (8, 4) and (7, 3)."""
+
+    SIZES = ((12, 4), (8, 4), (7, 3))
+    FAMILIES = TestStackRho.FAMILIES + ("random",)
+
+    @classmethod
+    def stack(cls, family, n, d):
+        """A stack (B, n, d) from one `TestStackRho` family, or 96 random
+        instances with rows pulled toward e_1 by a per-instance amount, so
+        both sides of the hull occur."""
+        rng = np.random.default_rng([n, d, cls.FAMILIES.index(family)])
+        if family == "random":
+            g = rng.standard_normal((96, n, d))
+            g[:, :, 0] += rng.uniform(0.0, 1.5, (96, 1))
+            return unit_rows(g)
+        return np.array([inst.matrix for inst in TestStackRho.family_stack(rng, family, n, d)])
+
+    @staticmethod
+    def routing(mats):
+        """(rho, routed): `stack_rho`'s scan answers and the instances it
+        gives `_solve_routed`."""
+        if sic._scans(*mats.shape[1:]):
+            rho, _, _, routed = sic._stack_caps(mats)
+            return rho, routed
+        return np.full(len(mats), np.nan), np.arange(len(mats))
+
+    @classmethod
+    def routed(cls, mats):
+        """The instances `stack_rho` gives `_solve_routed`."""
+        return mats[cls.routing(mats)[1]]
+
+    @staticmethod
+    def assert_same_solve(mats):
+        """`_solve_routed` gives each instance the NNLS-first solve's
+        (rho, center, support) bit for bit, or its type of error; returns
+        the NNLS-first solve."""
+        if not len(mats):
+            return []
+        solved = sic._solve_routed(mats)
+        oracle = solve_routed_nnls_first(mats)
+        for got, want in zip(solved, oracle):
+            assert type(got) is type(want)
+            if not isinstance(want, Exception):
+                assert got[0] == want[0] and got[2] == want[2]
+                assert np.array_equal(got[1], want[1])
+        return oracle
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_nnls_first_solve(self, family, n, d):
+        mats = self.stack(family, n, d)
+        oracle, routed = self.routing(mats)
+        for i, want in zip(routed.tolist(), self.assert_same_solve(mats[routed])):
+            oracle[i] = want[0]
+        rho = sic.stack_rho(mats)
+        assert np.array_equal(rho, oracle)
+        assert rho.tolist() == [sic_rho(mat)[0] for mat in mats]
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_caps_that_do_not_cover_take_the_instance_solve(self, monkeypatch, n, d):
+        # A negative containment tolerance fails every cover check, so each
+        # instance the scan puts inside takes `_instance_rho` with its facet.
+        mats = self.stack("random", n, d)
+        inside = sic._scan_facets(mats)[0] < -sic._SIGN_MARGIN
+        assert inside.sum() >= 10
+        monkeypatch.setattr(sic, "_CONTAIN_TOL", -1e-6)
+        solve, calls = sic._instance_rho, []
+        monkeypatch.setattr(sic, "_instance_rho",
+                            lambda mat, z, *rest: calls.append(z is None) or solve(mat, z, *rest))
+        self.assert_same_solve(mats)
+        assert calls.count(True) == inside.sum()
+
+    @staticmethod
+    def kernel_stack(routed):
+        """The instances of a routed stack that take the NNLS: those the
+        facet scan does not put inside (a value not below -_SIGN_MARGIN,
+        or a zero normal), and every one after the first _PROBE where more
+        than _OUTSIDE_SHARE of those are."""
+        if not len(routed):
+            return routed
+        cos_rho, centers, _ = sic._scan_facets(routed)
+        taken = ~(centers.any(axis=1) & (cos_rho < -sic._SIGN_MARGIN))
+        probe = taken[:sic._PROBE]
+        if probe.sum() > sic._OUTSIDE_SHARE * probe.size:
+            taken[sic._PROBE:] = True
+        return routed[taken]
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_kernel_gets_only_what_the_scan_leaves(self, monkeypatch, family, n, d):
+        mats = self.stack(family, n, d)
+        kept = self.kernel_stack(self.routed(mats))
+        calls = TestStackFeasible.kernel_calls(monkeypatch)
+        sic.stack_rho(mats)
+        assert len(calls) == (1 if len(kept) else 0)
+        assert all(np.array_equal(call, kept) for call in calls)
+
+    def test_the_probe_picks_the_order(self, monkeypatch):
+        # 40 instances around the origin, and 40 of which about half are not.
+        inside = TestFacetScan.enclosing(np.random.default_rng(31), 40, 12, 4)
+        mixed = self.stack("random", 12, 4)[:40]
+        outside = sic.stack_feasible(mixed[:32]).sum()
+        assert len(inside) == 40 and sic._OUTSIDE_SHARE * 32 < outside < 32
+        scans, scan = [], sic._scan_facets
+        monkeypatch.setattr(sic, "_scan_facets", lambda mats: scans.append(len(mats)) or scan(mats))
+        calls = TestStackFeasible.kernel_calls(monkeypatch)
+        # The probe all inside: the rest is scanned too, and the kernel takes
+        # only what the scan leaves.
+        stack = np.concatenate([inside[:32], mixed])
+        self.assert_same_solve(stack)
+        assert scans[:2] == [32, 40] and np.array_equal(calls[0], self.kernel_stack(stack))
+        # The probe mixed: the rest takes the kernel first, and only those it
+        # does not put outside are scanned.
+        scans.clear()
+        calls.clear()
+        stack = np.concatenate([mixed[:32], inside])
+        self.assert_same_solve(stack)
+        assert scans[:2] == [32, 40] and np.array_equal(calls[0], self.kernel_stack(stack))
+        assert len(calls[0]) == outside + 40
+
+    def test_uncertified_nnls_fails_only_the_kernel_instances(self, monkeypatch):
+        # Inside-hull instances need no NNLS certificate; the others fail.
+        mats = self.stack("random", 12, 4)
+        outside = sic._scan_facets(mats)[0] >= -sic._SIGN_MARGIN
+        assert 0 < outside.sum() < len(mats) / 2
+        free = sic.stack_rho(mats)
+        assert not np.isnan(free).any()
+        solve = sic.nnls_stack
+        monkeypatch.setattr(sic, "nnls_stack",
+                            lambda E, f: (solve(E, f)[0], np.zeros(len(E), dtype=bool)))
+        rho = sic.stack_rho(mats)
+        assert np.isnan(rho[outside]).all()
+        assert np.array_equal(rho[~outside], free[~outside])
+        with pytest.raises(ConvergenceError):
+            sic_rho(mats[outside][0])
+        assert sic_rho(mats[~outside][0])[0] == free[~outside][0]
