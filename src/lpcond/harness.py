@@ -243,7 +243,9 @@ def draw_condition_records(cfg: ExperimentConfig, params: AdversarialParams,
     a stacked scan of the facet normals tells which hulls hold the origin
     and their nearest facets; only the other samples take the NNLS, and
     Qhull runs only where the scan gives no facet (past its bound, or a
-    zero normal winning) and the NNLS puts the origin inside.  Returns
+    zero normal winning) and the NNLS puts the origin inside.  Every
+    first cap, Qhull's facets among them, is checked in one stack, and
+    only the caps that fail are refined one sample at a time.  Returns
     the columns (seeds, rho): each sample's stream index and rho, NaN
     where the solve raised one of the solver's typed errors, which counts
     the sample as failed; any other error propagates.

@@ -15,10 +15,11 @@ instances take the least distance dist(0, conv A) = cos rho from one call
 of `nnls_stack`, a Lawson-Hanson NNLS run on the whole stack with a
 compact passive set and a KKT certificate per instance; past the scan's
 bound, Qhull finds the facet where the NNLS puts the origin inside.  The
-first caps are checked as stack operations, and only the imprecise ones
-(near pi/2, tiny caps, caps that do not cover) re-solve their support
-rows one instance at a time (`_instance_rho`).  `sic_rho` is the
-one-instance view of `stack_rho` and `cond_and_class` a view of that.
+first caps, the scanned facets', the Qhull facets' and the nearest
+points', are checked as one stack, and only the caps that fail (near
+pi/2, tiny caps, caps that do not cover) are refined from their support
+rows one instance at a time (`_refine`).  `sic_rho` is the one-instance
+view of `stack_rho` and `cond_and_class` a view of that.
 `stack_feasible` decides feasibility for a stack: the facet scan's sign
 at the sizes `stack_rho` scans, else the same NNLS.
 `sic_bruteforce`, the exhaustive support-subset enumeration, is the
@@ -50,7 +51,7 @@ COND_OVERFLOW = 1e15
 _CONTAIN_TOL = 1e-9
 _SUBSET_GUARD = 10**7
 # dist(0, conv A) at or below this puts the origin in the hull; far inside
-# the ill-posed band, so either branch of _instance_rho classifies alike.
+# the ill-posed band, so a facet cap and a nearest point's classify alike.
 _ORIGIN_TOL = 1e-12
 # Rows whose smallest singular value is below this span a great subsphere.
 _FLAT_TOL = 1e-10
@@ -666,11 +667,14 @@ def _solve_routed(mats: np.ndarray):
     are not inside, so are the rest, and only the instances not inside
     take the NNLS (one `_least_distances` call).  Else the rest take the
     NNLS first, and only those it does not put outside are scanned.
-    Either way an instance gets the same answer.  The first caps, the
-    nearest facet's (rho = acos(cos rho)) and, where the NNLS puts the
-    origin outside, the nearest point's, are checked as stack operations:
-    precise (`_instance_rho`'s test), at least _TINY_CAP, and `_covers`.
-    Every other instance takes `_instance_rho`, with its scanned facet.
+    Either way an instance gets the same answer.  Where only the NNLS puts
+    the origin inside, the scan's nonzero normal, else `_hull_facet`, gives
+    the facet; its DegenerateHullError fails that instance alone.  Then
+    every first cap, the nearest facet's (rho = acos(cos rho)) or, where
+    the NNLS puts the origin outside, the nearest point's, is checked in
+    one stack: precise (a nearest point at least _POLISH_DIST from the
+    origin), at least _TINY_CAP, and `_covers`.  Only the caps that fail
+    take `_refine`.
     """
     B, n, d = mats.shape
     cos_rho, centers, supports = np.zeros(B), np.zeros((B, d)), [None] * B
@@ -684,7 +688,7 @@ def _solve_routed(mats: np.ndarray):
             scanned[idx] = True
 
     def enclosed():
-        return scanned & centers.any(axis=1) & (cos_rho < -_SIGN_MARGIN)
+        return scanned & (cos_rho < -_SIGN_MARGIN)
 
     later = np.arange(0)  # scanned after the NNLS, unless it puts them outside
     if d <= _SCAN_MAX_DIM and 0 < math.comb(n, d) <= _FACET_SUBSETS:
@@ -698,35 +702,35 @@ def _solve_routed(mats: np.ndarray):
     zs, us, certified = np.zeros((0, d)), np.zeros((0, n)), np.zeros(0, dtype=bool)
     if rest.size:
         zs, us, certified = _least_distances(mats[rest])
-    dist = np.sqrt([float(z @ z) for z in zs])  # to the bit as `_instance_rho` has it
+    dist = np.sqrt([float(z @ z) for z in zs])  # one dot product per z, as rho was recorded
     if later.size:
         scan(rest[(~certified | (dist <= _ORIGIN_TOL)) & ~scanned[rest]])
-    inside = enclosed()
-    outside = certified & (dist > _ORIGIN_TOL) & ~inside[rest]
-    enclosing, near = np.flatnonzero(inside), dist[outside]
-    first = np.concatenate([enclosing, rest[outside]])
-    caps = np.concatenate([centers[enclosing], zs[outside] / near[:, None]])
-    rho = _libm(np.arccos, np.concatenate([cos_rho[enclosing], np.minimum(near, 1.0)]))
-    precise = np.concatenate([np.ones(enclosing.size, dtype=bool), near >= _POLISH_DIST])
-    good = precise & (rho >= _TINY_CAP) & _covers(mats[first], caps, rho)
-    faces = [supports[i] for i in enclosing.tolist()]
-    faces += [tuple(np.flatnonzero(u > 0.0).tolist()) for u in us[outside]]
     solved = [None] * B
-    for i, r, cap, face, ok in zip(first.tolist(), rho.tolist(), caps, faces, good.tolist()):
-        if ok:
-            solved[i] = r, cap, face
-    slot = np.zeros(B, dtype=np.intp)
-    slot[rest] = np.arange(rest.size)
-    for i in [i for i, done in enumerate(solved) if done is None]:
-        if not (inside[i] or certified[slot[i]]):
-            solved[i] = ConvergenceError("least-distance NNLS found no certified optimum")
-            continue
-        z, u = (None, None) if inside[i] else (zs[slot[i]], us[slot[i]])
-        facet = None
-        if scanned[i] and centers[i].any():
-            facet = centers[i], supports[i], float(cos_rho[i])
+    left = ~enclosed()[rest]
+    for i in rest[left & ~certified].tolist():
+        solved[i] = ConvergenceError("least-distance NNLS found no certified optimum")
+    for i in rest[left & certified & (dist <= _ORIGIN_TOL)].tolist():
+        if not centers[i].any():  # inside by the NNLS alone, with no scanned facet
+            try:
+                centers[i], supports[i], cos_rho[i] = _hull_facet(mats[i])
+            except DegenerateHullError as exc:
+                solved[i] = exc
+    outside = left & certified & (dist > _ORIGIN_TOL)
+    nearest, near = rest[outside], dist[outside]
+    centers[nearest], cos_rho[nearest] = zs[outside] / near[:, None], np.minimum(near, 1.0)
+    for i, u in zip(nearest.tolist(), us[outside]):
+        supports[i] = tuple(np.flatnonzero(u > 0.0).tolist())
+    facet = np.ones(B, dtype=bool)
+    facet[nearest] = False
+    # A nearest point's cos rho is |z| capped at 1: imprecise below _POLISH_DIST.
+    first = np.flatnonzero([done is None for done in solved])
+    rho = _libm(np.arccos, cos_rho[first])
+    precise = facet[first] | (cos_rho[first] >= _POLISH_DIST)
+    good = precise & (rho >= _TINY_CAP) & _covers(mats[first], centers[first], rho)
+    for i, r, ok in zip(first.tolist(), rho.tolist(), good.tolist()):
         try:
-            solved[i] = _instance_rho(mats[i], z, u, facet)
+            solved[i] = (r, centers[i], supports[i]) if ok else _refine(
+                mats[i], centers[i], supports[i], facet[i])
         except (ConvergenceError, DegenerateHullError) as exc:
             solved[i] = exc
     return solved
@@ -781,31 +785,19 @@ def _hull_facet(mat: np.ndarray):
     return -equations[f, :-1], support, float(equations[f, -1])
 
 
-def _instance_rho(mat: np.ndarray, z, u, facet):
-    """(rho, center, support) of one instance, given its nearest point z of
-    conv A and NNLS weights u (`_least_distances`), both None where the
-    facet scan put the origin inside: cos rho = |z| when the origin is
-    outside the hull, else dist(0, bd conv A) from the nearest facet:
-    `facet`, (center, support, cos rho) from `_scan_facets`, or where that
-    is None, `_hull_facet`.  Where that is imprecise (near pi/2, tiny
-    caps) the support rows are re-solved with the oracle's equidistant
-    cap, else the rows near the rim enumerated."""
+def _refine(mat: np.ndarray, center: np.ndarray, support: tuple, enclosed: bool):
+    """(rho, center, support) of one instance whose first cap (center,
+    support) failed `_solve_routed`'s check: a hull facet's, where the
+    origin is `enclosed`, else the nearest point's.  The support rows are
+    re-solved with the oracle's equidistant cap, else the rows near the
+    rim enumerated."""
     d = mat.shape[1]
-    dist = 0.0 if z is None else math.sqrt(float(z @ z))
-    if dist > _ORIGIN_TOL:
-        center, support = z / dist, tuple(i for i, w in enumerate(u.tolist()) if w > 0.0)
-        sign, rho, precise = 1.0, math.acos(min(dist, 1.0)), dist >= _POLISH_DIST
-    else:
-        center, support, cos_rho = facet or _hull_facet(mat)
-        sign, rho, precise = -1.0, math.acos(cos_rho), True
-    if precise and rho >= _TINY_CAP and _covers(mat, center, rho):
-        return rho, center, support
     angles = _angles(mat, center)
     rho = float(np.max(angles))
     cap = _equidistant(mat[list(support)])
     if cap is not None:
-        polished = sign * cap[0]
-        radius = cap[1] if sign > 0 else math.pi - cap[1]
+        polished = -cap[0] if enclosed else cap[0]
+        radius = math.pi - cap[1] if enclosed else cap[1]
         if _TINY_CAP <= radius <= rho + _CONTAIN_TOL and _covers(mat, polished, radius):
             return radius, polished, support
     # The support itself is wrong where the NNLS cannot resolve it (tiny
@@ -823,7 +815,7 @@ def sic_rho(mat):
     """(rho, center, support) of the smallest cap containing the rows of mat.
 
     The one-instance view of `stack_rho`, bit for bit: the stack scan
-    where `_scans` holds, else, or where it routes, `_instance_rho`.
+    where `_scans` holds, else, or where it routes, `_solve_routed`.
     Raises the solver's typed errors where `stack_rho` gives NaN.
     """
     mat = np.asarray(mat, dtype=float)

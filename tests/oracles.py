@@ -13,7 +13,8 @@ on `sconv_distance_scipy`, the hull distance by scipy's NNLS.
 package ran before its stacked NNLS kernel, and `strictly_feasible_scipy`
 the Wendel decision on it.  `solve_routed_nnls_first` is the routed
 solve as it ran before the facet scan decided the hull side: the NNLS on
-every instance first.  None of them is on a production path.
+every instance first, then `instance_rho`, a scalar solve per instance
+with its own first-cap test.  None of them is on a production path.
 """
 
 from __future__ import annotations
@@ -354,13 +355,16 @@ def solve_routed_nnls_first(mats: np.ndarray):
     the least distances of every instance of the stack from one
     `_least_distances` call; of the certified instances whose hull holds
     the origin (|z| at most `_ORIGIN_TOL`), the nearest facets from one
-    `_scan_facets` call; then `_instance_rho` on each instance.  Each
-    entry is (rho, center, support) or the typed error of its solve."""
+    `_scan_facets` call up to the scan's bound (past it, Qhull's); then
+    `instance_rho` on each instance.  Each entry is (rho, center,
+    support) or the typed error of its solve."""
+    n, d = mats.shape[1:]
     zs, us, certified = sic._least_distances(mats)
     inside = np.flatnonzero(
         certified & (sic._dot(zs.T, zs.T) <= sic._ORIGIN_TOL * sic._ORIGIN_TOL))
     facets = [None] * len(mats)
-    scan = sic._scan_facets(mats[inside]) if inside.size else None
+    scans = d <= sic._SCAN_MAX_DIM and math.comb(n, d) <= sic._FACET_SUBSETS
+    scan = sic._scan_facets(mats[inside]) if inside.size and scans else None
     if scan is not None:
         cos_rho, centers, supports = scan
         for i, center, support, cos in zip(inside.tolist(), centers, supports, cos_rho.tolist()):
@@ -371,10 +375,48 @@ def solve_routed_nnls_first(mats: np.ndarray):
             solved.append(ConvergenceError("least-distance NNLS found no certified optimum"))
             continue
         try:
-            solved.append(sic._instance_rho(mat, z, u, facet))
+            solved.append(instance_rho(mat, z, u, facet))
         except (ConvergenceError, DegenerateHullError) as exc:
             solved.append(exc)
     return solved
+
+
+def instance_rho(mat: np.ndarray, z, u, facet):
+    """(rho, center, support) of one instance, given its nearest point z of
+    conv A and NNLS weights u (`_least_distances`), both None where the
+    facet scan put the origin inside: cos rho = |z| when the origin is
+    outside the hull, else dist(0, bd conv A) from the nearest facet:
+    `facet`, (center, support, cos rho) from `_scan_facets`, or where that
+    is None, `_hull_facet`.  Where that is imprecise (near pi/2, tiny
+    caps) the support rows are re-solved with the oracle's equidistant
+    cap, else the rows near the rim enumerated."""
+    d = mat.shape[1]
+    dist = 0.0 if z is None else math.sqrt(float(z @ z))
+    if dist > sic._ORIGIN_TOL:
+        center, support = z / dist, tuple(i for i, w in enumerate(u.tolist()) if w > 0.0)
+        sign, rho, precise = 1.0, math.acos(min(dist, 1.0)), dist >= sic._POLISH_DIST
+    else:
+        center, support, cos_rho = facet or sic._hull_facet(mat)
+        sign, rho, precise = -1.0, math.acos(cos_rho), True
+    if precise and rho >= sic._TINY_CAP and sic._covers(mat, center, rho):
+        return rho, center, support
+    angles = sic._angles(mat, center)
+    rho = float(np.max(angles))
+    cap = _equidistant(mat[list(support)])
+    if cap is not None:
+        polished = sign * cap[0]
+        radius = cap[1] if sign > 0 else math.pi - cap[1]
+        if sic._TINY_CAP <= radius <= rho + sic._CONTAIN_TOL and sic._covers(mat, polished, radius):
+            return radius, polished, support
+    # The support itself is wrong where the NNLS cannot resolve it (tiny
+    # caps); the true one is among the rows near the rim of the first cap.
+    slack = sic._NEAR_TOL if rho >= sic._TINY_CAP else math.inf
+    subsets, count = sic._subsets(np.flatnonzero(angles >= rho - slack), d)
+    if count <= sic._NEAR_SUBSETS:
+        best = sic._best_candidate(mat, subsets)
+        if best is not None and best[0] <= rho + sic._CONTAIN_TOL:
+            return best[0], best[1], tuple(int(i) for i in best[2])
+    return rho, center, (int(np.argmax(angles)),)
 
 
 def sconv_distance_scipy(x, gens) -> float:

@@ -178,7 +178,7 @@ class TestDrawConditionRecords:
     def test_typed_solver_error_counts_as_failed(self, monkeypatch):
         # With _POLISH_DIST at 2 the stack scan routes every sample and no
         # NNLS cap counts as precise, so each sample outside its hull, sample
-        # 2 among them, takes `_instance_rho`, which fails on sample 2's rows
+        # 2 among them, takes `_refine`, which fails on sample 2's rows
         # alone.  (Samples the facet scan puts inside skip it where their
         # caps cover.)
         monkeypatch.setattr(sic, "_POLISH_DIST", 2.0)
@@ -186,7 +186,7 @@ class TestDrawConditionRecords:
         params = harness.params_from_config(cfg)
         [(_, sample_2)] = harness.sample_blocks(
             cfg, params, harness.resolve_center(cfg, params), 2, 3)
-        solve = sic._instance_rho
+        solve = sic._refine
         calls = []
 
         def failing_on_sample_2(mat, *solved):
@@ -195,7 +195,7 @@ class TestDrawConditionRecords:
                 raise ConvergenceError("simulated solver failure")
             return solve(mat, *solved)
 
-        monkeypatch.setattr(sic, "_instance_rho", failing_on_sample_2)
+        monkeypatch.setattr(sic, "_refine", failing_on_sample_2)
         _, _, _, (_, rho) = self.draw(2, 5, 1000)
         assert len(calls) == 1
         counts = self.counts(rho)
@@ -208,7 +208,7 @@ class TestDrawConditionRecords:
             raise ZeroDivisionError("simulated bug")
 
         monkeypatch.setattr(sic, "_POLISH_DIST", 2.0)
-        monkeypatch.setattr(sic, "_instance_rho", buggy)
+        monkeypatch.setattr(sic, "_refine", buggy)
         with pytest.raises(ZeroDivisionError):
             self.draw(2, 5, 3)
 

@@ -815,16 +815,62 @@ class TestRoutedSolve:
     @pytest.mark.parametrize("n, d", SIZES)
     def test_caps_that_do_not_cover_take_the_instance_solve(self, monkeypatch, n, d):
         # A negative containment tolerance fails every cover check, so each
-        # instance the scan puts inside takes `_instance_rho` with its facet.
+        # instance the scan puts inside takes `_refine` with its facet.
         mats = self.stack("random", n, d)
         inside = sic._scan_facets(mats)[0] < -sic._SIGN_MARGIN
         assert inside.sum() >= 10
         monkeypatch.setattr(sic, "_CONTAIN_TOL", -1e-6)
-        solve, calls = sic._instance_rho, []
-        monkeypatch.setattr(sic, "_instance_rho",
-                            lambda mat, z, *rest: calls.append(z is None) or solve(mat, z, *rest))
+        solve, calls = sic._refine, []
+        monkeypatch.setattr(sic, "_refine", lambda mat, center, support, enclosed: (
+            calls.append(enclosed) or solve(mat, center, support, enclosed)))
         self.assert_same_solve(mats)
         assert calls.count(True) == inside.sum()
+
+    def test_nnls_inside_caps_take_the_stacked_check(self, monkeypatch):
+        # Past _FACET_SUBSETS at (14, 4) the NNLS decides the hull side and
+        # Qhull gives the facet of each instance it puts inside.  With no
+        # containment slack some facet caps fail the cover check by roundoff:
+        # those, and only those, take `_refine`.
+        mats = np.concatenate([self.stack(family, 14, 4) for family in self.FAMILIES])
+        assert math.comb(14, 4) > sic._FACET_SUBSETS
+        zs, _, certified = sic._least_distances(mats)
+        dist = np.sqrt([float(z @ z) for z in zs])
+        inside = np.flatnonzero(certified & (dist <= sic._ORIGIN_TOL))
+        monkeypatch.setattr(sic, "_CONTAIN_TOL", 0.0)
+        hull, refine, hulls, refined = sic._hull_facet, sic._refine, [], []
+        monkeypatch.setattr(sic, "_hull_facet", lambda mat: hulls.append(mat) or hull(mat))
+
+        def refine_facets(mat, center, support, enclosed):
+            if enclosed:
+                refined.append(mat)
+            return refine(mat, center, support, enclosed)
+
+        monkeypatch.setattr(sic, "_refine", refine_facets)
+        sic._solve_routed(mats)
+        assert len(hulls) == inside.size and np.array_equal(hulls, mats[inside])
+        failing = []
+        for i, mat in zip(inside.tolist(), hulls):
+            center, _, cos_rho = hull(mat)
+            rho = math.acos(cos_rho)
+            if not (rho >= sic._TINY_CAP and sic._covers(mat, center, rho)):
+                failing.append(i)
+        assert 0 < len(failing) < inside.size
+        assert np.array_equal(refined, mats[failing])
+        self.assert_same_solve(mats)
+        # A Qhull failure fails its instance alone.
+        free, bad = sic.stack_rho(mats), int(inside[0])
+
+        def failing_on_bad(mat):
+            if np.array_equal(mat, mats[bad]):
+                raise DegenerateHullError("simulated Qhull failure")
+            return hull(mat)
+
+        monkeypatch.setattr(sic, "_hull_facet", failing_on_bad)
+        rho = sic.stack_rho(mats)
+        assert np.isnan(rho[bad]) and np.isnan(rho).sum() == 1
+        assert np.array_equal(np.delete(rho, bad), np.delete(free, bad))
+        with pytest.raises(DegenerateHullError):
+            sic_rho(mats[bad])
 
     @staticmethod
     def kernel_stack(routed):
