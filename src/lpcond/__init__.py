@@ -2,16 +2,11 @@
 
 Smallest-including-cap solvers, spherical convex geometry, seeded cap
 samplers, and Monte Carlo harnesses that check the closed-form tail,
-expectation, and neighborhood-volume bounds.
+expectation, and neighborhood-volume bounds.  The names below are the
+ones the commands run, and the oracle (`sic_bruteforce`, `SicResult`)
+and replay (`sample_instance`, `RngStream`) that check their records.
 """
 
-from .convexgeom import (
-    SpherePolytope,
-    cap_distance_suite,
-    distance_to_boundary,
-    distance_to_dual,
-    distance_to_sconv,
-)
 from .lp import FeasibilityClass
 from .samplers import (
     AdversarialParams,
@@ -29,22 +24,14 @@ from .sic import (
     cond_and_class,
     sic_bruteforce,
 )
-from .sphere import (
-    Cap,
-    SpherePoint,
-    angular_distance,
-    integral_I,
-    rotation_to,
-)
+from .sphere import SpherePoint, integral_I, rotation_to
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversarialParams", "Cap", "FeasibilityClass", "HTable", "Instance",
-    "RngStream", "SicResult", "SpherePoint", "SpherePolytope",
-    "angular_distance", "build_radial_cdf", "cap_distance_suite",
-    "compute_delta_c", "cond_and_class", "distance_to_boundary",
-    "distance_to_dual", "distance_to_sconv", "integral_I",
-    "make_adversarial_params", "rotation_to",
-    "sample_instance", "sic_bruteforce", "stream",
+    "AdversarialParams", "FeasibilityClass", "HTable", "Instance",
+    "RngStream", "SicResult", "SpherePoint", "build_radial_cdf",
+    "compute_delta_c", "cond_and_class", "integral_I",
+    "make_adversarial_params", "rotation_to", "sample_instance",
+    "sic_bruteforce", "stream",
 ]

@@ -174,7 +174,7 @@ def _finish(records, summary, cfg) -> int:
 
 def _cmd_classify(args) -> int:
     _, cls, _ = cond_and_class(Instance.from_file(args.instance))
-    print(f"class={cls.short}")
+    print(f"class={cls.value}")
     return 0
 
 
@@ -182,7 +182,7 @@ def _cmd_cond(args) -> int:
     inst = Instance.from_file(args.instance)
     cond, cls, dist = cond_and_class(inst)
     cond_text = "inf" if math.isinf(cond) else f"{cond:g}"
-    print(f"class={cls.short} cond={cond_text} dist_to_sigma={dist:.9g}")
+    print(f"class={cls.value} cond={cond_text} dist_to_sigma={dist:.9g}")
     return 0
 
 
@@ -190,7 +190,7 @@ def _cmd_sic(args) -> int:
     rho, center, support = sic_rho(Instance.from_file(args.instance).matrix)
     cond = cond_from_rho(rho)
     cond_text = "inf" if math.isinf(cond) else f"{cond:g}"
-    print(f"rho={rho:.12g} class={classify_rho(rho).short} cond={cond_text}")
+    print(f"rho={rho:.12g} class={classify_rho(rho).value} cond={cond_text}")
     print(f"center={' '.join(f'{v:.12g}' for v in unit_vector(center))}")
     print(f"support={','.join(map(str, support))}")
     return 0

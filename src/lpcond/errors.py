@@ -9,10 +9,6 @@ class DegenerateHullError(RuntimeError):
     """Hull generators span a proper subspace; no interior exists."""
 
 
-class DualEmptyError(RuntimeError):
-    """The polar cone is {0}, i.e. the hull covers the whole sphere."""
-
-
 class InstanceTooLargeError(ValueError):
     """Brute-force subset enumeration would exceed the safety guard."""
 

@@ -11,8 +11,9 @@ All experiments draw through counter-based streams keyed by sample index
 chunks serially, in chunk order, so reruns are byte-identical.  A
 condition-number draw is kept as two columns, the stream index and rho of
 each sample; its records add the class, condition number and ln C of each
-sample, derived from rho once (`_records`), and the experiment's counts
-and the CSV rows both read them.
+sample, derived from rho once by `sic`'s column decisions (`_records`),
+and the experiment's counts and the CSV rows both read them.  `persist`
+formats and writes the CSV rows a bounded chunk at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from . import convexgeom, samplers, sic
 from .convexgeom import cap_distances_batch
 from .errors import ConfigError, ConvergenceError
-from .lp import FeasibilityClass
 from .samplers import (
     PURPOSE_CENTER,
     PURPOSE_CHECK,
@@ -41,7 +41,7 @@ from .samplers import (
     stream,
 )
 from .sic import Instance
-from .sphere import SpherePoint, _libm, clipped_arccos, rotation_to
+from .sphere import SpherePoint, clipped_arccos, rotation_to
 
 CHUNK = 4096  # fixed work-item granularity of every sampled experiment
 # Slack of the prefix-monotonicity check in rho: far above the solver's
@@ -64,6 +64,8 @@ _MULTRVA_N = 200_000
 CSV_HEADER = "sample_index,seed_hi,seed_lo,class,rho,cond,ln_cond,ipm_proxy"
 # The records of an experiment that keeps none: five empty columns (`_records`).
 NO_RECORDS = ((),) * 5
+# records.csv rows formatted and written at a time (`persist`).
+_CSV_ROWS = 1 << 16
 
 
 @dataclass
@@ -269,37 +271,12 @@ def _summary(cfg: ExperimentConfig, **sections) -> dict:
             "wendel_table": None, "tube_table": None, "property_suite": None, **sections}
 
 
-def _labels(rho: np.ndarray) -> np.ndarray:
-    """The class label of each rho: SF, IP or IF as `sic.classify_rho`
-    decides, and "" for a failed (NaN) sample."""
-    half_pi = math.pi / 2
-    ill = np.abs(rho - half_pi) <= sic.ILL_POSED_BAND
-    return np.where(np.isnan(rho), "", np.where(ill, "IP", np.where(rho < half_pi, "SF", "IF")))
-
-
-def _cond_columns(rho: np.ndarray):
-    """(labels, cond) columns of a rho column: `_labels`, and
-    `sic.cond_from_rho` of each value, bit for bit: inf in the ill-posed
-    band, else 1/|cos rho| with the C library's cos (`sphere._libm`)."""
-    ill = np.abs(rho - math.pi / 2) <= sic.ILL_POSED_BAND
-    return _labels(rho), np.where(ill, math.inf, 1.0 / np.abs(_libm(np.cos, rho)))
-
-
 def _records(seeds: np.ndarray, rho: np.ndarray):
     """The records of a condition-number draw: the columns (seeds, rho,
     labels, cond, ln_cond) of `draw_condition_records`' (seeds, rho),
-    each derived from rho once (`_cond_columns`, `_ln_cond`)."""
-    labels, cond = _cond_columns(rho)
-    return seeds, rho, labels, cond, _ln_cond(cond)
-
-
-def _ln_cond(cond: np.ndarray) -> np.ndarray:
-    """`math.log` of each condition number up to `sic.COND_OVERFLOW`, bit
-    for bit (`sphere._libm`); NaN past it and for failed (NaN) samples."""
-    ln = np.full(cond.shape, math.nan)
-    kept = np.flatnonzero(cond <= sic.COND_OVERFLOW)
-    ln[kept] = _libm(np.log, cond.take(kept))
-    return ln
+    each derived from rho once (`sic.cond_columns`, `sic.ln_cond`)."""
+    labels, cond = sic.cond_columns(rho)
+    return seeds, rho, labels, cond, sic.ln_cond(cond)
 
 
 def _counts(labels: np.ndarray, cond: np.ndarray) -> dict:
@@ -509,9 +486,9 @@ def _pool_rho(mats: np.ndarray) -> np.ndarray:
 
 def _pool_columns(mats: np.ndarray):
     """(rho, labels, cond) of a property pool of unit rows (`_pool_rho`,
-    `_cond_columns`)."""
+    `sic.cond_columns`)."""
     rho = _pool_rho(mats)
-    return (rho, *_cond_columns(rho))
+    return (rho, *sic.cond_columns(rho))
 
 
 def _witness_distances(units: np.ndarray) -> np.ndarray:
@@ -615,15 +592,16 @@ def _if_check(cfg: ExperimentConfig):
         rho_ab = np.full(block.size, np.nan)
         rho_ab[found] = sic.stack_rho(sic.unit_rows(
             np.concatenate([mats[block[found]], b[found, None]], axis=1)))
-        for i, rho, dist in zip(block.tolist(), rho_ab.tolist(), d_bd.tolist()):
+        labels_ab, conds_ab = sic.cond_columns(rho_ab)
+        for i, label, cond_ab, dist in zip(block.tolist(), labels_ab.tolist(),
+                                           conds_ab.tolist(), d_bd.tolist()):
             if qualifying >= _IF_TARGET:
                 break
-            cond_ab = sic.cond_from_rho(rho)
             if not math.isfinite(cond_ab):
                 skipped += 1
                 continue
             qualifying += 1
-            if sic.classify_rho(rho) is FeasibilityClass.STRICTLY_FEASIBLE:
+            if label == "SF":
                 violations += 1  # (A, b) must be infeasible or ill-posed
             elif cond_ab * math.sin(dist) > 10.0 * conds[i] * (1.0 + 1e-6):
                 violations += 1
@@ -647,7 +625,7 @@ def _ccine_check(cfg: ExperimentConfig):
     units = sic.unit_rows(_uniform_instances(cfg.master_seed, 4, m, n, _CCINE_POOL))
     profile = [_pool_rho(sic.unit_rows(units[:, :k])) for k in range(m + 2, n + 1)]
     full_rho = profile[-1]
-    prefix_if = np.array([np.where(_labels(rho) == "IF", rho, -np.inf)
+    prefix_if = np.array([np.where(sic.class_labels(rho) == "IF", rho, -np.inf)
                           for rho in profile[:-1]])
     qualify_idx = np.flatnonzero(np.isfinite(prefix_if).any(axis=0))[:_CCINE_TARGET]
     worst = prefix_if.max(axis=0)[qualify_idx]
@@ -731,7 +709,8 @@ def oracle_radial_cdf(params: AdversarialParams, thetas: np.ndarray) -> np.ndarr
     from scipy.integrate import quad
 
     p = params.m - params.beta
-    integrand = samplers._substituted_radial(params)
+    integrand = samplers.radial_density(params.m, params.beta, params.alpha,
+                                        params.h_table, params.C_norm)
     grid = np.linspace(0.0, 1.0, 2049)
     cells = np.array([
         quad(integrand, grid[i], grid[i + 1], epsabs=1e-12, limit=100)[0]
@@ -793,6 +772,17 @@ def _fmt(value: float) -> str:
     return "inf" if math.isinf(value) else repr(value)
 
 
+def _csv_lines(cfg: ExperimentConfig, first: int, seeds, rho, labels, cond, ln_cond) -> list:
+    """The records.csv lines of samples first, first + 1, ... of these
+    column slices.  `ipm_proxy` is elementwise, so a slice's lines do not
+    depend on where the slice starts."""
+    ipm_proxy = math.sqrt(cfg.m + cfg.n) * (math.log(cfg.m + cfg.n) + ln_cond)
+    columns = zip(seeds.tolist(), labels.tolist(), rho.tolist(), cond.tolist(),
+                  ln_cond.tolist(), ipm_proxy.tolist())
+    return [f"{i},{cfg.master_seed},{seed},{label},{_fmt(r)},{_fmt(c)},{_fmt(ln)},{_fmt(p)}\n"
+            for i, (seed, label, r, c, ln, p) in enumerate(columns, first)]
+
+
 def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
     """Write the per-sample CSV and the summary JSON; returns their paths.
     The summary is serialized first: one it cannot hold (a NaN, say)
@@ -800,16 +790,13 @@ def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
 
     `records` are the columns a condition-number experiment returns
     (`_records`), or `NO_RECORDS`: each CSV row is its sample's columns,
-    which the experiment's counts were taken from.
+    which the experiment's counts were taken from.  Rows are formatted and
+    written _CSV_ROWS at a time, so the text of a run is never held whole.
     """
-    seeds, rho, labels, cond, ln_cond = (np.asarray(column) for column in records)
-    ipm_proxy = math.sqrt(cfg.m + cfg.n) * (math.log(cfg.m + cfg.n) + ln_cond)
-    columns = zip(seeds.tolist(), labels.tolist(), rho.tolist(), cond.tolist(),
-                  ln_cond.tolist(), ipm_proxy.tolist())
-    lines = [f"{i},{cfg.master_seed},{seed},{label},{_fmt(r)},{_fmt(c)},{_fmt(ln)},{_fmt(p)}\n"
-             for i, (seed, label, r, c, ln, p) in enumerate(columns)]
+    columns = [np.asarray(column) for column in records]
+    samples = columns[1].size  # of the rho column
     body = dict(summary)
-    body.setdefault("N", rho.size)
+    body.setdefault("N", samples)
     text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "records.csv")
@@ -817,7 +804,8 @@ def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
     try:
         with open(csv_path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            fh.writelines(lines)
+            for lo in range(0, samples, _CSV_ROWS):
+                fh.writelines(_csv_lines(cfg, lo, *(c[lo:lo + _CSV_ROWS] for c in columns)))
         with open(json_path, "w") as fh:
             fh.write(text + "\n")
     except OSError as exc:

@@ -13,7 +13,3 @@ class FeasibilityClass(enum.Enum):
     STRICTLY_FEASIBLE = "SF"
     ILL_POSED = "IP"
     INFEASIBLE = "IF"
-
-    @property
-    def short(self) -> str:
-        return self.value

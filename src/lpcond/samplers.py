@@ -26,7 +26,7 @@ numpy port of Cephes' that gives scipy.special.ndtri's bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,11 +68,6 @@ class RngStream:
     def generator(self) -> Generator:
         key = ((self.master & _MASK64) << 64) | (self.index & _MASK64)
         return Generator(Philox(key=key))
-
-    def with_row(self, row: int) -> "RngStream":
-        if not 0 <= row < (1 << _ROW_BITS):
-            raise ValueError("row index out of stream range")
-        return replace(self, index=(self.index & ~((1 << _ROW_BITS) - 1)) | row)
 
 
 def stream(master: int, purpose: int, sample: int = 0, row: int = 0) -> RngStream:
@@ -238,6 +233,8 @@ class HTable:
         h = np.asarray(self.h_values, dtype=float)
         if r.ndim != 1 or r.shape != h.shape or r.size < 1:
             raise ValueError("h table needs matching 1-d node/value columns")
+        if not (np.isfinite(r).all() and np.isfinite(h).all()):
+            raise ValueError("h table radii and values must be finite")
         if np.any(np.diff(r) <= 0):
             raise ValueError("h table radii must be strictly ascending")
         if r[0] < 0:
@@ -286,11 +283,6 @@ class AdversarialParams:
     delta_c: float
     delta_mode: str
 
-    def h(self, r):
-        if self.h_table is None:
-            return np.ones_like(np.asarray(r, dtype=float))
-        return self.h_table(r)
-
 
 def compute_delta_c(m: int, beta: float, H: float, delta_mode: str = "lemma") -> float:
     """Tolerance delta such that nu(G) <= delta forces mu(G) <= nu(G)^c.
@@ -311,6 +303,28 @@ def compute_delta_c(m: int, beta: float, H: float, delta_mode: str = "lemma") ->
     raise ConfigError(f"unknown delta mode {delta_mode!r}")
 
 
+def radial_density(m: int, beta: float, alpha: float, h_table: HTable | None = None,
+                   scale: float = 1.0):
+    """The law's colatitude density scale * sin^(m-beta-1) h(sin t), h = 1
+    when h_table is None, as a vectorized integrand in s on [0, 1].
+
+    The substitution theta = alpha * s^(1/(m-beta)) makes it extend
+    continuously to s = 0 for any beta < m.  With scale 1 it integrates
+    to the law's unnormalized mass (`_colatitude_mass`), with scale C_norm
+    to its CDF (`build_radial_cdf`, and the sampler check's oracle).
+    """
+    p = m - beta
+
+    def integrand(s):
+        s = np.asarray(s, dtype=float)
+        theta = alpha * s ** (1.0 / p)
+        sin_t = np.sin(theta)
+        h = 1.0 if h_table is None else h_table(sin_t)
+        return scale * sin_t ** (m - 1 - beta) * h * (alpha / p) * s ** (1.0 / p - 1.0)
+
+    return integrand
+
+
 # `_colatitude_mass` integrates on this many uniform cells in s, the
 # first split into this many more toward the pole, halving each time.
 _MASS_CELLS = 64
@@ -321,14 +335,13 @@ def _colatitude_mass(m: int, beta: float, alpha: float, h_table: HTable | None =
     """Integral of sin^(m-beta-1) h(sin t) over [0, alpha], h = 1 when
     h_table is None; pole-safe.
 
-    Uses the substitution theta = alpha * s^(1/(m-beta)), under which the
-    integrand extends continuously to s = 0 for any beta < m, and
-    composite Gauss-Legendre in s.  The integrand's expansion at s = 0
-    holds fractional powers of s, so the cell at the pole is split
-    geometrically toward it; cells also split where h has a kink (a table
-    node), so each cell is smooth.  Relative error about 1e-15.  With h = 1
-    and m - beta a whole number the integral is I_{m-beta}(alpha)
-    (`integral_I`), so the law's normalization is exactly 1 at beta = 0.
+    Composite Gauss-Legendre in s of `radial_density`.  The integrand's
+    expansion at s = 0 holds fractional powers of s, so the cell at the
+    pole is split geometrically toward it; cells also split where h has a
+    kink (a table node), so each cell is smooth.  Relative error about
+    1e-15.  With h = 1 and m - beta a whole number the integral is
+    I_{m-beta}(alpha) (`integral_I`), so the law's normalization is
+    exactly 1 at beta = 0.
     """
     p = m - beta
     if h_table is None and p == int(p):
@@ -340,29 +353,7 @@ def _colatitude_mass(m: int, beta: float, alpha: float, h_table: HTable | None =
         r = np.asarray(h_table.r_nodes)
         r = r[(r > 0.0) & (r < math.sin(alpha))]
         edges = np.union1d(edges, (np.arcsin(r) / alpha) ** p)
-
-    def integrand(s):
-        theta = alpha * s ** (1.0 / p)
-        sin_t = np.sin(theta)
-        h = 1.0 if h_table is None else h_table(sin_t)
-        return sin_t ** (m - 1 - beta) * h * (alpha / p) * s ** (1.0 / p - 1.0)
-
-    return float(gauss_legendre(integrand, edges).sum())
-
-
-def _substituted_radial(params: "AdversarialParams"):
-    """Vectorized CDF integrand in the pole-regularizing variable s."""
-    p = params.m - params.beta
-    alpha = params.alpha
-    expo = params.m - 1 - params.beta
-
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        theta = alpha * s ** (1.0 / p)
-        sin_t = np.sin(theta)
-        return params.C_norm * sin_t**expo * params.h(sin_t) * (alpha / p) * s ** (1.0 / p - 1.0)
-
-    return integrand
+    return float(gauss_legendre(radial_density(m, beta, alpha, h_table), edges).sum())
 
 
 def make_adversarial_params(
@@ -441,7 +432,8 @@ def build_radial_cdf(params: AdversarialParams) -> RadialCdf:
     """
     p = params.m - params.beta
     edges = np.linspace(0.0, 1.0, _RADIAL_CELLS + 1)
-    cells = gauss_legendre(_substituted_radial(params), edges)
+    density = radial_density(params.m, params.beta, params.alpha, params.h_table, params.C_norm)
+    cells = gauss_legendre(density, edges)
     cdf = np.concatenate([[0.0], np.cumsum(cells)])
     cdf = np.maximum.accumulate(cdf)
     if cdf[-1] <= 0:
@@ -535,13 +527,3 @@ def sample_instance(center: Instance, params: AdversarialParams, rng: RngStream)
     """The instance of sample stream rng: the one-instance view of
     `cap_batch`, bit for bit the rows any batch holding it draws."""
     return Instance(cap_batch(center, params, rng.master, [rng.index & _MASK64])[0])
-
-
-def perturb_rows(mat: np.ndarray, delta: float, gen: Generator) -> np.ndarray:
-    """Rotate every row by exactly `delta` in a random tangent direction."""
-    mat = np.asarray(mat, dtype=float)
-    g = gaussians(gen, mat.shape)
-    tang = g - (np.sum(g * mat, axis=1, keepdims=True)) * mat
-    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
-    out = math.cos(delta) * mat + math.sin(delta) * tang
-    return out / np.linalg.norm(out, axis=1, keepdims=True)

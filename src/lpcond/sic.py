@@ -1,25 +1,28 @@
 """Smallest-including-cap solver and the derived condition number.
 
 The cap of minimal angular radius rho containing all rows of an instance
-determines the feasibility class (rho vs pi/2, `classify_rho`) and the
-condition number 1/|cos rho| (`cond_from_rho`), where cos rho = max over
-unit y of min_i <a_i, y> (Cheung and Cucker).  `stack_rho` solves a stack
-of instances and is the one production path for rho: at small sizes one
-max-min scan over the row subsets of every instance answers either class,
-and only the instances where it may be imprecise are routed to
-`_solve_routed`; larger instances are all routed.  It reads rho off the
-convex hull.  Up to _FACET_SUBSETS d-row subsets, one stacked scan of
-their normals (`_scan_facets`) tells which hulls hold the origin and
-gives their nearest facets, |cos rho| = dist(0, bd conv A).  The other
-instances take the least distance dist(0, conv A) = cos rho from one call
-of `nnls_stack`, a Lawson-Hanson NNLS run on the whole stack with a
-compact passive set and a KKT certificate per instance; past the scan's
-bound, Qhull finds the facet where the NNLS puts the origin inside.  The
-first caps, the scanned facets', the Qhull facets' and the nearest
-points', are checked as one stack, and only the caps that fail (near
-pi/2, tiny caps, caps that do not cover) are refined from their support
-rows one instance at a time (`_refine`).  `sic_rho` is the one-instance
-view of `stack_rho` and `cond_and_class` a view of that.
+determines the feasibility class (rho vs pi/2) and the condition number
+1/|cos rho|.  Both are decided here only, for a column of rho
+(`class_labels`, `cond_columns`, and `ln_cond` for ln C), with
+`classify_rho` and `cond_from_rho` their one-value views.  By Cheung and
+Cucker, cos rho = max over unit y of min_i <a_i, y>.  `stack_rho` solves
+a stack of instances and is the one production path for rho: at small
+sizes one max-min scan over the row subsets of every instance answers
+either class, and only the instances where it may be imprecise are
+routed to `_solve_routed`; larger instances are all routed.  It reads
+rho off the convex hull.  Up to _FACET_SUBSETS d-row subsets, one
+stacked scan of their normals (`_scan_facets`) tells which hulls hold
+the origin and gives their nearest facets, |cos rho| = dist(0, bd conv
+A).  The other instances take the least distance dist(0, conv A) = cos
+rho from one call of `nnls_stack`, a Lawson-Hanson NNLS run on the whole
+stack with a compact passive set and a KKT certificate per instance;
+past the scan's bound, Qhull finds the facet where the NNLS puts the
+origin inside.  The first caps, the scanned facets', the Qhull facets'
+and the nearest points', are checked as one stack, and only the caps
+that fail (near pi/2, tiny caps, caps that do not cover) are refined
+from their support rows one instance at a time (`_refine`).  `sic_rho`
+is the one-instance view of `stack_rho` and `cond_and_class` a view of
+that.
 `stack_feasible` decides feasibility for a stack: the facet scan's sign
 at the sizes `stack_rho` scans, else the same NNLS.
 `sic_bruteforce`, the exhaustive support-subset enumeration, is the
@@ -114,10 +117,11 @@ def unit_rows(mats: np.ndarray) -> np.ndarray:
 
     The normalization `Instance` applies, by elementwise operations only,
     so a row of a stack comes out bit for bit as in its own Instance.
-    Rows whose norm is off 1 by more than 1e-6 are rejected as corrupt.
+    Rows whose norm is off 1 by more than 1e-6, or not finite, are
+    rejected as corrupt.
     """
     norms = row_norms(mats)
-    bad = np.argwhere(np.abs(norms - 1.0) > 1e-6)
+    bad = np.argwhere(~(np.abs(norms - 1.0) <= 1e-6))
     if bad.size:
         first = tuple(bad[0])
         raise ValueError(
@@ -179,18 +183,40 @@ class SicResult:
     dist_to_sigma: float
 
 
+def class_labels(rho: np.ndarray) -> np.ndarray:
+    """The class label (a `FeasibilityClass` value) of each rho of a
+    column: IP within ILL_POSED_BAND of pi/2, else SF below it and IF
+    above; "" for a failed (NaN) solve."""
+    half_pi = math.pi / 2
+    ill = np.abs(rho - half_pi) <= ILL_POSED_BAND
+    return np.where(np.isnan(rho), "", np.where(ill, "IP", np.where(rho < half_pi, "SF", "IF")))
+
+
+def cond_columns(rho: np.ndarray):
+    """(labels, cond) of a rho column: `class_labels`, and C = inf in the
+    ill-posed band, else 1/|cos rho| with the C library's cos
+    (`sphere._libm`), so each value is the `math.cos` one; NaN for NaN."""
+    ill = np.abs(rho - math.pi / 2) <= ILL_POSED_BAND
+    return class_labels(rho), np.where(ill, math.inf, 1.0 / np.abs(_libm(np.cos, rho)))
+
+
+def ln_cond(cond: np.ndarray) -> np.ndarray:
+    """`math.log` of each condition number up to COND_OVERFLOW, bit for
+    bit (`sphere._libm`); NaN past it and for failed (NaN) samples."""
+    ln = np.full(cond.shape, math.nan)
+    kept = np.flatnonzero(cond <= COND_OVERFLOW)
+    ln[kept] = _libm(np.log, cond.take(kept))
+    return ln
+
+
 def classify_rho(rho: float) -> FeasibilityClass:
-    if abs(rho - math.pi / 2) <= ILL_POSED_BAND:
-        return FeasibilityClass.ILL_POSED
-    if rho < math.pi / 2:
-        return FeasibilityClass.STRICTLY_FEASIBLE
-    return FeasibilityClass.INFEASIBLE
+    """The class of one rho: the one-value view of `class_labels`."""
+    return FeasibilityClass(str(class_labels(np.array([rho]))[0]))
 
 
 def cond_from_rho(rho: float) -> float:
-    if abs(rho - math.pi / 2) <= ILL_POSED_BAND:
-        return math.inf
-    return 1.0 / abs(math.cos(rho))
+    """C(A) of one rho: the one-value view of `cond_columns`."""
+    return float(cond_columns(np.array([rho]))[1][0])
 
 
 def _angles(mat: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Spherical geometry primitives.
 
-Points on S^m, spherical caps, deterministic rotations, and the
-sin/cos moment integrals that drive cap volumes and radial sampling laws.
+Points on S^m, deterministic rotations, and the sin/cos moment
+integrals that drive cap volumes and radial sampling laws.
 All angles are radians.
 """
 
@@ -82,36 +82,6 @@ class SpherePoint:
         arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
 
-    @property
-    def dim(self) -> int:
-        """The m of the ambient S^m."""
-        return self.coords.size - 1
-
-
-def _check_same_dim(x: SpherePoint, y: SpherePoint):
-    if x.coords.size != y.coords.size:
-        raise DimensionMismatchError(
-            f"points live on S^{x.dim} and S^{y.dim}"
-        )
-
-
-def angular_distance(x: SpherePoint, y: SpherePoint) -> float:
-    """Angle in [0, pi] between two points of the same sphere."""
-    _check_same_dim(x, y)
-    return float(clipped_arccos(float(x.coords @ y.coords)))
-
-
-@dataclass(frozen=True)
-class Cap:
-    """Closed spherical cap: all points within `radius` of `center`."""
-
-    center: SpherePoint
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.radius <= math.pi:
-            raise ValueError(f"cap radius {self.radius} outside [0, pi]")
-
 
 def rotation_to(source: SpherePoint, target: SpherePoint) -> np.ndarray:
     """Deterministic orthogonal matrix R with R @ source = target.
@@ -120,8 +90,9 @@ def rotation_to(source: SpherePoint, target: SpherePoint) -> np.ndarray:
     coincide), so R is orthogonal to machine precision and needs no
     special casing at source = -target.
     """
-    _check_same_dim(source, target)
     s, t = source.coords, target.coords
+    if s.size != t.size:
+        raise DimensionMismatchError(f"points live on S^{s.size - 1} and S^{t.size - 1}")
     u = s - t
     nu = np.linalg.norm(u)
     d = s.size

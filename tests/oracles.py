@@ -9,6 +9,10 @@ the property suite's infeasible-transition check one instance at a time,
 on the Caratheodory membership test and the NNLS boundary distance.
 `af_check_per_instance` is its feasible-witness check one row at a time,
 on `sconv_distance_scipy`, the hull distance by scipy's NNLS.
+`SpherePolytope`, `distance_to_dual` and `distance_to_boundary` are
+the one-hull distances the package's experiments reduce to closed forms
+or stacked solves; `Cap` is a closed cap, and `perturb_rows` rotates
+every row of an instance by a fixed angle.
 `least_distance_scipy` is the per-instance least-distance solve the
 package ran before its stacked NNLS kernel, and `strictly_feasible_scipy`
 the Wendel decision on it.  `solve_routed_nnls_first` is the routed
@@ -20,7 +24,7 @@ with its own first-cap test.  None of them is on a production path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +34,7 @@ from lpcond import convexgeom, harness, samplers, sic
 from lpcond.errors import ConvergenceError, DegenerateHullError
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import _equidistant
-from lpcond.sphere import Cap, SpherePoint, clipped_arccos
+from lpcond.sphere import SpherePoint, clipped_arccos
 
 _EPS = 1e-9
 _PIVOT_EPS = 1e-11
@@ -39,6 +43,114 @@ _MAX_PIVOTS = 20000
 
 class DegenerateSubsetError(RuntimeError):
     """A support subset has a numerically singular Gram matrix."""
+
+
+@dataclass(frozen=True)
+class Cap:
+    """Closed spherical cap: all points within `radius` of `center`."""
+
+    center: SpherePoint
+    radius: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.radius <= math.pi:
+            raise ValueError(f"cap radius {self.radius} outside [0, pi]")
+
+
+@dataclass(eq=False)
+class SpherePolytope:
+    """sconv of finitely many sphere points, viewed as cone(generators)."""
+
+    generators: np.ndarray
+    _facets: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        gens = np.atleast_2d(np.asarray(self.generators, dtype=float))
+        if gens.size == 0:
+            raise ValueError("polytope needs at least one generator")
+        norms = np.linalg.norm(gens, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-6):
+            raise ValueError("generators must be unit vectors")
+        self.generators = gens / norms[:, None]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.generators.shape[1]
+
+    def rank(self) -> int:
+        return int(np.linalg.matrix_rank(self.generators, tol=1e-10))
+
+    def facet_normals(self) -> np.ndarray:
+        """Inward unit normals of the facets of the full-dimensional cone:
+        the nonzero rows of `convexgeom.cone_facets`, once per facet.  Cached."""
+        if self._facets is None:
+            normals = []
+            for normal in convexgeom.cone_facets(self.generators[None])[0]:
+                if normal.any() and all(abs(float(n @ normal)) <= 1.0 - 1e-9 for n in normals):
+                    normals.append(normal)
+            self._facets = np.array(normals).reshape(-1, self.ambient_dim)
+        return self._facets
+
+
+def _coords(x) -> np.ndarray:
+    return x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
+
+
+def _interior_boundary_distance(xv: np.ndarray, P: SpherePolytope) -> float:
+    facets = P.facet_normals()
+    if facets.shape[0] == 0:
+        raise ValueError("cone has no facets; sconv covers the sphere")
+    return float(np.min(np.arcsin(np.clip(np.abs(facets @ xv), 0.0, 1.0))))
+
+
+def distance_to_dual(x, P: SpherePolytope) -> float:
+    """Angular distance from x to the dual set of sconv(generators), by the
+    projection onto the cone (`sic.nnls_stack` on a stack of one)."""
+    xv = _coords(x)
+    if xv.size != P.ambient_dim:
+        raise ValueError("point and polytope dimensions differ")
+    lam, certified = sic.nnls_stack(P.generators.T[None], xv[None])
+    if not certified[0]:
+        raise ConvergenceError("cone projection NNLS found no certified optimum")
+    z = P.generators.T @ lam[0]
+    w = xv - z
+    nw = float(np.linalg.norm(w))
+    nz = float(np.linalg.norm(z))
+    if nz <= 1e-12:
+        return 0.0  # all generator inner products <= 0: x is in the dual
+    if nw > 1e-12:
+        return float(clipped_arccos(float(xv @ w) / nw))
+    # x lies in the hull itself: everything in the dual is at least pi/2
+    # away, plus however deep x sits inside the hull.
+    if P.rank() < P.ambient_dim:
+        return math.pi / 2
+    return math.pi / 2 + _interior_boundary_distance(xv, P)
+
+
+def distance_to_boundary(x, P: SpherePolytope) -> float:
+    """Angular distance from x to the boundary of sconv(generators).
+
+    Exterior points: equals the hull distance.  Interior points: minimum
+    over facet great subspheres of arcsin |<normal, x>|.
+    """
+    xv = _coords(x)
+    d_hull = convexgeom.distance_to_sconv(xv, P.generators)
+    if d_hull > convexgeom.MEMBER_TOL:
+        return d_hull
+    if P.rank() < P.ambient_dim:
+        raise DegenerateHullError("hull spans a proper subspace; boundary distance undefined")
+    return _interior_boundary_distance(xv, P)
+
+
+def perturb_rows(mat: np.ndarray, delta: float, gen) -> np.ndarray:
+    """Rotate every row by exactly `delta` in a random tangent direction
+    (directions from `samplers.gaussians` of the generator gen)."""
+    mat = np.asarray(mat, dtype=float)
+    g = samplers.gaussians(gen, mat.shape)
+    tang = g - (np.sum(g * mat, axis=1, keepdims=True)) * mat
+    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+    out = math.cos(delta) * mat + math.sin(delta) * tang
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -260,8 +372,10 @@ def feasible_fraction_per_k(m: int, k: int, N: int, master_seed: int) -> float:
 
 
 def cond_per_value(rho: np.ndarray) -> np.ndarray:
-    """`sic.cond_from_rho` of each value of a rho column, one at a time."""
-    return np.array([sic.cond_from_rho(r) for r in rho.tolist()])
+    """C(A) of each value of a rho column, one at a time by `math.cos`:
+    inf within `sic.ILL_POSED_BAND` of pi/2, else 1/|cos rho|."""
+    return np.array([math.inf if abs(r - math.pi / 2) <= sic.ILL_POSED_BAND
+                     else 1.0 / abs(math.cos(r)) for r in rho.tolist()])
 
 
 def ln_cond_per_value(cond: np.ndarray) -> np.ndarray:
@@ -314,7 +428,7 @@ def if_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
         if b is None:
             skipped += 1
             continue
-        d_bd = convexgeom.distance_to_boundary(SpherePoint(b), convexgeom.SpherePolytope(-mats[i]))
+        d_bd = distance_to_boundary(SpherePoint(b), SpherePolytope(-mats[i]))
         rho_ab = sic.sic_rho(sic.unit_rows(np.vstack([mats[i], b])))[0]
         cond_ab = sic.cond_from_rho(rho_ab)
         if not math.isfinite(cond_ab):
@@ -450,7 +564,7 @@ def af_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
         found = False
         for j in range(n):
             x = SpherePoint(mats[i, j]).coords
-            gens = convexgeom.SpherePolytope(-np.delete(mats[i], j, axis=0)).generators
+            gens = SpherePolytope(-np.delete(mats[i], j, axis=0)).generators
             d = sconv_distance_scipy(x, gens)
             if convexgeom.MEMBER_TOL < d <= phi + 1e-6:
                 found = True

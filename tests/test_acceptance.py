@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from lpcond import cli, convexgeom, harness, samplers, sic
-from lpcond.convexgeom import SpherePolytope, cap_distance_suite
+from lpcond.convexgeom import cap_distances_batch
 from lpcond.harness import ExperimentConfig
-from lpcond.samplers import PURPOSE_CHECK, make_adversarial_params, perturb_rows, stream
+from lpcond.samplers import PURPOSE_CHECK, make_adversarial_params, stream
 from lpcond.sic import ILL_POSED_BAND, Instance
-from lpcond.sphere import Cap, SpherePoint
-from oracles import gordan_classify
+from lpcond.sphere import SpherePoint
+from oracles import Cap, SpherePolytope, distance_to_dual, gordan_classify, perturb_rows
 
 
 def report(criterion, ok, detail):
@@ -176,7 +176,9 @@ def test_c08_duality_identity():
         c = samplers.uniform_sphere_block(2, gen, 1)[0]
         r = float(gen.uniform(0.05, math.pi / 2 - 0.05))
         x = samplers.uniform_sphere_block(2, gen, 1)[0]
-        d_hull, d_dual, _ = cap_distance_suite(SpherePoint(x), Cap(SpherePoint(c), r))
+        cap = Cap(SpherePoint(c), r)
+        d_hull, d_dual, _ = (float(d[0]) for d in cap_distances_batch(
+            SpherePoint(x).coords[None], cap.center.coords, cap.radius))
         if d_hull <= 1e-9 or d_dual <= 1e-9:
             continue
         worst_cap = max(worst_cap, abs(d_hull + d_dual - math.pi / 2))
@@ -193,8 +195,8 @@ def test_c08_duality_identity():
                 gens.append(cand)
         poly = SpherePolytope(np.array(gens))
         x = SpherePoint(samplers.uniform_sphere_block(2, gen, 1)[0])
-        dk = convexgeom.distance_to_sconv(x, poly)
-        dd = convexgeom.distance_to_dual(x, poly)
+        dk = convexgeom.distance_to_sconv(x.coords, poly.generators)
+        dd = distance_to_dual(x, poly)
         if dk <= 1e-6 or dd <= 1e-6:
             continue
         worst_poly = max(worst_poly, abs(dk + dd - math.pi / 2))

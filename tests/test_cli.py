@@ -236,7 +236,7 @@ class TestCommands:
             out = capsys.readouterr().out
             classes.append(out.split("class=", 1)[1].split()[0])
         assert classes == [expected, expected]
-        assert gordan_classify(Instance.from_file(path)).short == expected
+        assert gordan_classify(Instance.from_file(path)).value == expected
 
     def test_classify_bad_row_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -244,6 +244,12 @@ class TestCommands:
         assert main(["classify", "--instance", os.fspath(bad)]) == 1
         err = capsys.readouterr().err
         assert "row 2" in err
+        # A NaN norm is not within 1e-6 of 1 either.
+        bad.write_text("3 1\n1 0\nnan 0\n0 1\n")
+        for command in ("classify", "cond", "sic"):
+            assert main([command, "--instance", os.fspath(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "row 2 has norm nan" in captured.err
 
     def test_sic_output(self, tri_file, capsys):
         assert main(["sic", "--instance", tri_file]) == 0

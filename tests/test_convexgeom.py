@@ -8,20 +8,16 @@ from hypothesis import given, settings, strategies as st
 from lpcond import harness, samplers, sic
 from lpcond.convexgeom import (
     MEMBER_TOL,
-    SpherePolytope,
-    cap_distance_suite,
     cap_distances_batch,
     cone_facets,
     cone_member_batch,
-    distance_to_boundary,
-    distance_to_dual,
     distance_to_sconv,
     sconv_distances,
 )
 from lpcond.errors import ConvergenceError, DegenerateHullError
 from lpcond.sic import nnls_stack
-from lpcond.sphere import Cap, SpherePoint
-from oracles import sconv_distance_scipy
+from lpcond.sphere import SpherePoint
+from oracles import SpherePolytope, distance_to_boundary, distance_to_dual, sconv_distance_scipy
 
 
 def unit(v):
@@ -169,15 +165,15 @@ class TestHullDistance:
         gens = random_units(rng, 4)
         P = SpherePolytope(gens)
         for g in gens:
-            assert distance_to_sconv(SpherePoint(g), P) <= 1e-8
+            assert distance_to_sconv(SpherePoint(g).coords, P.generators) <= 1e-8
 
     def test_orthogonal_example(self):
         P = SpherePolytope(np.eye(3)[:2])
-        assert distance_to_sconv(SpherePoint([0, 0, 1.0]), P) == pytest.approx(math.pi / 2)
+        assert distance_to_sconv([0, 0, 1.0], P.generators) == pytest.approx(math.pi / 2)
 
     def test_antipodal_single_generator(self):
         P = SpherePolytope(np.eye(3)[:1])
-        assert distance_to_sconv(SpherePoint([-1.0, 0, 0]), P) == pytest.approx(math.pi)
+        assert distance_to_sconv([-1.0, 0, 0], P.generators) == pytest.approx(math.pi)
 
     def test_against_dense_grid_oracle(self):
         # Brute-force minimum over a fine grid of convex combinations.
@@ -194,7 +190,7 @@ class TestHullDistance:
             hull = lams @ gens
             hull /= np.linalg.norm(hull, axis=1, keepdims=True)
             oracle = float(np.min(np.arccos(np.clip(hull @ x, -1, 1))))
-            ours = distance_to_sconv(SpherePoint(x), SpherePolytope(gens))
+            ours = distance_to_sconv(SpherePoint(x).coords, SpherePolytope(gens).generators)
             assert ours <= oracle + 1e-9
             assert ours >= oracle - 1e-4  # grid resolution limits the oracle
 
@@ -240,7 +236,7 @@ class TestDualDistance:
             gens, _ = cap_cloud(rng, 5, 0.7)
             P = SpherePolytope(gens)
             x = SpherePoint(unit(rng.standard_normal(3)))
-            dk = distance_to_sconv(x, P)
+            dk = distance_to_sconv(x.coords, P.generators)
             dd = distance_to_dual(x, P)
             if dk <= 1e-6 or dd <= 1e-6:
                 continue
@@ -329,7 +325,7 @@ class TestBoundaryDistance:
         P = SpherePolytope(np.eye(3))
         x = SpherePoint(unit([-1.0, -0.2, 0.1]))
         assert distance_to_boundary(x, P) == pytest.approx(
-            distance_to_sconv(x, P), abs=1e-12
+            distance_to_sconv(x.coords, P.generators), abs=1e-12
         )
 
     def test_degenerate_hull_rejected(self):
@@ -345,7 +341,7 @@ class TestBoundaryDistance:
             P = SpherePolytope(gens)
             lam = rng.random(5)
             xv = unit(lam @ gens)
-            if distance_to_sconv(SpherePoint(xv), P) > 1e-10:
+            if distance_to_sconv(SpherePoint(xv).coords, P.generators) > 1e-10:
                 continue
             ours = distance_to_boundary(SpherePoint(xv), P)
             oracle = oracle_boundary_distances(xv[None], gens, n_dirs=2048, seeds=[done])[0]
@@ -365,7 +361,7 @@ class TestNeighborhood:
         inside = []
         for x in random_units(rng, 400):
             p = SpherePoint(x)
-            d_hull = distance_to_sconv(p, P)
+            d_hull = distance_to_sconv(p.coords, P.generators)
             if MEMBER_TOL < d_hull < 0.5:
                 assert (distance_to_boundary(p, P) < phi) == (d_hull < phi)
                 checked_out += 1
@@ -380,55 +376,48 @@ class TestNeighborhood:
         assert checked_in >= 5 and checked_out >= 5
 
 
+def cap_distances(x, c, r):
+    """(d(x,K), d(x,K_dual), d(x,bd K)) of one point x and the cap K of
+    center c and radius r, by `cap_distances_batch`."""
+    x, c = np.asarray(x, dtype=float), np.asarray(c, dtype=float)
+    return tuple(float(d[0]) for d in cap_distances_batch(x[None], c, r))
+
+
 class TestCapDistances:
     def test_center(self):
-        c = SpherePoint([0.0, 0, 1.0])
-        d_hull, d_dual, d_bd = cap_distance_suite(c, Cap(c, math.pi / 4))
+        c = [0.0, 0, 1.0]
+        d_hull, d_dual, d_bd = cap_distances(c, c, math.pi / 4)
         assert d_hull == 0.0
         assert d_bd == pytest.approx(math.pi / 4)
         assert d_dual == pytest.approx(math.pi / 2 + math.pi / 4)
 
     def test_antipode_in_dual(self):
-        c = SpherePoint([0.0, 0, 1.0])
-        _, d_dual, _ = cap_distance_suite(SpherePoint([0.0, 0, -1.0]), Cap(c, math.pi / 4))
+        _, d_dual, _ = cap_distances([0.0, 0, -1.0], [0.0, 0, 1.0], math.pi / 4)
         assert d_dual == 0.0
 
     def test_point_on_rim(self):
-        c = SpherePoint([0.0, 0, 1.0])
-        x = SpherePoint([math.sin(math.pi / 4), 0, math.cos(math.pi / 4)])
-        d_hull, _, d_bd = cap_distance_suite(x, Cap(c, math.pi / 4))
+        x = [math.sin(math.pi / 4), 0, math.cos(math.pi / 4)]
+        d_hull, _, d_bd = cap_distances(x, [0.0, 0, 1.0], math.pi / 4)
         assert d_bd <= 1e-12
         assert d_hull <= 1e-12
 
     def test_radius_beyond_half_pi_rejected(self):
-        c = SpherePoint([0.0, 0, 1.0])
+        c = [0.0, 0, 1.0]
         with pytest.raises(ValueError):
-            cap_distance_suite(c, Cap(c, 2.0))
+            cap_distances(c, c, 2.0)
 
     def test_dkk_identity_caps(self):
         rng = np.random.default_rng(10)
         checked = 0
         while checked < 200:
-            c = SpherePoint(unit(rng.standard_normal(3)))
+            c = unit(rng.standard_normal(3))
             r = rng.uniform(0.1, math.pi / 2 - 0.1)
-            x = SpherePoint(unit(rng.standard_normal(3)))
-            d_hull, d_dual, _ = cap_distance_suite(x, Cap(c, r))
+            x = unit(rng.standard_normal(3))
+            d_hull, d_dual, _ = cap_distances(x, c, r)
             if d_hull <= 1e-9 or d_dual <= 1e-9:
                 continue
             assert d_hull + d_dual == pytest.approx(math.pi / 2, abs=1e-10)
             checked += 1
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        c = unit(rng.standard_normal(3))
-        X = random_units(rng, 50)
-        r = 0.6
-        bh, bd, bb = cap_distances_batch(X, c, r)
-        for i in range(50):
-            sh, sd, sb = cap_distance_suite(SpherePoint(X[i]), Cap(SpherePoint(c), r))
-            assert bh[i] == pytest.approx(sh, abs=1e-12)
-            assert bd[i] == pytest.approx(sd, abs=1e-12)
-            assert bb[i] == pytest.approx(sb, abs=1e-12)
 
 
 class TestMembership:
@@ -439,7 +428,7 @@ class TestMembership:
         X = random_units(rng, 200)
         member = cone_member_batch(X, gens)
         for i in range(200):
-            dist = distance_to_sconv(SpherePoint(X[i]), P)
+            dist = distance_to_sconv(SpherePoint(X[i]).coords, P.generators)
             assert member[i] == (dist <= 1e-9)
 
 

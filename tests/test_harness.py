@@ -173,7 +173,7 @@ class TestDrawConditionRecords:
 
     @staticmethod
     def counts(rho):
-        return harness._counts(*harness._cond_columns(rho))
+        return harness._counts(*sic.cond_columns(rho))
 
     def test_typed_solver_error_counts_as_failed(self, monkeypatch):
         # With _POLISH_DIST at 2 the stack scan routes every sample and no
@@ -200,7 +200,7 @@ class TestDrawConditionRecords:
         assert len(calls) == 1
         counts = self.counts(rho)
         assert counts["failed"] == 1
-        assert math.isnan(rho[2]) and harness._cond_columns(rho)[0][2] == ""
+        assert math.isnan(rho[2]) and sic.cond_columns(rho)[0][2] == ""
         assert counts["sf"] + counts["ip"] + counts["if"] == 999
 
     def test_untyped_error_propagates(self, monkeypatch):
@@ -277,7 +277,7 @@ class TestTail:
 
     def test_records_consistent(self, tail_run):
         _, (_, rho, *_), _ = tail_run
-        _, conds = harness._cond_columns(rho[:200])
+        _, conds = sic.cond_columns(rho[:200])
         for r, cond in zip(rho[:200].tolist(), conds.tolist()):
             if math.isfinite(cond):
                 assert cond == pytest.approx(1 / abs(math.cos(r)), rel=1e-9)
@@ -382,13 +382,13 @@ class TestCondColumns:
             [0.0, half_pi, math.pi, math.nan, math.nan],
         ])
         rng.shuffle(rho)
-        _, cond = harness._cond_columns(rho)
+        _, cond = sic.cond_columns(rho)
         assert np.array_equal(cond.view(np.uint64), cond_per_value(rho).view(np.uint64))
         assert np.isinf(cond).sum() > 30_000 and np.isnan(cond).sum() == 2
         cond = np.concatenate([cond, np.geomspace(1.0, 1e20, 10_000),
                                np.nextafter(sic.COND_OVERFLOW, [0.0, math.inf]),
                                [sic.COND_OVERFLOW, math.inf, math.nan]])
-        ln = harness._ln_cond(cond)
+        ln = sic.ln_cond(cond)
         assert np.array_equal(ln.view(np.uint64), ln_cond_per_value(cond).view(np.uint64))
         assert np.isnan(ln[cond > sic.COND_OVERFLOW]).all()
 
@@ -638,6 +638,25 @@ class TestPersistence:
         assert len(lines) == 201
         for line in lines[1:]:
             assert len(line.split(",")) == 8
+
+    def test_chunked_csv_is_the_one_chunk_bytes(self, tmp_path, monkeypatch):
+        # records.csv is written _CSV_ROWS rows at a time; a chunk size that
+        # splits the rows, with failed and ill-posed samples among them,
+        # writes the bytes of a single chunk.
+        cfg = ExperimentConfig(kind="tail", m=2, n=5, N=300, master_seed=57)
+        (seeds, rho, *_), summary = run_tail_experiment(cfg)
+        rho = rho.copy()
+        rho[[3, 7, 299]] = [math.nan, math.pi / 2, math.nan]
+        records = harness._records(seeds, rho)
+        one = persist(records, summary, cfg, os.fspath(tmp_path / "one"))[0]
+        monkeypatch.setattr(harness, "_CSV_ROWS", 7)
+        split = persist(records, summary, cfg, os.fspath(tmp_path / "split"))[0]
+        text = open(one, "rb").read()
+        assert open(split, "rb").read() == text
+        lines = text.decode().splitlines()
+        assert len(lines) == 301 and lines[4].endswith(",,,,,")
+        assert lines[8].split(",")[3:6] == ["IP", repr(math.pi / 2), "inf"]
+        assert lines[300].startswith("299,57,") and lines[300].endswith(",,,,,")
 
     def test_empty_records(self, tmp_path):
         cfg = ExperimentConfig(kind="wendel", m=2, N=100, k_values=(4,),

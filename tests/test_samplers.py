@@ -21,7 +21,6 @@ from lpcond.samplers import (
     compute_delta_c,
     keyed_uniforms,
     make_adversarial_params,
-    perturb_rows,
     rejection_cap_block,
     sample_instance,
     sample_ranges,
@@ -32,6 +31,7 @@ from lpcond.samplers import (
 )
 from lpcond.sic import Instance
 from lpcond.sphere import SpherePoint, rotation_to
+from oracles import perturb_rows
 
 
 def per_row_instance(center: Instance, params, rng: RngStream) -> Instance:
@@ -41,7 +41,7 @@ def per_row_instance(center: Instance, params, rng: RngStream) -> Instance:
     pole = SpherePoint(np.eye(params.m + 1)[0])
     rows = []
     for i in range(center.n):
-        u = np.clip(rng.with_row(i).generator().random(params.m + 1), 1e-300, None)
+        u = np.clip(RngStream(rng.master, rng.index | i).generator().random(params.m + 1), 1e-300, None)
         theta = float(table.theta_of_u(u[0]))
         w = ndtri(u[1:])
         pt = np.concatenate([[math.cos(theta)], math.sin(theta) * w / np.linalg.norm(w)])
@@ -67,15 +67,11 @@ class TestStreams:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_with_row_replaces_row_bits(self):
-        s = stream(1, PURPOSE_SAMPLE, 5, 0)
-        assert s.with_row(9) == stream(1, PURPOSE_SAMPLE, 5, 9)
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             stream(1, PURPOSE_SAMPLE, -1)
         with pytest.raises(ValueError):
-            RngStream(1, 0).with_row(1 << 20)
+            stream(1, PURPOSE_SAMPLE, 0, 1 << 20)
 
 
 class TestKeyedUniforms:
@@ -410,6 +406,10 @@ class TestHTable:
         path.write_text("0.0 0.0\n0.5 1.0\n")
         with pytest.raises(ValueError):
             HTable.from_file(path)
+        for text in ("0.0 1.0\nnan 1.0\n", "0.0 1.0\n0.5 nan\n", "0.0 1.0\n0.5 inf\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="finite"):
+                HTable.from_file(path)
 
     def test_normalization_identity(self):
         alpha, m, beta = math.pi / 6, 2, 0.5
@@ -418,7 +418,7 @@ class TestHTable:
         assert p.H >= 1.0
         # After rescaling, the colatitude mass must equal I_{m-beta}(alpha).
         lhs, _ = quad(
-            lambda t: math.sin(t) ** (m - beta - 1.0) * float(p.h(math.sin(t))),
+            lambda t: math.sin(t) ** (m - beta - 1.0) * float(p.h_table(math.sin(t))),
             0.0, alpha, epsabs=1e-12, limit=200, points=[0.0],
         )
         rhs, _ = quad(lambda t: math.sin(t) ** (m - beta - 1.0), 0.0, alpha,
