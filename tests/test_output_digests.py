@@ -1,4 +1,5 @@
-"""The files the experiment commands write, byte for byte.
+"""The files the experiment commands write, and what the CLI prints,
+byte for byte.
 
 Each run calls `cli.main` in process and compares the sha256 of its
 `summary.json` and `records.csv` with the digests recorded at commit
@@ -12,6 +13,10 @@ of a rho, and so a digest).  The runs:
   their hulls, so the routed solve takes the NNLS first;
 - exp-mean at (m, n) = (3, 14) and (4, 8), past the facet scan's bound,
   where Qhull gives the nearest facets.
+
+`test_streams_match_recorded_digests` pins the exit code and the sha256
+of stdout and stderr of one tiny run of every command, of the help and
+of three usage errors (STREAMS).
 
 A change that moves a digest says why in CHANGES.md, and records the new
 digest here.
@@ -68,3 +73,64 @@ def test_outputs_match_recorded_digests(run, tmp_path):
     assert code == 0
     assert digest(tmp_path / "summary.json") == summary
     assert digest(tmp_path / "records.csv") == records
+
+
+# The instance and table files the stream runs read, by name.
+INPUTS = {
+    "triple.txt": "3 1\n1 0\n-0.5 0.8660254037844386\n-0.5 -0.8660254037844386\n",
+    # Exactly ill-posed (an antipodal pair): cond prints cond=inf.
+    "antipodal.txt": "4 1\n1 0\n-1 0\n0 1\n0 1\n",
+    "h.txt": "0 1\n0.25 2\n0.5 1\n",
+}
+# What the CLI prints: (argv, exit code, sha256 of stdout, sha256 of stderr)
+# of one tiny run of every command, of the help and of three usage errors,
+# recorded at commit 57087f1.  Outputs go to the relative directory `out`,
+# which the experiments' "wrote ..." line names.
+OUT = ("--seed", "3", "--out", "out")
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # no output
+STREAMS = {
+    "classify": (("classify", "--instance", "triple.txt"), 0,
+        "a096c9e540264c594592f46bced91e984d0c43e88eb78aa2b1c2b09e13d21ceb", EMPTY),
+    "cond": (("cond", "--instance", "antipodal.txt"), 0,
+        "7782c2d252fd8fb5da27469deb997187a3a9a48fd90260d587372fc69757523c", EMPTY),
+    "sic": (("sic", "--instance", "triple.txt"), 0,
+        "52908c5798e78f06605cdb06a784faefa020dbc6e6365ffc562e652da0c48580", EMPTY),
+    "sample": (("sample", "--m", "2", "--n", "5", "--N", "2", "--center", "great-circle", *OUT), 0,
+        "963a48ede65ebabe6a32b9abff0fd152d52e6b4efa3d85720a65e8d8cd1390ef", EMPTY),
+    "exp-tail": (("exp-tail", "--m", "2", "--n", "5", "--N", "32", "--center", "equal-rows",
+                  "--t-grid", "1:1000:3", "--h-table", "h.txt", *OUT), 0,
+        "e15eab7dd52888af1ebcfea5a3883bbce044d14d5d3ee81478b03eadbb4b19da", EMPTY),
+    "exp-mean": (("exp-mean", "--m", "3", "--n", "12", "--N", "16", *OUT), 0,
+        "6178e00b4d46fd8e1279468f701474ba600be503c13fb95b795b31a35c79662c", EMPTY),
+    "exp-wendel": (("exp-wendel", "--m", "1", "--k", "3:4", "--N", "16", *OUT), 0,
+        "27f957b5c935dd1fa13b73d87fe9ea8fb99b10e85e66ea07f28d01849885e322", EMPTY),
+    "exp-tube": (("exp-tube", "--m", "2", "--phi", "0.01", "--cap-radius", "0.5", "--N", "64",
+                  *OUT), 0,
+        "eb2aa3e6a56348012d1339c5371527dc6b76430e4d4780f2d83e17eee96cf07f", EMPTY),
+    "exp-properties": (("exp-properties", "--m", "1", "--n", "3", *OUT), 0,
+        "81c015b71cb1c8003a11bcba8e7d528cd332e5abc16a04c7d9a231ffff9e010c", EMPTY),
+    "validate-sampler": (("validate-sampler", "--m", "2", "--beta", "0", "--N", "64", *OUT), 0,
+        "a125f9316f3a00ca3202665ca1205c2c389bc04494f4decf60e6937dc3629e0e", EMPTY),
+    "help": (("--help",), 0,
+        "775b80970d774e975a46b341ebd017b2f2fd694e8367cbeb18bf2bde93ef3b2d", EMPTY),
+    "no-instance": (("classify",), 1,
+        EMPTY, "9e6145b882cd759b5ca58a3d37002e4be5f00fbc19812c4101966761df57b32c"),
+    "unknown-command": (("frobnicate",), 1,
+        EMPTY, "97e68ad8031e9a345408a7252aa09d7834ffee424ea32a80e9d2bc124a84a80f"),
+    "unread-flag": (("exp-mean", "--bogus", "1"), 1,
+        EMPTY, "3e1329e92325bff21c784d7ba1f12d0b9d2e441623e266d0faccc21d67b7f18e"),
+}
+
+
+@pytest.mark.parametrize("run", STREAMS)
+def test_streams_match_recorded_digests(run, tmp_path, monkeypatch):
+    argv, code, stdout, stderr = STREAMS[run]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(list(argv)) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == stdout
+    assert hashlib.sha256(err.getvalue().encode()).hexdigest() == stderr
