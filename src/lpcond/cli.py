@@ -1,25 +1,27 @@
 """Command-line front end.
 
-Exit codes: 0 success (all bound checks passing or informational),
-2 on any bound-check failure, 1 on usage, I/O, or solver errors.
-Flags override values from an optional key=value config file.  Each key
-(`_KEYS`: its converter and help) is declared once, and each command
-(`_EXPERIMENTS`) takes as flags and as config-file keys only the keys it
-reads, plus `out` and `workers`; any other key is an error naming the
-command and the key.  Every command runs serially on one thread; `workers`
-is accepted and ignored, so scripts that pass it still run.
+Exit codes: 1 on usage, configuration, I/O or solver errors; else 2
+where the summary records a failed check (`_failed`), else 0.  Flags
+override values from an optional key=value config file.  Each key
+(`_KEYS`: its converter and help) is declared once, and each experiment
+command is one row of `_EXPERIMENTS`: the harness function that runs it
+and the keys it reads, as flags and as config-file keys, besides `out`
+and `workers`; any other key is an error naming the command and the key.
+Every command runs serially on one thread; `workers` is accepted and
+ignored, so scripts that pass it still run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
 import sys
 
 from . import harness
-from .errors import ConfigError, ConvergenceError, DegenerateHullError, InstanceTooLargeError
+from .errors import ConfigError, ConvergenceError, DegenerateHullError
 from .harness import ExperimentConfig
 from .sic import Instance, classify_rho, cond_and_class, cond_from_rho, sic_rho
 from .sphere import unit_vector
@@ -90,23 +92,26 @@ _KEYS = {
 }
 # What a condition-number draw reads (`sample`, `exp-tail`, `exp-mean`).
 _DRAW = ("m", "n", "alpha", "beta", "h_table", "N", "seed", "center")
-# The commands that run an ExperimentConfig: (command, kind, help, the keys
-# it reads besides `out` and the ignored `workers`).
+# The commands that run an ExperimentConfig: (command, kind, the name of
+# the harness function that runs it, help, the keys it reads besides `out`
+# and the ignored `workers`).  `sample` writes instance files itself.
 _EXPERIMENTS = (
-    ("sample", "sample", "draw seeded instances to files", _DRAW),
-    ("exp-tail", "tail", "tail probability vs closed-form bounds",
+    ("sample", "sample", None, "draw seeded instances to files", _DRAW),
+    ("exp-tail", "tail", "run_tail_experiment", "tail probability vs closed-form bounds",
      _DRAW + ("delta_mode", "t_grid")),
-    ("exp-mean", "expectation", "mean log-condition vs its bound", _DRAW),
-    ("exp-wendel", "wendel", "uniform feasibility frequency vs exact formula",
-     ("m", "N", "seed", "k")),
-    ("exp-tube", "tube", "boundary-neighborhood volume vs its bound",
+    ("exp-mean", "expectation", "run_expectation_experiment", "mean log-condition vs its bound",
+     _DRAW),
+    ("exp-wendel", "wendel", "run_wendel_experiment",
+     "uniform feasibility frequency vs exact formula", ("m", "N", "seed", "k")),
+    ("exp-tube", "tube", "run_tube_experiment", "boundary-neighborhood volume vs its bound",
      ("m", "alpha", "N", "seed", "phi", "cap_radius", "offset")),
-    ("exp-properties", "property-suite", "structural property checks", ("m", "n", "seed")),
-    ("validate-sampler", "sampler-check", "sampler fidelity checks",
+    ("exp-properties", "property-suite", "run_property_suite", "structural property checks",
+     ("m", "n", "seed")),
+    ("validate-sampler", "sampler-check", "run_sampler_check", "sampler fidelity checks",
      ("m", "alpha", "beta", "N", "seed")),
 )
 # kind -> (command, every key it reads: its flags and its config-file keys).
-_READS = {kind: (command, keys + ("out", "workers")) for command, kind, _, keys in _EXPERIMENTS}
+_READS = {kind: (command, keys + ("out", "workers")) for command, kind, _, _, keys in _EXPERIMENTS}
 
 
 def _read_config_file(path, kind) -> dict:
@@ -141,35 +146,15 @@ def _experiment_config(kind, args) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, **{"out_dir": _OUT_DIR, **fields})
 
 
-def _summary_exit_code(summary: dict) -> int:
-    failed = False
-    for row in summary.get("tail_table") or []:
-        if row["pass_F"] is False or row["pass_I"] is False:
-            failed = True
-    exp = summary.get("expectation")
-    if exp and exp.get("pass") is False:
-        failed = True
-    for row in summary.get("wendel_table") or []:
-        if row["pass"] is False:
-            failed = True
-    for row in summary.get("tube_table") or []:
-        if row["pass_outer"] is False or row["pass_inner"] is False:
-            failed = True
-    suite = summary.get("property_suite")
-    if suite and any(check["status"] == "fail" for check in suite.values()):
-        failed = True
-    for row in summary.get("sampler_table") or []:
-        if not all(row.get(k, True) for k in
-                   ("pass_radial", "pass_direction", "pass_rejection", "support_ok")):
-            failed = True
-    return 2 if failed else 0
-
-
-def _finish(records, summary, cfg) -> int:
-    if cfg.out_dir:
-        csv_path, json_path = harness.persist(records, summary, cfg, cfg.out_dir)
-        print(f"wrote {csv_path} and {json_path}")
-    return _summary_exit_code(summary)
+def _failed(summary) -> bool:
+    """Whether a summary, at any depth, holds False under a `pass`,
+    `pass_*` or `support_ok` key, or "fail" under a `status` key."""
+    if isinstance(summary, list):
+        return any(_failed(value) for value in summary)
+    return isinstance(summary, dict) and any(
+        (value is False and (key in ("pass", "support_ok") or key.startswith("pass_")))
+        or (key == "status" and value == "fail") or _failed(value)
+        for key, value in summary.items())
 
 
 def _cmd_classify(args) -> int:
@@ -179,18 +164,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cond(args) -> int:
-    inst = Instance.from_file(args.instance)
-    cond, cls, dist = cond_and_class(inst)
-    cond_text = "inf" if math.isinf(cond) else f"{cond:g}"
-    print(f"class={cls.value} cond={cond_text} dist_to_sigma={dist:.9g}")
+    cond, cls, dist = cond_and_class(Instance.from_file(args.instance))
+    print(f"class={cls.value} cond={cond:g} dist_to_sigma={dist:.9g}")
     return 0
 
 
 def _cmd_sic(args) -> int:
     rho, center, support = sic_rho(Instance.from_file(args.instance).matrix)
-    cond = cond_from_rho(rho)
-    cond_text = "inf" if math.isinf(cond) else f"{cond:g}"
-    print(f"rho={rho:.12g} class={classify_rho(rho).value} cond={cond_text}")
+    print(f"rho={rho:.12g} class={classify_rho(rho).value} cond={cond_from_rho(rho):g}")
     print(f"center={' '.join(f'{v:.12g}' for v in unit_vector(center))}")
     print(f"support={','.join(map(str, support))}")
     return 0
@@ -212,22 +193,19 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _run_experiment(kind, args) -> int:
+def _run_experiment(kind, runner, args) -> int:
+    """Run `harness.<runner>`, looked up at each call (a tracer may patch
+    it), print its summary and write its outputs: 2 if a check failed."""
     cfg = _experiment_config(kind, args)
-    runner = {
-        "tail": harness.run_tail_experiment,
-        "expectation": harness.run_expectation_experiment,
-        "wendel": harness.run_wendel_experiment,
-        "tube": harness.run_tube_experiment,
-        "property-suite": harness.run_property_suite,
-        "sampler-check": harness.run_sampler_check,
-    }[kind]
-    records, summary = runner(cfg)
-    _print_summary(kind, summary)
-    return _finish(records, summary, cfg)
+    records, summary = getattr(harness, runner)(cfg)
+    _print_summary(summary)
+    if cfg.out_dir:
+        csv_path, json_path = harness.persist(records, summary, cfg, cfg.out_dir)
+        print(f"wrote {csv_path} and {json_path}")
+    return 2 if _failed(summary) else 0
 
 
-def _print_summary(kind, summary):
+def _print_summary(summary):
     if summary.get("tail_table"):
         rows = summary["tail_table"]
         ok_f = sum(1 for r in rows if r["pass_F"] is not False)
@@ -263,38 +241,28 @@ _FILE_COMMANDS = (
 
 
 def _parser(argv=None) -> argparse.ArgumentParser:
-    """The CLI parser.  Where argv's first word is a command, only that
-    subcommand is built.  Otherwise every subcommand is listed, for the
-    help and the invalid-choice error, but only the one named in argv (its
-    first word not starting with "-") gets its arguments; with argv None,
-    all of them do.  Each subcommand's `error` is its parser's, for the
-    arguments it does not read."""
+    """The CLI parser: only the subcommand that argv's first word names,
+    else (for the help and the invalid-choice error) all of them.  Each
+    subcommand's `error` is its parser's, for the arguments it does not
+    read."""
     parser = argparse.ArgumentParser(
         prog="lpcond",
         description="Condition numbers of spherical feasibility instances and "
                     "Monte Carlo verification of their smoothed-analysis bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
-    known = named in (c[0] for c in _FILE_COMMANDS + _EXPERIMENTS)
-    alone = named if known and argv[0] == named else None
-
-    def built(name, help_text, func):
-        if alone not in (None, name):
-            return None
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, error=p.error)
-        return p if named in (None, name) else None
-
-    for name, fn, help_text in _FILE_COMMANDS:
-        p = built(name, help_text, fn)
-        if p:
+    names = [row[0] for row in _FILE_COMMANDS + _EXPERIMENTS]
+    alone = argv[0] if argv and argv[0] in names else None
+    for name, func, help_text in _FILE_COMMANDS:
+        if alone in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=func, error=p.error)
             p.add_argument("--instance", required=True, help="instance file (header 'n m')")
-    for name, kind, help_text, _ in _EXPERIMENTS:
-        func = _cmd_sample if kind == "sample" else (
-            lambda args, kind=kind: _run_experiment(kind, args))
-        p = built(name, help_text, func)
-        if p:
+    for name, kind, runner, help_text, _ in _EXPERIMENTS:
+        if alone in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(error=p.error, func=_cmd_sample if runner is None else
+                           functools.partial(_run_experiment, kind, runner))
             p.add_argument("--config", help="key=value config file (flags win)")
             for key in _READS[kind][1]:
                 convert, key_help = _KEYS[key]
@@ -313,8 +281,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, ConvergenceError, DegenerateHullError, InstanceTooLargeError,
-            ValueError, OSError) as exc:
+    except (ConvergenceError, DegenerateHullError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

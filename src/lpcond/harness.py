@@ -407,6 +407,8 @@ def run_tube_experiment(cfg: ExperimentConfig):
         raise ConfigError("tube experiment needs cap_radius and phi")
     if not 0.0 < cfg.cap_radius < math.pi / 2:
         raise ConfigError("the cap K must be properly convex: radius in (0, pi/2)")
+    if not 0.0 < cfg.phi < math.pi / 2:
+        raise ConfigError(f"phi={cfg.phi:.6g} is outside the bound's hypothesis: (0, pi/2)")
     m = cfg.m
     params = samplers.make_adversarial_params(m, cfg.alpha, 0.0)
     sigma = params.sigma

@@ -230,18 +230,15 @@ def _angles(mat: np.ndarray, center: np.ndarray) -> np.ndarray:
                             np.sqrt(np.einsum("...i,...i->...", summ, summ)))
 
 
-def _covers(mat: np.ndarray, center: np.ndarray, radius):
+def _covers(mat: np.ndarray, center: np.ndarray, radius: np.ndarray):
     """Whether every row lies within radius + _CONTAIN_TOL of the center,
-    compared on chords: for one instance (n, d), or per instance of a
-    stack (B, n, d) with centers (B, d) and radii (B,).  The chords' sums
-    run coordinate by coordinate (`_dot`) and a stack's reach takes the C
-    library's sin (`sphere._libm`), so a stack decides as each of its
-    instances alone."""
+    compared on chords, per instance of a stack (B, n, d) with centers
+    (B, d) and radii (B,); one instance (n, d) takes a one-element radius.
+    The chords' sums run coordinate by coordinate (`_dot`) and the reach
+    takes the C library's sin (`sphere._libm`), so a stack decides as each
+    of its instances alone."""
     diff = (mat - center[..., None, :]).T
-    if np.ndim(radius):
-        reach = 2.0 * _libm(np.sin, np.minimum(radius + _CONTAIN_TOL, math.pi) / 2.0)
-    else:
-        reach = 2.0 * math.sin(min(radius + _CONTAIN_TOL, math.pi) / 2.0)
+    reach = 2.0 * _libm(np.sin, np.minimum(radius + _CONTAIN_TOL, math.pi) / 2.0)
     return _dot(diff, diff).max(axis=0) <= reach * reach
 
 
@@ -312,7 +309,8 @@ def _best_candidate(mat: np.ndarray, subsets):
     best = None
     for subset in subsets:
         for center, radius in _subset_candidates(mat[list(subset)]):
-            if (best is None or radius <= best[0]) and _covers(mat, center, radius):
+            if ((best is None or radius <= best[0])
+                    and _covers(mat, center, np.array([radius]))[0]):
                 cover = float(np.max(_angles(mat, center)))
                 if best is None or cover < best[0]:
                     best = (cover, center, subset)
@@ -824,7 +822,8 @@ def _refine(mat: np.ndarray, center: np.ndarray, support: tuple, enclosed: bool)
     if cap is not None:
         polished = -cap[0] if enclosed else cap[0]
         radius = math.pi - cap[1] if enclosed else cap[1]
-        if _TINY_CAP <= radius <= rho + _CONTAIN_TOL and _covers(mat, polished, radius):
+        if (_TINY_CAP <= radius <= rho + _CONTAIN_TOL
+                and _covers(mat, polished, np.array([radius]))[0]):
             return radius, polished, support
     # The support itself is wrong where the NNLS cannot resolve it (tiny
     # caps); the true one is among the rows near the rim of the first cap.

@@ -512,7 +512,7 @@ def instance_rho(mat: np.ndarray, z, u, facet):
     else:
         center, support, cos_rho = facet or sic._hull_facet(mat)
         sign, rho, precise = -1.0, math.acos(cos_rho), True
-    if precise and rho >= sic._TINY_CAP and sic._covers(mat, center, rho):
+    if precise and rho >= sic._TINY_CAP and sic._covers(mat, center, np.array([rho]))[0]:
         return rho, center, support
     angles = sic._angles(mat, center)
     rho = float(np.max(angles))
@@ -520,7 +520,8 @@ def instance_rho(mat: np.ndarray, z, u, facet):
     if cap is not None:
         polished = sign * cap[0]
         radius = cap[1] if sign > 0 else math.pi - cap[1]
-        if sic._TINY_CAP <= radius <= rho + sic._CONTAIN_TOL and sic._covers(mat, polished, radius):
+        if (sic._TINY_CAP <= radius <= rho + sic._CONTAIN_TOL
+                and sic._covers(mat, polished, np.array([radius]))[0]):
             return radius, polished, support
     # The support itself is wrong where the NNLS cannot resolve it (tiny
     # caps); the true one is among the rows near the rim of the first cap.

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import lpcond
-from lpcond import sic
+from lpcond import harness, sic
 from lpcond.cli import (
     _EXPERIMENTS,
     _FIELDS,
     _OUT_DIR,
     _experiment_config,
+    _failed,
     _parser,
     _read_config_file,
     main,
@@ -195,26 +196,78 @@ class TestRejectedInputs:
         assert not os.path.exists(out)
 
 
-class TestExitCodes:
-    def test_bound_failure_maps_to_two(self):
-        from lpcond.cli import _summary_exit_code
+TAIL_ARGV = ["exp-tail", "--N", "64"]
+MEAN_ARGV = ["exp-mean", "--m", "3", "--n", "12", "--N", "16"]
+TUBE_ARGV = ["exp-tube", "--phi", "0.01", "--cap-radius", "0.5", "--N", "64"]
+PROPS_ARGV = ["exp-properties", "--m", "1", "--n", "3"]
+SAMPLER_ARGV = ["validate-sampler", "--N", "64"]  # m = 2, beta = 0: every sampler check
+# Every verdict field the harness writes: (argv, its runner, the field's
+# path in the summary).  Each run's own verdicts pass.
+VERDICTS = [
+    (TAIL_ARGV, "run_tail_experiment", ("tail_table", 0, "pass_F")),
+    (TAIL_ARGV, "run_tail_experiment", ("tail_table", -1, "pass_I")),
+    (MEAN_ARGV, "run_expectation_experiment", ("expectation", "pass")),
+    (["exp-wendel", "--k", "4:5", "--N", "64"], "run_wendel_experiment",
+     ("wendel_table", 1, "pass")),
+    (TUBE_ARGV, "run_tube_experiment", ("tube_table", 0, "pass_outer")),
+    (TUBE_ARGV, "run_tube_experiment", ("tube_table", 0, "pass_inner")),
+    (PROPS_ARGV, "run_property_suite", ("property_suite", "multrva", "grid", 0, "pass")),
+    (SAMPLER_ARGV, "run_sampler_check", ("sampler_table", 0, "pass_radial")),
+    (SAMPLER_ARGV, "run_sampler_check", ("sampler_table", 0, "pass_direction")),
+    (SAMPLER_ARGV, "run_sampler_check", ("sampler_table", 0, "pass_rejection")),
+    (SAMPLER_ARGV, "run_sampler_check", ("sampler_table", 0, "support_ok")),
+]
+STATUSES = [
+    (MEAN_ARGV, "run_expectation_experiment", ("expectation", "status")),
+    (PROPS_ARGV, "run_property_suite", ("property_suite", "af", "status")),
+    (PROPS_ARGV, "run_property_suite", ("property_suite", "ccine", "status")),
+]
 
-        passing = {"wendel_table": [{"pass": True}]}
-        failing = {"wendel_table": [{"pass": False}]}
-        assert _summary_exit_code(passing) == 0
-        assert _summary_exit_code(failing) == 2
-        assert _summary_exit_code({"tail_table": [
-            {"pass_F": None, "pass_I": True},
-        ]}) == 0
-        assert _summary_exit_code({"tail_table": [
-            {"pass_F": False, "pass_I": True},
-        ]}) == 2
-        assert _summary_exit_code({"property_suite": {
-            "af": {"status": "inconclusive"},
-        }}) == 0
-        assert _summary_exit_code({"property_suite": {
-            "af": {"status": "fail"},
-        }}) == 2
+
+class TestExitCodes:
+    """A command exits 2 if and only if its summary holds False under a
+    pass, pass_* or support_ok key, or a status of "fail"."""
+
+    @staticmethod
+    def _run_with(monkeypatch, tmp_path, argv, runner, path, value):
+        # The CLI looks its runner up on harness at each call.
+        real = getattr(harness, runner)
+
+        def patched(cfg):
+            records, summary = real(cfg)
+            node = summary
+            for step in path[:-1]:
+                node = node[step]
+            assert path[-1] in node
+            node[path[-1]] = value
+            return records, summary
+
+        monkeypatch.setattr(harness, runner, patched)
+        code = main(argv + ["--seed", "1", "--out", os.fspath(tmp_path / "o")])
+        assert json.load(open(tmp_path / "o" / "summary.json"))  # written either way
+        return code
+
+    @pytest.mark.parametrize("value, code", [(False, 2), (True, 0), (None, 0)])
+    @pytest.mark.parametrize("argv, runner, path", VERDICTS,
+                             ids=["/".join(map(str, v[2])) for v in VERDICTS])
+    def test_verdict_field(self, monkeypatch, tmp_path, capsys, argv, runner, path, value, code):
+        assert self._run_with(monkeypatch, tmp_path, argv, runner, path, value) == code
+
+    @pytest.mark.parametrize("value, code", [
+        ("fail", 2), ("pass", 0), ("inconclusive", 0), ("informational", 0),
+        ("insufficient-precision", 0)])
+    @pytest.mark.parametrize("argv, runner, path", STATUSES,
+                             ids=["/".join(map(str, v[2])) for v in STATUSES])
+    def test_status_field(self, monkeypatch, tmp_path, capsys, argv, runner, path, value, code):
+        assert self._run_with(monkeypatch, tmp_path, argv, runner, path, value) == code
+
+    def test_bound_failure_maps_to_two(self):
+        assert not _failed({"wendel_table": [{"pass": True}]})
+        assert _failed({"wendel_table": [{"pass": False}]})
+        assert not _failed({"tail_table": [{"pass_F": None, "pass_I": True}]})
+        assert _failed({"tail_table": [{"pass_F": False, "pass_I": True}]})
+        assert not _failed({"property_suite": {"af": {"status": "inconclusive"}}})
+        assert _failed({"property_suite": {"af": {"status": "fail"}}})
 
 
 class TestCommands:
@@ -379,7 +432,7 @@ class TestEachCommandReadsItsKeys:
 
     @pytest.mark.parametrize("command", sorted(READS))
     def test_read_keys_accepted_in_config_file(self, tmp_path, command):
-        kind = {c: k for c, k, _, _ in _EXPERIMENTS}[command]
+        kind = {c: k for c, k, _, _, _ in _EXPERIMENTS}[command]
         cfg = tmp_path / "c.cfg"
         cfg.write_text("".join(f"{key} = {VALUES[key]}\n" for key in READS[command])
                        + "out = o\nworkers = 2\n")
@@ -479,6 +532,17 @@ class TestExperimentsEndToEnd:
                      "--out", os.fspath(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi", ["-0.01", "0", "3.1", "piOver2"])
+    def test_tube_phi_outside_zero_to_half_pi_exit_one(self, tmp_path, capsys, phi):
+        # Each but pi/2 has sin(phi) <= sigma/(2m); the bound also needs
+        # 0 < phi < pi/2.  -0.01 ran and exited 2, 0 passed vacuously.
+        out = tmp_path / "o"
+        assert main(["exp-tube", "--m", "2", "--phi=" + phi, "--cap-radius", "0.5",
+                     "--N", "2000", "--out", os.fspath(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: phi=") and "outside the bound's hypothesis" in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv", [
         ["exp-tail", "--N", "0"],

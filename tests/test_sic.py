@@ -852,7 +852,7 @@ class TestRoutedSolve:
         for i, mat in zip(inside.tolist(), hulls):
             center, _, cos_rho = hull(mat)
             rho = math.acos(cos_rho)
-            if not (rho >= sic._TINY_CAP and sic._covers(mat, center, rho)):
+            if not (rho >= sic._TINY_CAP and sic._covers(mat, center, np.array([rho]))[0]):
                 failing.append(i)
         assert 0 < len(failing) < inside.size
         assert np.array_equal(refined, mats[failing])
