@@ -24,14 +24,13 @@ from .sic import (
     cond_and_class,
     sic_bruteforce,
 )
-from .sphere import SpherePoint, integral_I, rotation_to
+from .sphere import integral_I
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdversarialParams", "FeasibilityClass", "HTable", "Instance",
-    "RngStream", "SicResult", "SpherePoint", "build_radial_cdf",
-    "compute_delta_c", "cond_and_class", "integral_I",
-    "make_adversarial_params", "rotation_to", "sample_instance",
-    "sic_bruteforce", "stream",
+    "RngStream", "SicResult", "build_radial_cdf", "compute_delta_c",
+    "cond_and_class", "integral_I", "make_adversarial_params",
+    "sample_instance", "sic_bruteforce", "stream",
 ]

@@ -20,11 +20,12 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import harness
 from .errors import ConfigError, ConvergenceError, DegenerateHullError
 from .harness import ExperimentConfig
 from .sic import Instance, classify_rho, cond_and_class, cond_from_rho, sic_rho
-from .sphere import unit_vector
 
 _PI_OVER = re.compile(r"^piOver(\d+)$")
 
@@ -55,8 +56,6 @@ def parse_t_grid(text) -> tuple:
     lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
     if not (0 < lo < hi and pts >= 1):
         raise ValueError(f"bad t-grid {text!r}")
-    import numpy as np
-
     return tuple(float(t) for t in np.geomspace(lo, hi, pts))
 
 
@@ -172,7 +171,7 @@ def _cmd_cond(args) -> int:
 def _cmd_sic(args) -> int:
     rho, center, support = sic_rho(Instance.from_file(args.instance).matrix)
     print(f"rho={rho:.12g} class={classify_rho(rho).value} cond={cond_from_rho(rho):g}")
-    print(f"center={' '.join(f'{v:.12g}' for v in unit_vector(center))}")
+    print(f"center={' '.join(f'{v:.12g}' for v in center / np.linalg.norm(center))}")
     print(f"support={','.join(map(str, support))}")
     return 0
 

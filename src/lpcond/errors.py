@@ -1,10 +1,6 @@
 """Exception types shared across the library."""
 
 
-class DimensionMismatchError(ValueError):
-    """Operands live on spheres of different dimension."""
-
-
 class DegenerateHullError(RuntimeError):
     """Hull generators span a proper subspace; no interior exists."""
 

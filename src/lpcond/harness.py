@@ -41,7 +41,7 @@ from .samplers import (
     stream,
 )
 from .sic import Instance
-from .sphere import SpherePoint, clipped_arccos, rotation_to
+from .sphere import _dot, clipped_arccos
 
 CHUNK = 4096  # fixed work-item granularity of every sampled experiment
 # Slack of the prefix-monotonicity check in rho: far above the solver's
@@ -297,12 +297,12 @@ def run_tail_experiment(cfg: ExperimentConfig):
         raise ConfigError("tail experiment needs n > m+1")
     params = params_from_config(cfg)
     center = resolve_center(cfg, params)
-    records = _records(*draw_condition_records(cfg, params, center))
     grid = default_t_grid(params) if cfg.t_grid is None else tuple(cfg.t_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("t grid must be nonempty and strictly increasing")
     if grid[0] < 1.0:
         raise ConfigError("the infeasible-tail bound needs t >= 1")
+    records = _records(*draw_condition_records(cfg, params, center))
     _, _, labels, conds, _ = records
     counts = _counts(labels, conds)
     n_eff = cfg.N - counts["failed"]
@@ -537,9 +537,7 @@ def _first_members(master: int, keys: np.ndarray, normals: np.ndarray, start: in
         samplers.uniform_sphere_batch(m, master, keys[lo:hi], count, start)
         for lo, hi in samplers.sample_ranges(0, keys.size, count)
     ])
-    dots = props[:, :, None, 0] * normals[:, None, :, 0]
-    for k in range(1, m + 1):
-        dots = dots + props[:, :, None, k] * normals[:, None, :, k]
+    dots = _dot(np.moveaxis(props, -1, 0)[:, :, :, None], np.moveaxis(normals, -1, 0)[:, :, None])
     inside = dots.min(axis=2) >= -1e-10
     return props, np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
@@ -653,7 +651,7 @@ def _multrva_check(cfg: ExperimentConfig):
     exceed = N - np.searchsorted(prod, grid, side="left")
     rows = []
     violations = 0
-    for x, count in zip(grid, exceed.tolist()):
+    for x, count in zip(grid.tolist(), exceed.tolist()):
         p_hat = count / N
         se = binomial_se(p_hat, N)
         bound = (c * a_coef * b_coef * x ** (-c) * math.log(max(x / (x_u * x_v), 1.0))
@@ -661,7 +659,7 @@ def _multrva_check(cfg: ExperimentConfig):
         ok = p_hat - 3.0 * se <= bound
         if not ok:
             violations += 1
-        rows.append({"x": float(x), "p_hat": p_hat, "se": se,
+        rows.append({"x": x, "p_hat": p_hat, "se": se,
                      "bound": bound, "pass": ok})
     return {"check": "product-tail", "qualifying": N, "violations": violations,
             "grid": rows, "status": _status(N, violations)}
@@ -707,21 +705,15 @@ def ks_two_sample_threshold(n1: int, n2: int) -> float:
 
 
 def oracle_radial_cdf(params: AdversarialParams, thetas: np.ndarray) -> np.ndarray:
-    """Colatitude CDF by independent adaptive quadrature on a fine grid."""
-    from scipy.integrate import quad
+    """Colatitude CDF of a law with h = 1, in closed form: the mass
+    sin^(p-1) t on [0, theta], p = m - beta, is half the incomplete beta
+    function B(sin^2 theta; p/2, 1/2) for theta <= alpha <= pi/2, so the
+    CDF is a ratio of regularized ones."""
+    from scipy.special import betainc
 
-    p = params.m - params.beta
-    integrand = samplers.radial_density(params.m, params.beta, params.alpha,
-                                        params.h_table, params.C_norm)
-    grid = np.linspace(0.0, 1.0, 2049)
-    cells = np.array([
-        quad(integrand, grid[i], grid[i + 1], epsabs=1e-12, limit=100)[0]
-        for i in range(grid.size - 1)
-    ])
-    cdf = np.concatenate([[0.0], np.cumsum(cells)])
-    cdf /= cdf[-1]
-    s_vals = np.clip(thetas / params.alpha, 0.0, 1.0) ** p
-    return np.interp(s_vals, grid, cdf)
+    half_p = 0.5 * (params.m - params.beta)
+    sin2 = np.sin(np.clip(thetas, 0.0, params.alpha)) ** 2
+    return betainc(half_p, 0.5, sin2) / betainc(half_p, 0.5, math.sin(params.alpha) ** 2)
 
 
 def run_sampler_check(cfg: ExperimentConfig):
@@ -744,7 +736,7 @@ def run_sampler_check(cfg: ExperimentConfig):
     }
     if m >= 2:
         # Direction symmetry: one angular coordinate must be uniform.
-        R = rotation_to(SpherePoint(np.eye(m + 1)[0]), SpherePoint(abar))
+        R = samplers._rotations(abar[None])[0]
         back = pts @ R
         w = back[:, 1:]
         w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -787,8 +779,8 @@ def _csv_lines(cfg: ExperimentConfig, first: int, seeds, rho, labels, cond, ln_c
 
 def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
     """Write the per-sample CSV and the summary JSON; returns their paths.
-    The summary is serialized first: one it cannot hold (a NaN, say)
-    raises before the directory or either file is made.
+    The summary is serialized first: one it cannot hold (a NaN, a numpy
+    bool or integer) raises before the directory or either file is made.
 
     `records` are the columns a condition-number experiment returns
     (`_records`), or `NO_RECORDS`: each CSV row is its sample's columns,
@@ -799,7 +791,7 @@ def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
     samples = columns[1].size  # of the rho column
     body = dict(summary)
     body.setdefault("N", samples)
-    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "records.csv")
     json_path = os.path.join(out_dir, "summary.json")
@@ -813,14 +805,4 @@ def persist(records, summary: dict, cfg: ExperimentConfig, out_dir: str):
     except OSError as exc:
         raise OSError(f"failed writing experiment outputs under {out_dir}: {exc}") from exc
     return csv_path, json_path
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Fraction):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -15,12 +15,14 @@ computes the uniforms of many streams at once, bit for bit those of
 `RngStream(master, index).generator().random(count)`.  `cap_batch` draws
 whole instances from it: row i of sample s is the row-i stream of s, its
 colatitude the inverse CDF of the stream's first uniform, its direction the
-normalized inverse-normal transform of the next m.  Every step is
-elementwise (the rotation to each center row is an explicit per-coordinate
-sum, never a matrix product), so a draw is the same bits in any batch: the
-single-instance view `sample_instance` replays exactly the rows a batch of
-any size drew for that sample.  The inverse normal CDF is `ndtri`, a
-numpy port of Cephes' that gives scipy.special.ndtri's bits.
+normalized inverse-normal transform of the next m, around the pole e_0.
+`_rotations` builds the reflections taking e_0 to every center row in one
+stack, and `_rotate` applies them by `sphere._dot`, a per-coordinate sum,
+never a matrix product.  Every step of a draw is elementwise, so a draw is
+the same bits in any batch: the single-instance view `sample_instance`
+replays exactly the rows a batch of any size drew for that sample.  The
+inverse normal CDF is `ndtri`, a numpy port of Cephes' that gives
+scipy.special.ndtri's bits.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ConfigError
 from .sic import Instance
-from .sphere import SpherePoint, _libm, gauss_legendre, integral_I, rotation_to, row_norms
+from .sphere import _dot, _libm, gauss_legendre, integral_I, row_norms
 
 _MASK64 = (1 << 64) - 1
 _ROW_BITS = 16
@@ -281,7 +283,6 @@ class AdversarialParams:
     C_norm: float
     c_exponent: float
     delta_c: float
-    delta_mode: str
 
 
 def compute_delta_c(m: int, beta: float, H: float, delta_mode: str = "lemma") -> float:
@@ -397,7 +398,7 @@ def make_adversarial_params(
     delta = compute_delta_c(m, beta, H, delta_mode)
     return AdversarialParams(
         m=m, alpha=alpha, sigma=sigma, beta=beta, h_table=scaled,
-        H=H, C_norm=C_norm, c_exponent=c, delta_c=delta, delta_mode=delta_mode,
+        H=H, C_norm=C_norm, c_exponent=c, delta_c=delta,
     )
 
 
@@ -452,19 +453,27 @@ def _pole_frame(thetas: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def _rotations(centers: np.ndarray) -> np.ndarray:
-    """(n, d, d) stack of the rotations taking the pole e_0 to each center row."""
-    pole = SpherePoint(np.eye(centers.shape[1])[0])
-    return np.stack([rotation_to(pole, SpherePoint(c)) for c in centers])
+    """(n, d, d) stack of the rotations taking the pole e_0 to each center
+    row: the Householder reflection across e_0 - t, t the center scaled to
+    unit norm, or the identity where |e_0 - t| < 1e-14 (orthogonal to
+    machine precision, and no special case at t = -e_0).  Each norm is a
+    stacked matmul of a 1 x d row by a d x 1 column, the bits of
+    np.linalg.norm on that row alone."""
+    d = centers.shape[1]
+    t = centers / np.sqrt((centers[:, None, :] @ centers[:, :, None])[:, 0])
+    u = np.eye(d)[0] - t
+    nu = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0])
+    same = nu < 1e-14
+    u = u / np.where(same, 1.0, nu)
+    reflections = np.eye(d) - 2.0 * (u[:, :, None] * u[:, None, :])
+    return np.where(same[:, :, None], np.eye(d), reflections)
 
 
 def _rotate(pts: np.ndarray, rots: np.ndarray) -> np.ndarray:
-    """rots[i] @ pts[..., i, :] for each center row i, as an explicit sum over
+    """rots[i] @ pts[..., i, :] for each center row i, as a `_dot` over
     coordinates: each output is the same elementwise sequence whatever the
     batch shape, which a matrix product does not promise."""
-    out = pts[..., 0:1] * rots[:, :, 0]
-    for k in range(1, rots.shape[-1]):
-        out = out + pts[..., k:k + 1] * rots[:, :, k]
-    return out
+    return _dot(np.moveaxis(pts, -1, 0)[..., None], np.moveaxis(rots, -1, 0))
 
 
 def _keyed_cap_points(rots: np.ndarray, params: AdversarialParams, master: int,

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from .lp import FeasibilityClass
-from .sphere import SpherePoint, _libm, row_norms
+from .sphere import _dot, _libm, row_norms
 
 # |rho - pi/2| at or below this band counts as ill-posed.
 ILL_POSED_BAND = 1e-8
@@ -175,7 +175,7 @@ class Instance:
 class SicResult:
     """The cap `sic_bruteforce` found, with its class and condition number."""
 
-    center: SpherePoint
+    center: np.ndarray
     rho: float
     support: tuple
     cls: FeasibilityClass
@@ -332,7 +332,7 @@ def sic_bruteforce(A: Instance) -> SicResult:
     if best is None:
         raise ConvergenceError("no containing candidate cap found")
     rho, center, subset = best
-    return SicResult(center=SpherePoint(center), rho=rho, support=tuple(int(i) for i in subset),
+    return SicResult(center=center, rho=rho, support=tuple(int(i) for i in subset),
                      cls=classify_rho(rho), cond=cond_from_rho(rho),
                      dist_to_sigma=abs(math.pi / 2 - rho))
 
@@ -354,14 +354,6 @@ def _subset_index(n: int, sizes: tuple):
     for col in cols:
         col.flags.writeable = False
     return sum(combos, ()) + combos[-1], cols
-
-
-def _dot(x, y):
-    """<x, y> of coordinate-major arrays, summed coordinate by coordinate."""
-    acc = x[0] * y[0]
-    for k in range(1, len(x)):
-        acc += x[k] * y[k]
-    return acc
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,43 +1,23 @@
 """Spherical geometry primitives.
 
-Points on S^m, deterministic rotations, and the sin/cos moment
-integrals that drive cap volumes and radial sampling laws.
-All angles are radians.
+The per-coordinate sum (`_dot`) that keeps a row's norm or inner product
+the same bits in any stack, and the sin/cos moment integrals that drive
+cap volumes and radial sampling laws.  All angles are radians.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-from .errors import DimensionMismatchError
-
-# Inputs whose norm deviates from 1 by more than this are rejected as
-# corrupt; smaller deviations are renormalized.
-NORM_REJECT_TOL = 1e-6
 
 # Nodes per cell of the composite Gauss-Legendre rule (`gauss_legendre`).
 _GL_NODES = 16
 # Cells of `integral_I`'s rule, accurate to a few ulps for every order and
 # limit.
 _I_CELLS = 8
-
-
-def unit_vector(v) -> np.ndarray:
-    """Validate and renormalize a vector expected to be unit length."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d coordinate vector")
-    if arr.size < 2:
-        raise ValueError("sphere dimension must be at least 1 (need >= 2 coordinates)")
-    nrm = float(np.linalg.norm(arr))
-    if not math.isfinite(nrm) or abs(nrm - 1.0) > NORM_REJECT_TOL:
-        raise ValueError(f"vector norm {nrm!r} deviates from 1 by more than {NORM_REJECT_TOL}")
-    return arr / nrm
 
 
 def clipped_arccos(c):
@@ -56,50 +36,25 @@ def _libm(ufunc, x: np.ndarray) -> np.ndarray:
     return ufunc(x[::-1])[::-1]
 
 
+def _dot(x, y):
+    """<x, y> of coordinate-major arrays, summed coordinate by coordinate.
+
+    Every sum is the same sequence of elementwise operations whatever the
+    shape of the stack it sits in, so a row's value never depends on the
+    batch that holds it (a reduction or a matrix product may reorder its
+    sum by shape)."""
+    acc = x[0] * y[0]
+    for k in range(1, len(x)):
+        acc += x[k] * y[k]
+    return acc
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, as an explicit per-coordinate sum.
-
-    Every norm is the same sequence of elementwise operations whatever the
-    shape of the stack it sits in, so a row's norm never depends on the
-    batch that holds it (a reduction may reorder its sum by shape).  numpy
-    sums rows of fewer than 8 coordinates in order, so there it also
-    matches np.linalg.norm bit for bit.
-    """
-    sq = x[..., 0] * x[..., 0]
-    for k in range(1, x.shape[-1]):
-        sq = sq + x[..., k] * x[..., k]
-    return np.sqrt(sq)
-
-
-@dataclass(frozen=True, eq=False)
-class SpherePoint:
-    """A unit vector in R^{m+1}, i.e. a point of the sphere S^m."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        arr = unit_vector(self.coords)
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-
-
-def rotation_to(source: SpherePoint, target: SpherePoint) -> np.ndarray:
-    """Deterministic orthogonal matrix R with R @ source = target.
-
-    Built from a single Householder reflection (identity when the points
-    coincide), so R is orthogonal to machine precision and needs no
-    special casing at source = -target.
-    """
-    s, t = source.coords, target.coords
-    if s.size != t.size:
-        raise DimensionMismatchError(f"points live on S^{s.size - 1} and S^{t.size - 1}")
-    u = s - t
-    nu = np.linalg.norm(u)
-    d = s.size
-    if nu < 1e-14:
-        return np.eye(d)
-    u = u / nu
-    return np.eye(d) - 2.0 * np.outer(u, u)
+    """Euclidean norms along the last axis, by `_dot`.  numpy sums rows of
+    fewer than 8 coordinates in order, so there they also match
+    np.linalg.norm bit for bit."""
+    coords = np.moveaxis(x, -1, 0)
+    return np.sqrt(_dot(coords, coords))
 
 
 def _validate_alpha(alpha: float):

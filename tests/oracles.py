@@ -12,7 +12,10 @@ on `sconv_distance_scipy`, the hull distance by scipy's NNLS.
 `SpherePolytope`, `distance_to_dual` and `distance_to_boundary` are
 the one-hull distances the package's experiments reduce to closed forms
 or stacked solves; `Cap` is a closed cap, and `perturb_rows` rotates
-every row of an instance by a fixed angle.
+every row of an instance by a fixed angle.  `unit_point` checks a point
+of the sphere and scales it to unit norm, and `householder_rotation` is
+the rotation between two points, built one pair at a time: the per-row
+reference for `samplers._rotations`.
 `least_distance_scipy` is the per-instance least-distance solve the
 package ran before its stacked NNLS kernel, and `strictly_feasible_scipy`
 the Wendel decision on it.  `solve_routed_nnls_first` is the routed
@@ -34,7 +37,7 @@ from lpcond import convexgeom, harness, samplers, sic
 from lpcond.errors import ConvergenceError, DegenerateHullError
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import _equidistant
-from lpcond.sphere import SpherePoint, clipped_arccos
+from lpcond.sphere import _dot, clipped_arccos
 
 _EPS = 1e-9
 _PIVOT_EPS = 1e-11
@@ -45,14 +48,42 @@ class DegenerateSubsetError(RuntimeError):
     """A support subset has a numerically singular Gram matrix."""
 
 
+def unit_point(v) -> np.ndarray:
+    """A point of the sphere: a vector of at least 2 coordinates whose norm
+    is 1 to 1e-6, scaled to norm 1."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("a sphere point needs a 1-d vector of at least 2 coordinates")
+    nrm = float(np.linalg.norm(arr))
+    if not abs(nrm - 1.0) <= 1e-6:
+        raise ValueError(f"vector norm {nrm!r} deviates from 1 by more than 1e-6")
+    return arr / nrm
+
+
+def householder_rotation(source, target) -> np.ndarray:
+    """The orthogonal R with R @ source = target, one pair of unit points
+    at a time: the reflection across source - target, or the identity
+    where |source - target| < 1e-14.  The per-row reference for
+    `samplers._rotations`."""
+    s, t = unit_point(source), unit_point(target)
+    u = s - t
+    nu = np.linalg.norm(u)
+    if nu < 1e-14:
+        return np.eye(s.size)
+    u = u / nu
+    return np.eye(s.size) - 2.0 * np.outer(u, u)
+
+
 @dataclass(frozen=True)
 class Cap:
-    """Closed spherical cap: all points within `radius` of `center`."""
+    """Closed spherical cap: all points within `radius` of `center`, a
+    `unit_point`."""
 
-    center: SpherePoint
+    center: np.ndarray
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", unit_point(self.center))
         if not 0.0 <= self.radius <= math.pi:
             raise ValueError(f"cap radius {self.radius} outside [0, pi]")
 
@@ -92,10 +123,6 @@ class SpherePolytope:
         return self._facets
 
 
-def _coords(x) -> np.ndarray:
-    return x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
-
-
 def _interior_boundary_distance(xv: np.ndarray, P: SpherePolytope) -> float:
     facets = P.facet_normals()
     if facets.shape[0] == 0:
@@ -106,7 +133,7 @@ def _interior_boundary_distance(xv: np.ndarray, P: SpherePolytope) -> float:
 def distance_to_dual(x, P: SpherePolytope) -> float:
     """Angular distance from x to the dual set of sconv(generators), by the
     projection onto the cone (`sic.nnls_stack` on a stack of one)."""
-    xv = _coords(x)
+    xv = unit_point(x)
     if xv.size != P.ambient_dim:
         raise ValueError("point and polytope dimensions differ")
     lam, certified = sic.nnls_stack(P.generators.T[None], xv[None])
@@ -133,7 +160,7 @@ def distance_to_boundary(x, P: SpherePolytope) -> float:
     Exterior points: equals the hull distance.  Interior points: minimum
     over facet great subspheres of arcsin |<normal, x>|.
     """
-    xv = _coords(x)
+    xv = unit_point(x)
     d_hull = convexgeom.distance_to_sconv(xv, P.generators)
     if d_hull > convexgeom.MEMBER_TOL:
         return d_hull
@@ -397,7 +424,7 @@ def circumcap(points, sign: int = 1) -> Cap:
     if cap is None:
         raise DegenerateSubsetError("the points have no equidistant center")
     center, radius = cap
-    return Cap(SpherePoint(sign * center), radius if sign > 0 else math.pi - radius)
+    return Cap(sign * center, radius if sign > 0 else math.pi - radius)
 
 
 def first_reflected_point(master: int, index: int, mat: np.ndarray):
@@ -428,7 +455,7 @@ def if_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
         if b is None:
             skipped += 1
             continue
-        d_bd = distance_to_boundary(SpherePoint(b), SpherePolytope(-mats[i]))
+        d_bd = distance_to_boundary(b, SpherePolytope(-mats[i]))
         rho_ab = sic.sic_rho(sic.unit_rows(np.vstack([mats[i], b])))[0]
         cond_ab = sic.cond_from_rho(rho_ab)
         if not math.isfinite(cond_ab):
@@ -475,7 +502,7 @@ def solve_routed_nnls_first(mats: np.ndarray):
     n, d = mats.shape[1:]
     zs, us, certified = sic._least_distances(mats)
     inside = np.flatnonzero(
-        certified & (sic._dot(zs.T, zs.T) <= sic._ORIGIN_TOL * sic._ORIGIN_TOL))
+        certified & (_dot(zs.T, zs.T) <= sic._ORIGIN_TOL * sic._ORIGIN_TOL))
     facets = [None] * len(mats)
     scans = d <= sic._SCAN_MAX_DIM and math.comb(n, d) <= sic._FACET_SUBSETS
     scan = sic._scan_facets(mats[inside]) if inside.size and scans else None
@@ -564,7 +591,7 @@ def af_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
     for i in qualify_idx.tolist():
         found = False
         for j in range(n):
-            x = SpherePoint(mats[i, j]).coords
+            x = unit_point(mats[i, j])
             gens = SpherePolytope(-np.delete(mats[i], j, axis=0)).generators
             d = sconv_distance_scipy(x, gens)
             if convexgeom.MEMBER_TOL < d <= phi + 1e-6:

@@ -16,8 +16,14 @@ from lpcond.convexgeom import cap_distances_batch
 from lpcond.harness import ExperimentConfig
 from lpcond.samplers import PURPOSE_CHECK, make_adversarial_params, stream
 from lpcond.sic import ILL_POSED_BAND, Instance
-from lpcond.sphere import SpherePoint
-from oracles import Cap, SpherePolytope, distance_to_dual, gordan_classify, perturb_rows
+from oracles import (
+    Cap,
+    SpherePolytope,
+    distance_to_dual,
+    gordan_classify,
+    perturb_rows,
+    unit_point,
+)
 
 
 def report(criterion, ok, detail):
@@ -176,9 +182,9 @@ def test_c08_duality_identity():
         c = samplers.uniform_sphere_block(2, gen, 1)[0]
         r = float(gen.uniform(0.05, math.pi / 2 - 0.05))
         x = samplers.uniform_sphere_block(2, gen, 1)[0]
-        cap = Cap(SpherePoint(c), r)
+        cap = Cap(c, r)
         d_hull, d_dual, _ = (float(d[0]) for d in cap_distances_batch(
-            SpherePoint(x).coords[None], cap.center.coords, cap.radius))
+            unit_point(x)[None], cap.center, cap.radius))
         if d_hull <= 1e-9 or d_dual <= 1e-9:
             continue
         worst_cap = max(worst_cap, abs(d_hull + d_dual - math.pi / 2))
@@ -194,8 +200,8 @@ def test_c08_duality_identity():
             if cand @ center >= cos_r:
                 gens.append(cand)
         poly = SpherePolytope(np.array(gens))
-        x = SpherePoint(samplers.uniform_sphere_block(2, gen, 1)[0])
-        dk = convexgeom.distance_to_sconv(x.coords, poly.generators)
+        x = unit_point(samplers.uniform_sphere_block(2, gen, 1)[0])
+        dk = convexgeom.distance_to_sconv(x, poly.generators)
         dd = distance_to_dual(x, poly)
         if dk <= 1e-6 or dd <= 1e-6:
             continue

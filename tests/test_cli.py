@@ -189,6 +189,17 @@ class TestRejectedInputs:
             "error: the sphere dimension m must be at least 1, got 0\n")
         assert not os.path.exists(out)
 
+    def test_low_t_grid_exit_one_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the grid is checked before the draw")
+
+        monkeypatch.setattr(harness, "draw_condition_records", no_draw)
+        out = tmp_path / "o"
+        assert main(["exp-tail", "--N", "200000", "--t-grid", "0.5:10:3",
+                     "--out", os.fspath(out)]) == 1
+        assert capsys.readouterr().err == "error: the infeasible-tail bound needs t >= 1\n"
+        assert not os.path.exists(out)
+
     def test_properties_need_more_rows_than_m_plus_one(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["exp-properties", "--m", "1", "--n", "2", "--out", os.fspath(out)]) == 1
@@ -246,6 +257,31 @@ class TestExitCodes:
         code = main(argv + ["--seed", "1", "--out", os.fspath(tmp_path / "o")])
         assert json.load(open(tmp_path / "o" / "summary.json"))  # written either way
         return code
+
+    @pytest.mark.parametrize("argv, runner", sorted({(tuple(a), r) for a, r, _ in VERDICTS}),
+                             ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_every_verdict_is_a_bool_or_none(self, monkeypatch, tmp_path, capsys, argv, runner):
+        # `_failed` tests `value is False`, which a numpy bool never is.
+        real, summaries = getattr(harness, runner), []
+
+        def kept(cfg):
+            records, summary = real(cfg)
+            summaries.append(summary)
+            return records, summary
+
+        monkeypatch.setattr(harness, runner, kept)
+        assert main(list(argv) + ["--seed", "1", "--out", os.fspath(tmp_path / "o")]) == 0
+        verdicts = []
+
+        def walk(node):
+            for key, value in (node.items() if isinstance(node, dict) else
+                               enumerate(node) if isinstance(node, list) else ()):
+                if key in ("pass", "support_ok") or str(key).startswith("pass_"):
+                    verdicts.append(value)
+                walk(value)
+
+        walk(summaries)
+        assert verdicts and all(type(v) in (bool, type(None)) for v in verdicts), verdicts
 
     @pytest.mark.parametrize("value, code", [(False, 2), (True, 0), (None, 0)])
     @pytest.mark.parametrize("argv, runner, path", VERDICTS,

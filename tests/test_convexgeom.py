@@ -16,8 +16,13 @@ from lpcond.convexgeom import (
 )
 from lpcond.errors import ConvergenceError, DegenerateHullError
 from lpcond.sic import nnls_stack
-from lpcond.sphere import SpherePoint
-from oracles import SpherePolytope, distance_to_boundary, distance_to_dual, sconv_distance_scipy
+from oracles import (
+    SpherePolytope,
+    distance_to_boundary,
+    distance_to_dual,
+    sconv_distance_scipy,
+    unit_point,
+)
 
 
 def unit(v):
@@ -44,7 +49,7 @@ def cap_cloud(rng, count, radius, d=3):
 def project(x, P):
     """(z, lam): the nearest point z = sum lam_i b_i of cone(generators)
     to x, by `nnls_stack` on a stack of one."""
-    xv = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     lam, certified = nnls_stack(P.generators.T[None], xv[None])
     assert certified[0]
     return P.generators.T @ lam[0], lam[0]
@@ -133,18 +138,18 @@ class TestNnlsStack:
 class TestProjection:
     def test_generator_projects_to_itself(self):
         P = SpherePolytope(np.eye(3))
-        z, lam = project(SpherePoint([1.0, 0, 0]), P)
+        z, lam = project([1.0, 0, 0], P)
         assert np.allclose(z, [1.0, 0, 0], atol=1e-12)
         assert np.allclose(lam, [1.0, 0, 0], atol=1e-12)
 
     def test_polar_direction_projects_to_zero(self):
         P = SpherePolytope(np.eye(3)[:1])
-        z, _ = project(SpherePoint([-1.0, 0, 0]), P)
+        z, _ = project([-1.0, 0, 0], P)
         assert np.linalg.norm(z) <= 1e-12
 
     def test_orthogonal_direction_projects_to_zero(self):
         P = SpherePolytope(np.eye(3)[:2])
-        z, _ = project(SpherePoint([0.0, 0, 1.0]), P)
+        z, _ = project([0.0, 0, 1.0], P)
         assert np.linalg.norm(z) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -152,11 +157,11 @@ class TestProjection:
     def test_moreau_decomposition(self, seed):
         rng = np.random.default_rng(seed)
         gens = random_units(rng, int(rng.integers(1, 6)))
-        x = SpherePoint(unit(rng.standard_normal(3)))
+        x = unit(rng.standard_normal(3))
         z, _ = project(x, SpherePolytope(gens))
-        w = x.coords - z
+        w = x - z
         assert abs(float(z @ w)) <= 1e-10
-        assert np.allclose(z + w, x.coords, atol=1e-12)
+        assert np.allclose(z + w, x, atol=1e-12)
 
 
 class TestHullDistance:
@@ -165,7 +170,7 @@ class TestHullDistance:
         gens = random_units(rng, 4)
         P = SpherePolytope(gens)
         for g in gens:
-            assert distance_to_sconv(SpherePoint(g).coords, P.generators) <= 1e-8
+            assert distance_to_sconv(unit_point(g), P.generators) <= 1e-8
 
     def test_orthogonal_example(self):
         P = SpherePolytope(np.eye(3)[:2])
@@ -190,7 +195,7 @@ class TestHullDistance:
             hull = lams @ gens
             hull /= np.linalg.norm(hull, axis=1, keepdims=True)
             oracle = float(np.min(np.arccos(np.clip(hull @ x, -1, 1))))
-            ours = distance_to_sconv(SpherePoint(x).coords, SpherePolytope(gens).generators)
+            ours = distance_to_sconv(unit_point(x), SpherePolytope(gens).generators)
             assert ours <= oracle + 1e-9
             assert ours >= oracle - 1e-4  # grid resolution limits the oracle
 
@@ -198,19 +203,19 @@ class TestHullDistance:
 class TestDualDistance:
     def test_point_in_dual(self):
         P = SpherePolytope(np.eye(3)[:1])
-        assert distance_to_dual(SpherePoint([-1.0, 0, 0]), P) == 0.0
+        assert distance_to_dual([-1.0, 0, 0], P) == 0.0
 
     def test_generator_to_its_dual(self):
         P = SpherePolytope(np.eye(3)[:1])
-        assert distance_to_dual(SpherePoint([1.0, 0, 0]), P) == pytest.approx(math.pi / 2)
+        assert distance_to_dual([1.0, 0, 0], P) == pytest.approx(math.pi / 2)
 
     def test_interior_point_octant(self):
         P = SpherePolytope(np.eye(3))
-        x = SpherePoint(unit([1.0, 1.0, 1.0]))
+        x = unit([1.0, 1.0, 1.0])
         # Dense-sample oracle over the dual set (the negative octant).
         rng = np.random.default_rng(5)
         samples = -np.abs(random_units(rng, 40000))
-        oracle = float(np.min(np.arccos(np.clip(samples @ x.coords, -1, 1))))
+        oracle = float(np.min(np.arccos(np.clip(samples @ x, -1, 1))))
         ours = distance_to_dual(x, P)
         assert ours == pytest.approx(math.pi / 2 + math.asin(1 / math.sqrt(3)), abs=1e-12)
         assert ours <= oracle + 1e-9
@@ -221,7 +226,7 @@ class TestDualDistance:
         rng = np.random.default_rng(6)
         for _ in range(40):
             gens, _ = cap_cloud(rng, 5, 0.8)
-            x = SpherePoint(unit(rng.standard_normal(3)))
+            x = unit(rng.standard_normal(3))
             d3 = distance_to_dual(x, SpherePolytope(gens[:3]))
             d4 = distance_to_dual(x, SpherePolytope(gens[:4]))
             d5 = distance_to_dual(x, SpherePolytope(gens))
@@ -235,8 +240,8 @@ class TestDualDistance:
         while checked < 60:
             gens, _ = cap_cloud(rng, 5, 0.7)
             P = SpherePolytope(gens)
-            x = SpherePoint(unit(rng.standard_normal(3)))
-            dk = distance_to_sconv(x.coords, P.generators)
+            x = unit(rng.standard_normal(3))
+            dk = distance_to_sconv(x, P.generators)
             dd = distance_to_dual(x, P)
             if dk <= 1e-6 or dd <= 1e-6:
                 continue
@@ -311,27 +316,27 @@ def oracle_boundary_distances(points, gens, n_dirs, seeds):
 class TestBoundaryDistance:
     def test_point_on_facet(self):
         P = SpherePolytope(np.eye(3))
-        x = SpherePoint(unit([1.0, 1.0, 0.0]))
+        x = unit([1.0, 1.0, 0.0])
         assert distance_to_boundary(x, P) <= 1e-8
 
     def test_simplex_center(self):
         P = SpherePolytope(np.eye(3))
-        x = SpherePoint(unit([1.0, 1.0, 1.0]))
+        x = unit([1.0, 1.0, 1.0])
         assert distance_to_boundary(x, P) == pytest.approx(
             math.asin(1 / math.sqrt(3)), abs=1e-12
         )
 
     def test_exterior_equals_hull_distance(self):
         P = SpherePolytope(np.eye(3))
-        x = SpherePoint(unit([-1.0, -0.2, 0.1]))
+        x = unit([-1.0, -0.2, 0.1])
         assert distance_to_boundary(x, P) == pytest.approx(
-            distance_to_sconv(x.coords, P.generators), abs=1e-12
+            distance_to_sconv(x, P.generators), abs=1e-12
         )
 
     def test_degenerate_hull_rejected(self):
         P = SpherePolytope(np.eye(3)[:2])
         with pytest.raises(DegenerateHullError):
-            distance_to_boundary(SpherePoint(unit([1.0, 1.0, 0.0])), P)
+            distance_to_boundary(unit([1.0, 1.0, 0.0]), P)
 
     def test_interior_against_direction_oracle(self):
         rng = np.random.default_rng(8)
@@ -341,9 +346,9 @@ class TestBoundaryDistance:
             P = SpherePolytope(gens)
             lam = rng.random(5)
             xv = unit(lam @ gens)
-            if distance_to_sconv(SpherePoint(xv).coords, P.generators) > 1e-10:
+            if distance_to_sconv(unit_point(xv), P.generators) > 1e-10:
                 continue
-            ours = distance_to_boundary(SpherePoint(xv), P)
+            ours = distance_to_boundary(xv, P)
             oracle = oracle_boundary_distances(xv[None], gens, n_dirs=2048, seeds=[done])[0]
             assert ours == pytest.approx(oracle, abs=1e-6)
             done += 1
@@ -360,8 +365,8 @@ class TestNeighborhood:
         checked_out = 0
         inside = []
         for x in random_units(rng, 400):
-            p = SpherePoint(x)
-            d_hull = distance_to_sconv(p.coords, P.generators)
+            p = unit_point(x)
+            d_hull = distance_to_sconv(p, P.generators)
             if MEMBER_TOL < d_hull < 0.5:
                 assert (distance_to_boundary(p, P) < phi) == (d_hull < phi)
                 checked_out += 1
@@ -371,7 +376,7 @@ class TestNeighborhood:
         checked_in = 0
         for x, d in zip(inside, d_or.tolist()):
             if abs(d - phi) > 1e-4:  # stay off the undecidable rim
-                assert (distance_to_boundary(SpherePoint(x), P) < phi) == (d < phi)
+                assert (distance_to_boundary(x, P) < phi) == (d < phi)
                 checked_in += 1
         assert checked_in >= 5 and checked_out >= 5
 
@@ -428,7 +433,7 @@ class TestMembership:
         X = random_units(rng, 200)
         member = cone_member_batch(X, gens)
         for i in range(200):
-            dist = distance_to_sconv(SpherePoint(X[i]).coords, P.generators)
+            dist = distance_to_sconv(unit_point(X[i]), P.generators)
             assert member[i] == (dist <= 1e-9)
 
 
@@ -452,7 +457,7 @@ class TestConeFacets:
             real = facets[facets.any(axis=1)]
             for x in props[inside][:40]:
                 d_bd = float(np.arcsin(np.clip(np.abs(real @ x).min(), 0.0, 1.0)))
-                assert d_bd == pytest.approx(distance_to_boundary(SpherePoint(x), P), abs=1e-12)
+                assert d_bd == pytest.approx(distance_to_boundary(x, P), abs=1e-12)
                 checked += 1
         assert checked >= 100
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from lpcond import cli, harness, samplers, sic
 from lpcond.errors import ConfigError, ConvergenceError
@@ -598,6 +599,18 @@ class TestSamplerCheck:
         row = summary["sampler_table"][0]
         assert row["pass_radial"] and row["pass_direction"]
         assert row["pass_rejection"] and row["support_ok"]
+
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_radial_oracle_is_the_cumulative_quadrature(self, beta):
+        # The laws of the sampler acceptance check: m = 2, alpha = pi/6.
+        m, alpha = 2, math.pi / 6
+        params = make_adversarial_params(m, alpha, beta)
+        edges = np.linspace(0.0, alpha, 65)
+        cells = [quad(lambda t: math.sin(t) ** (m - 1 - beta), lo, hi, epsabs=0.0,
+                      epsrel=2e-14, limit=200)[0] for lo, hi in zip(edges, edges[1:])]
+        cdf = np.concatenate([[0.0], np.cumsum(cells)]) / sum(cells)
+        assert np.max(np.abs(harness.oracle_radial_cdf(params, edges) - cdf)) <= 1e-12
 
 
 class TestKsUtilities:

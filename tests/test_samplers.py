@@ -30,23 +30,22 @@ from lpcond.samplers import (
     uniform_sphere_block,
 )
 from lpcond.sic import Instance
-from lpcond.sphere import SpherePoint, rotation_to
-from oracles import perturb_rows
+from oracles import householder_rotation, perturb_rows, unit_point
 
 
 def per_row_instance(center: Instance, params, rng: RngStream) -> Instance:
     """Reference draw: one numpy generator per row stream, scalar colatitude,
-    a BLAS rotation and a SpherePoint per row."""
+    a BLAS rotation and a unit point per row."""
     table = build_radial_cdf(params)
-    pole = SpherePoint(np.eye(params.m + 1)[0])
+    pole = np.eye(params.m + 1)[0]
     rows = []
     for i in range(center.n):
         u = np.clip(RngStream(rng.master, rng.index | i).generator().random(params.m + 1), 1e-300, None)
         theta = float(table.theta_of_u(u[0]))
         w = ndtri(u[1:])
         pt = np.concatenate([[math.cos(theta)], math.sin(theta) * w / np.linalg.norm(w)])
-        pt = rotation_to(pole, SpherePoint(center.matrix[i])) @ pt
-        rows.append(SpherePoint(pt / np.linalg.norm(pt)).coords)
+        pt = householder_rotation(pole, center.matrix[i]) @ pt
+        rows.append(unit_point(pt / np.linalg.norm(pt)))
     return Instance(np.array(rows))
 
 
@@ -174,6 +173,26 @@ class TestCapBatch:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cap_batch(random_center(3, 6, 4), make_adversarial_params(2, 0.5), 1, [0])
+
+
+class TestRotations:
+    """The stacked pole-to-center rotations against the per-row reflection."""
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_bit_for_bit_the_per_row_reflection(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal((16, d))
+        pole = np.eye(d)[0]
+        near = pole + 1e-8 * sic.unit_rows(rng.standard_normal(d))
+        centers = np.vstack([g / np.linalg.norm(g, axis=1, keepdims=True),
+                             pole, -pole, near / np.linalg.norm(near)])
+        rots = samplers._rotations(centers)
+        for rot, c in zip(rots, centers):
+            assert np.array_equal(rot, householder_rotation(pole, c))
+        assert np.array_equal(rots[-3], np.eye(d))
+        # Each maps the pole onto its center; the near-pole row only to
+        # within its 1e-8 angle, as 1 - cos of it is below rounding.
+        assert np.max(np.abs(rots[:-1, :, 0] - centers[:-1])) <= 1e-15
 
 
 class TestNdtri:

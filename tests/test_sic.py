@@ -16,7 +16,6 @@ from lpcond.sic import (
     sic_bruteforce,
     sic_rho,
 )
-from lpcond.sphere import SpherePoint
 from oracles import (
     DegenerateSubsetError,
     circumcap,
@@ -67,25 +66,25 @@ class TestInstance:
     def test_prefix_and_append(self):
         inst = Instance(np.vstack([SYM_TRIPLE, SYM_TRIPLE[:1]]))
         assert Instance(inst.matrix[:3]).n == 3
-        grown = Instance(np.vstack([inst.matrix, SpherePoint([0.0, 1.0]).coords]))
+        grown = Instance(np.vstack([inst.matrix, np.array([0.0, 1.0])]))
         assert grown.n == 5
 
 
 class TestCircumcap:
     def test_coordinate_triple(self):
         cap = circumcap(np.eye(3), 1)
-        assert np.allclose(cap.center.coords, np.ones(3) / math.sqrt(3), atol=1e-12)
+        assert np.allclose(cap.center, np.ones(3) / math.sqrt(3), atol=1e-12)
         assert cap.radius == pytest.approx(math.acos(1 / math.sqrt(3)), abs=1e-12)
 
     def test_singleton(self):
         cap = circumcap(np.array([[1.0, 0, 0]]), 1)
         assert cap.radius == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(cap.center.coords, [1.0, 0, 0])
+        assert np.allclose(cap.center, [1.0, 0, 0])
 
     def test_arc_midpoint(self):
         pts = circle_points(0.0, 2 * math.pi / 3)
         cap = circumcap(pts, 1)
-        assert math.atan2(*cap.center.coords[::-1]) == pytest.approx(math.pi / 3)
+        assert math.atan2(*cap.center[::-1]) == pytest.approx(math.pi / 3)
         assert cap.radius == pytest.approx(math.pi / 3, abs=1e-12)
 
     def test_equidistance(self):
@@ -96,7 +95,7 @@ class TestCircumcap:
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             for sign in (1, -1):
                 cap = circumcap(pts, sign)
-                dots = pts @ cap.center.coords
+                dots = pts @ cap.center
                 assert np.max(np.abs(dots - dots[0])) <= 1e-10
 
     def test_singular_gram_rejected(self):
@@ -133,7 +132,7 @@ class TestBruteforce:
         for _ in range(40):
             inst = random_instance(rng, int(rng.integers(4, 9)), 2)
             res = sic_bruteforce(inst)
-            angles = np.arccos(np.clip(inst.matrix @ res.center.coords, -1, 1))
+            angles = np.arccos(np.clip(inst.matrix @ res.center, -1, 1))
             assert np.max(angles) <= res.rho + 1e-9
             assert len(res.support) <= inst.m + 1
             for i in res.support:
@@ -442,7 +441,7 @@ class TestStackRho:
         rng = np.random.default_rng([n, d, self.FAMILIES.index("tiny-cap")])
         for inst in self.family_stack(rng, "tiny-cap", n, d):
             oracle = sic_bruteforce(inst)
-            angles = sic._angles(inst.matrix[list(oracle.support)], oracle.center.coords)
+            angles = sic._angles(inst.matrix[list(oracle.support)], oracle.center)
             assert float(np.ptp(angles)) <= 1e-14
             assert oracle.rho == pytest.approx(float(np.max(angles)), abs=1e-14)
 
@@ -551,7 +550,7 @@ class TestAdversarial:
             mat[:, -1] = tilt * rng.choice([-1.0, 1.0], size=m + 4) * rng.uniform(0.2, 1.0, size=m + 4)
             inst = Instance(unit_rows(mat))
             oracle = sic_bruteforce(inst)
-            cover = np.max(chord_angles(inst.matrix, oracle.center.coords))
+            cover = np.max(chord_angles(inst.matrix, oracle.center))
             assert abs(oracle.rho - cover) <= 1e-15
             assert abs(oracle.rho - sic_rho(inst.matrix)[0]) <= 1e-12
 

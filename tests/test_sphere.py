@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from lpcond.errors import DimensionMismatchError
-from lpcond.sphere import SpherePoint, clipped_arccos, integral_I, rotation_to
+from lpcond.samplers import _rotations
+from lpcond.sic import Instance, unit_rows
+from lpcond.sphere import clipped_arccos, integral_I
 from oracles import Cap
 
-
-def unit(v):
-    v = np.asarray(v, dtype=float)
-    return SpherePoint(v / np.linalg.norm(v))
-
-
-E1 = SpherePoint([1.0, 0.0, 0.0])
-E2 = SpherePoint([0.0, 1.0, 0.0])
+E1 = np.array([1.0, 0.0, 0.0])
+E2 = np.array([0.0, 1.0, 0.0])
 
 
 def random_units(rng, count, d=3):
@@ -24,57 +19,59 @@ def random_units(rng, count, d=3):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def rotation_to(target):
+    """The rotation taking the pole E1 to target (`samplers._rotations`)."""
+    return _rotations(np.asarray(target, dtype=float)[None])[0]
+
+
 class TestSpherePoint:
+    """A point of the sphere is a row of an `Instance`, whose one
+    unit-norm rule is `sic.unit_rows`."""
+
     def test_normalizes_small_deviation(self):
-        p = SpherePoint(np.array([1.0 + 5e-7, 0.0, 0.0]))
-        assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-12
+        p = unit_rows(np.array([[1.0 + 5e-7, 0.0, 0.0]]))
+        assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
 
     def test_rejects_large_deviation(self):
         with pytest.raises(ValueError):
-            SpherePoint([1.1, 0.0, 0.0])
+            unit_rows(np.array([[1.1, 0.0, 0.0]]))
 
     def test_rejects_dimension_zero(self):
         with pytest.raises(ValueError):
-            SpherePoint([1.0])
+            Instance(np.ones((3, 1)))
 
     def test_coords_read_only(self):
-        p = SpherePoint([1.0, 0.0, 0.0])
+        inst = Instance(np.vstack([np.eye(3), -np.eye(3)]))
         with pytest.raises(ValueError):
-            p.coords[0] = 0.5
+            inst.matrix[0, 0] = 0.5
 
 
 class TestRotation:
     def test_identity_case(self):
-        assert np.allclose(rotation_to(E1, E1), np.eye(3))
+        assert np.allclose(rotation_to(E1), np.eye(3))
 
     def test_maps_source_to_target(self):
-        R = rotation_to(E1, E2)
-        assert np.allclose(R @ E1.coords, E2.coords, atol=1e-12)
+        R = rotation_to(E2)
+        assert np.allclose(R @ E1, E2, atol=1e-12)
         assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
 
     def test_antipodal(self):
-        R = rotation_to(E1, SpherePoint([-1.0, 0, 0]))
-        assert np.allclose(R @ E1.coords, [-1.0, 0, 0], atol=1e-12)
+        R = rotation_to(-E1)
+        assert np.allclose(R @ E1, -E1, atol=1e-12)
         assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            rotation_to(E1, SpherePoint([1.0, 0.0]))
-
     def test_deterministic(self):
-        R1 = rotation_to(E1, E2)
-        R2 = rotation_to(E1, E2)
-        assert np.array_equal(R1, R2)
+        assert np.array_equal(rotation_to(E2), rotation_to(E2))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_preserves_angular_distance(self, seed):
         rng = np.random.default_rng(seed)
-        s, t, x, y = (SpherePoint(v) for v in random_units(rng, 4))
-        R = rotation_to(s, t)
-        rx, ry = SpherePoint(R @ x.coords), SpherePoint(R @ y.coords)
-        assert clipped_arccos(rx.coords @ ry.coords) == pytest.approx(
-            clipped_arccos(x.coords @ y.coords), abs=1e-10
+        t, x, y = random_units(rng, 3)
+        R = rotation_to(t)
+        assert np.allclose(R @ E1, t, atol=1e-12)
+        assert clipped_arccos((R @ x) @ (R @ y)) == pytest.approx(
+            clipped_arccos(x @ y), abs=1e-10
         )
 
 

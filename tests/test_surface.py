@@ -139,5 +139,5 @@ def test_every_function_runs_in_a_command(tmp_path):
                 if isinstance(f, types.FunctionType))
         return key(obj.__code__) in called
 
-    assert len(lpcond.__all__) == 16
+    assert len(lpcond.__all__) == 14
     assert {name for name in lpcond.__all__ if not reached(name)} <= CHECK_NAMES
