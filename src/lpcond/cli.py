@@ -76,16 +76,18 @@ _KEYS = {
     "n": (int, "rows per instance (default 5)"),
     "alpha": (parse_angle, "cap radius in radians or piOverK (default piOver6)"),
     "beta": (float, "density pole order (default 0)"),
-    "h_table": (str, "two-column h(r) table file"),
+    "h_table": (str, "two-column h(r) table file; without it h = 1"),
     "N": (int, "sample count (default 100000)"),
     "seed": (int, "master seed (default 0)"),
-    "center": (str, "center instance: random | file:PATH | equal-rows | great-circle"),
+    "center": (str, "center instance: random | file:PATH | equal-rows | great-circle "
+                     "(default random)"),
     "delta_mode": (str, "tolerance formula: lemma | beta0-remark (default lemma)"),
-    "t_grid": (parse_t_grid, "geometric grid lo:hi:points"),
-    "k": (parse_k_values, "row counts, lo:hi or comma list"),
+    "t_grid": (parse_t_grid, "geometric grid lo:hi:points; without it 12 points from "
+               "threshold_F to 10^4 times it"),
+    "k": (parse_k_values, "row counts, lo:hi or comma list; without it k = m+2, 2m+2, 3m+2"),
     "phi": (parse_angle, "neighborhood angle (required, here or in --config)"),
     "cap_radius": (parse_angle, "radius of the convex cap K (required, here or in --config)"),
-    "offset": (parse_angle, "angle between the ball center and K's center"),
+    "offset": (parse_angle, "angle between the ball center and K's center (default 0)"),
     "out": (str, "output directory (default lpcond-out)"),
     "workers": (int, "accepted and ignored: every run is serial"),
 }

@@ -1,9 +1,8 @@
 """Spherical convex hulls as polyhedral cones.
 
 Distances to hulls (`sconv_distances`, for the property suite's
-feasible-witness check), the facets of a stack of cones (`cone_facets`,
-for its infeasible-transition check), and the closed-form cap distances
-of the volume experiment (`cap_distances_batch`).
+feasible-witness check) and the facets of a stack of cones
+(`cone_facets`, for its infeasible-transition check).
 
 Projection onto a cone is nonnegative least squares, solved for a whole
 stack of instances at once by `sic.nnls_stack`, the stacked
@@ -19,7 +18,6 @@ needs numpy only.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -32,28 +30,21 @@ from .sphere import clipped_arccos, row_norms
 MEMBER_TOL = 1e-9
 
 
-def _project(gens: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Weights lam (B, k) of the nearest point lam @ gens[b] of cone(gens[b])
-    to each X[b]: one `sic.nnls_stack` call; ConvergenceError unless every
-    instance is certified."""
+def sconv_distances(X: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Angular distance from each X[b] to sconv(gens[b]), for unit rows
+    X (B, d) and gens (B, k, d); 0 iff X[b] is a member.
+
+    One `sic.nnls_stack` call projects every X[b] onto its cone, as the
+    weights lam of its nearest point lam @ gens[b]; ConvergenceError unless
+    every instance is certified.  Angles come from chords: arccos of a
+    cosine near 1 puts members up to 2e-8 away.  Where the projection is 0,
+    X[b] sits in the polar cone and the nearest hull point is a generator.
+    """
     lam, certified = sic.nnls_stack(gens.transpose(0, 2, 1), X)
     if not certified.all():
         raise ConvergenceError(
             f"cone projection NNLS found no certified optimum on "
             f"{int((~certified).sum())} of {len(X)} instances")
-    return lam
-
-
-def sconv_distances(X: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Angular distance from each X[b] to sconv(gens[b]), for unit rows
-    X (B, d) and gens (B, k, d); 0 iff X[b] is a member.
-
-    One `sic.nnls_stack` call projects every X[b] onto its cone.  Angles come
-    from chords: arccos of a cosine near 1 puts members up to 2e-8 away.
-    Where the projection is 0, X[b] sits in the polar cone and the nearest
-    hull point is a generator.
-    """
-    lam = _project(gens, X)
     z = (lam[:, None, :] @ gens)[:, 0]
     nz = row_norms(z)
     polar = clipped_arccos((gens @ X[..., None])[..., 0].max(axis=1))
@@ -114,18 +105,3 @@ def cone_facets(gens: np.ndarray) -> np.ndarray:
     lo, hi = dots.min(axis=1)[..., None] >= -1e-10, dots.max(axis=1)[..., None] <= 1e-10
     return np.where((length > 1e-10) & (lo != hi), np.where(lo, normals, -normals), 0.0)
 
-
-def cap_distances_batch(X: np.ndarray, center: np.ndarray, radius: float):
-    """(d(x,K), d(x,K_dual), d(x,bd K)) for each row x of X and the cap K
-    of the given center and radius, in closed form, as three arrays.
-
-    Requires radius <= pi/2 so that the dual is the antipodal cap of
-    radius pi/2 - radius.
-    """
-    if radius > math.pi / 2 + 1e-12:
-        raise ValueError("cap radius beyond pi/2: dual is not a cap")
-    dc = clipped_arccos(X @ center)
-    d_hull = np.maximum(0.0, dc - radius)
-    d_dual = np.maximum(0.0, (math.pi - dc) - (math.pi / 2 - radius))
-    d_bd = np.abs(dc - radius)
-    return d_hull, d_dual, d_bd

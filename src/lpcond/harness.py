@@ -27,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import convexgeom, samplers, sic
-from .convexgeom import cap_distances_batch
 from .errors import ConfigError, ConvergenceError
 from .samplers import (
     PURPOSE_CENTER,
@@ -424,14 +423,16 @@ def run_tube_experiment(cfg: ExperimentConfig):
     a_center[1] = math.sin(cfg.placement_offset)
 
     def do_chunk(lo, hi):
+        # A point is x or -x (a random sign on its dot product with K's
+        # center), and d its signed angle to the rim of K: outside K when
+        # positive.
         count = hi - lo
         gen = stream(cfg.master_seed, PURPOSE_TUBE, lo // CHUNK).generator()
-        signs = gen.random(count) < 0.5
+        signs = np.where(gen.random(count) < 0.5, 1.0, -1.0)
         pts = samplers.cap_block(a_center, params, gen, count)
-        pts = np.where(signs[:, None], pts, -pts)
-        d_hull, _, d_bd = cap_distances_batch(pts, k_center, cfg.cap_radius)
-        outer = int(np.sum((d_hull > 0.0) & (d_hull < cfg.phi)))
-        inner = int(np.sum((d_hull <= 0.0) & (d_bd < cfg.phi)))
+        d = clipped_arccos(signs * (pts @ k_center)) - cfg.cap_radius
+        outer = int(np.sum((d > 0.0) & (d < cfg.phi)))
+        inner = int(np.sum((d <= 0.0) & (np.abs(d) < cfg.phi)))
         return outer, inner
 
     results = _run_chunks(cfg.N, 1, do_chunk)
@@ -721,7 +722,7 @@ def run_sampler_check(cfg: ExperimentConfig):
     m, N, beta = cfg.m, cfg.N, cfg.beta
     gen = stream(cfg.master_seed, PURPOSE_CHECK, 0).generator()
     abar = samplers.uniform_sphere_block(m, gen, 1)[0]
-    params = samplers.make_adversarial_params(m, cfg.alpha, beta, delta_mode=cfg.delta_mode)
+    params = samplers.make_adversarial_params(m, cfg.alpha, beta)
     draw_gen = stream(cfg.master_seed, PURPOSE_CHECK, 1 + int(round(1000 * beta))).generator()
     pts = samplers.cap_block(abar, params, draw_gen, N)
     ang = clipped_arccos(pts @ abar)

@@ -199,17 +199,9 @@ def _open_unit(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 1e-300, None)
 
 
-def _uniforms(gen: Generator, size) -> np.ndarray:
-    return _open_unit(gen.random(size))
-
-
-def gaussians(gen: Generator, size) -> np.ndarray:
-    """Standard normals, one uniform consumed per variate."""
-    return ndtri(_uniforms(gen, size))
-
-
 def uniform_sphere_block(m: int, gen: Generator, count: int) -> np.ndarray:
-    g = gaussians(gen, (count, m + 1))
+    """`count` uniform points of S^m: normalized inverse-normal transforms."""
+    g = ndtri(_open_unit(gen.random((count, m + 1))))
     return g / row_norms(g)[:, None]
 
 
@@ -312,7 +304,8 @@ def radial_density(m: int, beta: float, alpha: float, h_table: HTable | None = N
     The substitution theta = alpha * s^(1/(m-beta)) makes it extend
     continuously to s = 0 for any beta < m.  With scale 1 it integrates
     to the law's unnormalized mass (`_colatitude_mass`), with scale C_norm
-    to its CDF (`build_radial_cdf`, and the sampler check's oracle).
+    to its CDF (`build_radial_cdf`).  The sampler check's oracle does not
+    use it: it is the closed form `harness.oracle_radial_cdf`.
     """
     p = m - beta
 
@@ -511,25 +504,27 @@ def cap_batch(center: Instance, params: AdversarialParams, master: int,
 def cap_block(center_vec: np.ndarray, params: AdversarialParams,
               gen: Generator, count: int) -> np.ndarray:
     """Vectorized draws around one fixed center from a single stream."""
-    table = build_radial_cdf(params)
-    thetas = table.theta_of_u(_uniforms(gen, count))
-    dirs = gaussians(gen, (count, params.m))
+    thetas = build_radial_cdf(params).theta_of_u(_open_unit(gen.random(count)))
+    dirs = ndtri(_open_unit(gen.random((count, params.m))))
     pts = _rotate(_pole_frame(thetas, dirs)[:, None, :], _rotations(center_vec[None, :]))[:, 0]
     return pts / row_norms(pts)[:, None]
 
 
 def rejection_cap_block(center_vec: np.ndarray, alpha: float, m: int,
                         gen: Generator, count: int) -> np.ndarray:
-    """Uniform-in-cap oracle: uniform sphere draws filtered by membership."""
+    """Uniform-in-cap oracle: the first `count` uniform sphere draws of the
+    stream that lie in the cap.  The stream is read in order, in rounds of
+    at most BLOCK_ROWS candidates, so the working set beside the output is
+    bounded and the hits do not depend on the round sizes."""
     cos_a = math.cos(alpha)
-    out = []
+    out = np.empty((count, m + 1))
     have = 0
     while have < count:
-        batch = uniform_sphere_block(m, gen, max(4 * (count - have), 128))
-        hits = batch[batch @ center_vec >= cos_a]
-        out.append(hits)
-        have += hits.shape[0]
-    return np.vstack(out)[:count]
+        batch = uniform_sphere_block(m, gen, min(max(4 * (count - have), 128), BLOCK_ROWS))
+        hits = batch[batch @ center_vec >= cos_a][:count - have]
+        out[have:have + len(hits)] = hits
+        have += len(hits)
+    return out
 
 
 def sample_instance(center: Instance, params: AdversarialParams, rng: RngStream) -> Instance:

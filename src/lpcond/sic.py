@@ -72,14 +72,17 @@ _NEAR_SUBSETS = 1000
 # Up to this many d-subsets of rows, and this many coordinates (a normal
 # takes d 2^(d-1) products), `stack_rho` scans every row subset of 1..d
 # rows (`_stack_caps`) and `stack_feasible` takes the sign of the d-row
-# normals' scan; beyond them every instance takes the NNLS.  On 128
-# instances the sign's scan beat the NNLS up to C(k, 3) = 220 and
-# C(k, 4) = 330 subsets, and lost at 286 and 495.  Of the instances
-# `stack_rho` routes, `_scan_facets` scans the d-row normals up to
-# _FACET_SUBSETS subsets for the hull side and the nearest facet; past
-# them the NNLS gives the side, and Qhull the facet.  At 4 coordinates
-# and C(12, 4) = 495 subsets the facet scan takes about 0.8 of Qhull's
-# time per instance; it grows with C(n, d) n, Qhull about with n.
+# normals' scan; beyond them every instance takes the NNLS.  The bound
+# was measured for `stack_feasible` alone: on 128 instances the sign's
+# scan beat the NNLS up to C(k, 3) = 220 and C(k, 4) = 330 subsets, and
+# lost at 286 and 495.  `stack_rho`'s all-subsets scan was not measured
+# for it; on tail-law blocks it loses to the routed solve past about
+# 56-70 d-subsets.  Of the instances `stack_rho` routes, `_scan_facets`
+# scans the d-row normals up to _FACET_SUBSETS subsets for the hull side
+# and the nearest facet; past them the NNLS gives the side, and Qhull
+# the facet.  At 4 coordinates and C(12, 4) = 495 subsets the facet scan
+# takes about 0.8 of Qhull's time per instance; it grows with C(n, d) n,
+# Qhull about with n.
 _SCAN_SUBSETS = 256
 _FACET_SUBSETS = 512
 _SCAN_MAX_DIM = 4

@@ -11,8 +11,13 @@ on the Caratheodory membership test and the NNLS boundary distance.
 on `sconv_distance_scipy`, the hull distance by scipy's NNLS.
 `SpherePolytope`, `distance_to_dual` and `distance_to_boundary` are
 the one-hull distances the package's experiments reduce to closed forms
-or stacked solves; `Cap` is a closed cap, and `perturb_rows` rotates
-every row of an instance by a fixed angle.  `unit_point` checks a point
+or stacked solves; `Cap` is a closed cap, `cap_distances_batch` the
+closed-form distances of points to a cap, its dual and its boundary, and
+`perturb_rows` rotates every row of an instance by a fixed angle.
+`tube_counts_by_cap_distances` counts the volume experiment's
+neighborhoods on those three distances, and `rejection_cap_growing` is
+the rejection draw in unbounded rounds, the reference for
+`samplers.rejection_cap_block`.  `unit_point` checks a point
 of the sphere and scales it to unit norm, and `householder_rotation` is
 the rotation between two points, built one pair at a time: the per-row
 reference for `samplers._rotations`.
@@ -86,6 +91,64 @@ class Cap:
         object.__setattr__(self, "center", unit_point(self.center))
         if not 0.0 <= self.radius <= math.pi:
             raise ValueError(f"cap radius {self.radius} outside [0, pi]")
+
+
+def cap_distances_batch(X: np.ndarray, center: np.ndarray, radius: float):
+    """(d(x,K), d(x,K_dual), d(x,bd K)) for each row x of X and the cap K
+    of the given center and radius, in closed form, as three arrays.
+
+    Requires radius <= pi/2 so that the dual is the antipodal cap of
+    radius pi/2 - radius.  The volume experiment counted its
+    neighborhoods on these distances before it took one signed angle.
+    """
+    if radius > math.pi / 2 + 1e-12:
+        raise ValueError("cap radius beyond pi/2: dual is not a cap")
+    dc = clipped_arccos(X @ center)
+    d_hull = np.maximum(0.0, dc - radius)
+    d_dual = np.maximum(0.0, (math.pi - dc) - (math.pi / 2 - radius))
+    d_bd = np.abs(dc - radius)
+    return d_hull, d_dual, d_bd
+
+
+def tube_counts_by_cap_distances(cfg: harness.ExperimentConfig):
+    """(outer, inner) neighborhood counts of `harness.run_tube_experiment`'s
+    points, read off the hull and boundary distances of
+    `cap_distances_batch` with each point negated by its random sign: the
+    experiment as it counted before it took one signed angle per point.
+    Draws through `samplers.cap_block`, as the experiment does."""
+    params = samplers.make_adversarial_params(cfg.m, cfg.alpha, 0.0)
+    k_center = np.eye(cfg.m + 1)[0]
+    a_center = np.zeros(cfg.m + 1)
+    a_center[:2] = math.cos(cfg.placement_offset), math.sin(cfg.placement_offset)
+    outer = inner = 0
+    for lo in range(0, cfg.N, harness.CHUNK):
+        count = min(cfg.N - lo, harness.CHUNK)
+        gen = samplers.stream(cfg.master_seed, samplers.PURPOSE_TUBE,
+                              lo // harness.CHUNK).generator()
+        signs = gen.random(count) < 0.5
+        pts = samplers.cap_block(a_center, params, gen, count)
+        pts = np.where(signs[:, None], pts, -pts)
+        d_hull, _, d_bd = cap_distances_batch(pts, k_center, cfg.cap_radius)
+        outer += int(np.sum((d_hull > 0.0) & (d_hull < cfg.phi)))
+        inner += int(np.sum((d_hull <= 0.0) & (d_bd < cfg.phi)))
+    return outer, inner
+
+
+def rejection_cap_growing(center_vec: np.ndarray, alpha: float, m: int, gen,
+                          count: int) -> np.ndarray:
+    """The first `count` uniform sphere draws of the stream gen in the cap,
+    drawn in rounds of 4 * (count - have) candidates (at least 128) with no
+    cap on a round, every round's hits stacked: `samplers.rejection_cap_block`
+    as it drew before its rounds were bounded."""
+    cos_a = math.cos(alpha)
+    out = []
+    have = 0
+    while have < count:
+        batch = samplers.uniform_sphere_block(m, gen, max(4 * (count - have), 128))
+        hits = batch[batch @ center_vec >= cos_a]
+        out.append(hits)
+        have += hits.shape[0]
+    return np.vstack(out)[:count]
 
 
 @dataclass(eq=False)
@@ -171,9 +234,10 @@ def distance_to_boundary(x, P: SpherePolytope) -> float:
 
 def perturb_rows(mat: np.ndarray, delta: float, gen) -> np.ndarray:
     """Rotate every row by exactly `delta` in a random tangent direction
-    (directions from `samplers.gaussians` of the generator gen)."""
+    (directions from inverse-normal transforms of the generator gen's
+    uniforms)."""
     mat = np.asarray(mat, dtype=float)
-    g = samplers.gaussians(gen, mat.shape)
+    g = samplers.ndtri(np.clip(gen.random(mat.shape), 1e-300, None))
     tang = g - (np.sum(g * mat, axis=1, keepdims=True)) * mat
     tang /= np.linalg.norm(tang, axis=1, keepdims=True)
     out = math.cos(delta) * mat + math.sin(delta) * tang

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from lpcond import cli, convexgeom, harness, samplers, sic
-from lpcond.convexgeom import cap_distances_batch
 from lpcond.harness import ExperimentConfig
 from lpcond.samplers import PURPOSE_CHECK, make_adversarial_params, stream
 from lpcond.sic import ILL_POSED_BAND, Instance
 from oracles import (
     Cap,
     SpherePolytope,
+    cap_distances_batch,
     distance_to_dual,
     gordan_classify,
     perturb_rows,

@@ -126,7 +126,8 @@ class TestDefaults:
                     assert value == config_defaults[_FIELDS.get(action.dest, action.dest)], (
                         action.dest)
                     seen.add(action.dest)
-        assert seen == {"m", "n", "alpha", "beta", "N", "seed", "out", "delta_mode"}
+        assert seen == {"m", "n", "alpha", "beta", "N", "seed", "out", "delta_mode", "center",
+                        "offset"}
 
 
 class TestRejectedInputs:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from lpcond import harness, samplers, sic
 from lpcond.convexgeom import (
     MEMBER_TOL,
-    cap_distances_batch,
     cone_facets,
     cone_member_batch,
     distance_to_sconv,
@@ -18,6 +17,7 @@ from lpcond.errors import ConvergenceError, DegenerateHullError
 from lpcond.sic import nnls_stack
 from oracles import (
     SpherePolytope,
+    cap_distances_batch,
     distance_to_boundary,
     distance_to_dual,
     sconv_distance_scipy,

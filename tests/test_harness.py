@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from lpcond import cli, harness, samplers, sic
 from lpcond.errors import ConfigError, ConvergenceError
 from lpcond.harness import (
+    CHUNK,
     CSV_HEADER,
     ExperimentConfig,
     bound_Emain,
@@ -35,6 +36,7 @@ from lpcond.harness import (
 )
 from lpcond.lp import FeasibilityClass
 from lpcond.samplers import RngStream, make_adversarial_params, sample_instance
+from lpcond.sphere import clipped_arccos
 from oracles import (
     af_check_per_instance,
     cond_per_value,
@@ -44,6 +46,7 @@ from oracles import (
     if_check_per_instance,
     ln_cond_per_value,
     sconv_distance_scipy,
+    tube_counts_by_cap_distances,
     wendel_p_pascal,
 )
 
@@ -426,6 +429,50 @@ class TestTube:
         with pytest.raises(ConfigError):
             run_tube_experiment(cfg)
 
+    @pytest.mark.parametrize("m, alpha, phi, cap_radius, offset, seed", [
+        (2, math.pi / 6, 0.01, 0.5, 0.0, 0),
+        (2, math.pi / 6, 0.0627, math.pi / 4, math.pi / 4, 1),
+        (1, math.pi / 6, 0.2, 0.7, 0.3, 2),
+        (3, math.pi / 4, 0.05, 1.0, 0.5, 3),
+    ])
+    def test_signed_angle_counts_are_the_cap_distance_counts(
+            self, m, alpha, phi, cap_radius, offset, seed):
+        # Two chunks, the second partial.
+        cfg = ExperimentConfig(kind="tube", m=m, alpha=alpha, phi=phi, cap_radius=cap_radius,
+                               placement_offset=offset, N=CHUNK + 1000, master_seed=seed)
+        outer, inner = tube_counts_by_cap_distances(cfg)
+        row = run_tube_experiment(cfg)[1]["tube_table"][0]
+        assert (row["est_outer"], row["est_inner"]) == (outer / cfg.N, inner / cfg.N)
+        assert outer > 0 and inner > 0
+
+    def test_signed_angle_counts_at_the_rim_and_its_neighborhood_edges(self, monkeypatch):
+        # Points whose dot products with K's center run over the 41 floats
+        # around cos r and cos(r -+ phi), and their antipodes, so that the
+        # random sign leaves each chain once as it is.  r and phi are
+        # chosen so that the signed angle d hits 0, phi and -phi exactly.
+        r = float(clipped_arccos(math.cos(0.5)))
+        phi = (r + 0.01) - r
+        dots = []
+        for c in (math.cos(r), math.cos(r - phi), math.cos(r + phi)):
+            up = down = c
+            dots.append(c)
+            for _ in range(20):
+                up, down = np.nextafter(up, 2.0), np.nextafter(down, -2.0)
+                dots += [up, down]
+        dots = np.array(dots + [-c for c in dots])
+        d = clipped_arccos(dots) - r
+        assert {0.0, phi, -phi} <= set(d.tolist())
+        placed = np.stack([dots, np.sqrt(1.0 - dots**2), np.zeros_like(dots)], axis=1)
+
+        def cap_block(center_vec, params, gen, count):
+            return np.resize(placed, (count, 3))
+
+        monkeypatch.setattr(samplers, "cap_block", cap_block)
+        cfg = ExperimentConfig(kind="tube", m=2, phi=phi, cap_radius=r, N=2460, master_seed=4)
+        outer, inner = tube_counts_by_cap_distances(cfg)
+        row = run_tube_experiment(cfg)[1]["tube_table"][0]
+        assert (row["est_outer"], row["est_inner"]) == (outer / cfg.N, inner / cfg.N)
+        assert outer > 0 and inner > 0
 
 class TestPropertySuite:
     def test_all_checks_pass(self, suite):

@@ -30,7 +30,7 @@ from lpcond.samplers import (
     uniform_sphere_block,
 )
 from lpcond.sic import Instance
-from oracles import householder_rotation, perturb_rows, unit_point
+from oracles import householder_rotation, perturb_rows, rejection_cap_growing, unit_point
 
 
 def per_row_instance(center: Instance, params, rng: RngStream) -> Instance:
@@ -459,6 +459,26 @@ class TestRejectionOracle:
             np.arccos(np.clip(other @ abar, -1, 1)),
         )
         assert d <= ks_two_sample_threshold(N, N)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("count", [64, 16_384, 70_000])
+    def test_bounded_rounds_give_the_growing_rounds_draw(self, monkeypatch, m, count):
+        # 64 hits need one round under BLOCK_ROWS, 16,384 a first round of
+        # exactly BLOCK_ROWS, and 70,000 several capped rounds.
+        alpha = math.pi / 4
+        abar = uniform_sphere_block(m, stream(14, PURPOSE_CENTER, m).generator(), 1)[0]
+        want = rejection_cap_growing(abar, alpha, m, stream(15, PURPOSE_SAMPLE, m).generator(),
+                                     count)
+        rounds = []
+
+        def block(m, gen, size):
+            rounds.append(size)
+            return uniform_sphere_block(m, gen, size)
+
+        monkeypatch.setattr(samplers, "uniform_sphere_block", block)
+        got = rejection_cap_block(abar, alpha, m, stream(15, PURPOSE_SAMPLE, m).generator(), count)
+        assert np.array_equal(got, want)
+        assert max(rounds) == min(4 * count, BLOCK_ROWS)
 
 
 class TestPerturb:
