@@ -97,12 +97,19 @@ def sample_ranges(lo: int, hi: int, rows_per_sample: int):
 
 
 def _mulhilo(a: np.ndarray, b: int):
-    """(high, low) 64-bit words of the 128-bit products a * b, from 32-bit halves."""
+    """(high, low) 64-bit words of the 128-bit products a * b.  The high
+    word from four products of 32-bit halves: t = a_lo b_lo, u = a_hi b_lo
+    + t_hi, w = a_lo b_hi + u_lo, high = a_hi b_hi + u_hi + w_hi, where no
+    sum overflows 64 bits."""
     b_lo, b_hi = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
     a_lo, a_hi = a & _LO32, a >> _SHIFT32
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = ((a_lo * b_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
-    hi = a_hi * b_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    u = a_hi * b_lo
+    u += (a_lo * b_lo) >> _SHIFT32
+    w = a_lo * b_hi
+    w += u & _LO32
+    hi = a_hi * b_hi
+    hi += u >> _SHIFT32
+    hi += w >> _SHIFT32
     return hi, a * np.uint64(b)
 
 
@@ -120,7 +127,9 @@ def keyed_uniforms(master: int, indices, count: int, offset: int = 0) -> np.ndar
         raise ValueError(f"offset {offset} is not a nonnegative multiple of 4")
     k0 = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
     blocks, first = -(-count // 4), offset // 4 + 1
-    c0 = np.broadcast_to(np.arange(first, first + blocks, dtype=np.uint64), (k0.shape[0], blocks))
+    # The counter words are one row, shared by every key, until the key
+    # mixes in: round 0 and half of round 1 run on that row alone.
+    c0 = np.arange(first, first + blocks, dtype=np.uint64)[None]
     c1 = c2 = c3 = np.zeros_like(c0)
     for r in range(_PHILOX_ROUNDS):
         ka = k0 + np.uint64(r * _PHILOX_W[0] & _MASK64)

@@ -81,20 +81,22 @@ _NEAR_SUBSETS = 1000
 # scans the d-row normals up to _FACET_SUBSETS subsets for the hull side
 # and the nearest facet; past them the NNLS gives the side, and Qhull
 # the facet.  At 4 coordinates and C(12, 4) = 495 subsets the facet scan
-# takes about 0.8 of Qhull's time per instance; it grows with C(n, d) n,
-# Qhull about with n.
+# takes about 0.4 of Qhull's time per instance (30 against 80 us); it
+# grows with C(n, d) n, Qhull about with n.
 _SCAN_SUBSETS = 256
 _FACET_SUBSETS = 512
 _SCAN_MAX_DIM = 4
-# A scan holds at most this many (instance, candidate) pairs per array:
-# 8 instances of C(12, 4) normals taken both ways.
+# A scan holds at most this many (instance, direction) pairs per array:
+# 16 instances of C(12, 4) normals, each scored once.  On mean's blocks
+# 2^12 was 12% slower, 2^14 and 2^15 3%; at tail's, props' and wendel's
+# shapes 2^14 and 2^15 were within 5%, and 2^12 up to 28% slower.
 _SCAN_PAIRS = 1 << 13
 # `_solve_routed` scans the first _PROBE instances of a stack for their
 # nearest facets, and scans the rest too only where at most _OUTSIDE_SHARE
 # of them are outside their hulls; else the rest take the NNLS first.  At
-# C(12, 4) subsets the scan costs about 45 us an instance, and the NNLS
-# about 5 us beyond its fixed cost: scanning an instance outside its hull
-# costs what skipping the NNLS on about nine inside it saves.
+# C(12, 4) subsets the scan costs about 30 us an instance, and the NNLS
+# about 9 us beyond its fixed cost: scanning an instance outside its hull
+# costs what skipping the NNLS on three or four inside it saves.
 _PROBE = 32
 _OUTSIDE_SHARE = 0.1
 # `nnls_stack` on unit-scale data: a column of positive gradient enters
@@ -360,6 +362,29 @@ def _subset_index(n: int, sizes: tuple):
 
 
 @functools.lru_cache(maxsize=None)
+def _facet_plan(n: int, d: int):
+    """(heads, last, prefix): where `_normals` reads the differences a_t -
+    a_0 (t = 1..d-1) of the rows a_0 < .. < a_{d-1} of each d-row subset
+    over n rows, as indices i n + j of a_j - a_i.  last (S,) is a_{d-1} -
+    a_0 per subset.  From d = 4 on, the minors of the other differences
+    depend only on a subset's first d - 1 rows: heads gives those
+    differences once per distinct prefix, in order, and prefix (S,) each
+    subset's; below d = 4 heads runs over the subsets and prefix is None."""
+    cols = _subset_index(n, (d,))[1][0]
+    prefix, firsts = None, cols
+    if d >= 4:
+        new = np.ones(cols.shape[1], dtype=bool)
+        new[1:] = (cols[:-1, 1:] != cols[:-1, :-1]).any(axis=0)
+        prefix, firsts = np.cumsum(new) - 1, cols[:, new]
+        prefix.flags.writeable = False
+    heads = tuple(firsts[0] * n + firsts[t] for t in range(1, d - 1))
+    last = cols[0] * n + cols[d - 1]
+    for index in heads + (last,):
+        index.flags.writeable = False
+    return heads, last, prefix
+
+
+@functools.lru_cache(maxsize=None)
 def _laplace_plan(d: int):
     """The Laplace expansion of `_normals`: per difference after the
     first, each grown minor's terms (coordinate, smaller minor) in column
@@ -373,74 +398,135 @@ def _laplace_plan(d: int):
     return steps, [keys.index(tuple(c for c in range(d) if c != j)) for j in range(d)]
 
 
-def _normals(diffs) -> np.ndarray:
+def _cofactor(row, terms, minors, out, term):
+    """Into out, the sum over the terms (c, k) of row[c] times minors[k],
+    signs alternating, in order (one minor of a Laplace expansion); each
+    product after the first goes through the spare array term."""
+    (c, k), *rest = terms
+    np.multiply(row[c], minors[k], out=out)
+    for t, (c, k) in enumerate(rest, 1):
+        np.multiply(row[c], minors[k], out=term)
+        (np.subtract if t % 2 else np.add)(out, term, out=out)
+    return out
+
+
+def _normals(diffs, prefix=None, out=None) -> np.ndarray:
     """Normals (d, ...) of the hyperplanes through d points, from their d-1
     differences: diffs[r][c] is coordinate c of difference r.  Coordinate
     j is the signed minor without column j, by explicit cofactors (Laplace
     expansion in column order, like Qhull's determinant hyperplanes), each
     minor a sum of products of whole coordinate arrays; zero where the
-    points are affinely dependent."""
-    steps, last = _laplace_plan(len(diffs[0]))
-    minors = list(diffs[0])
-    for row, step in zip(diffs[1:], steps):
-        grown = []
-        for (c, k), *rest in step:
-            minor = row[c] * minors[k]
-            for t, (c, k) in enumerate(rest, 1):
-                minor = minor - row[c] * minors[k] if t % 2 else minor + row[c] * minors[k]
-            grown.append(minor)
+    points are affinely dependent.  With prefix, all differences but the
+    last are given once per prefix of the points, and prefix[s] names that
+    of point set s (axis -2 of the last difference): the minors of the
+    other differences are computed once per prefix and gathered.  diffs is
+    read in order, once, so an iterator may make each difference as it is
+    needed and drop it after.  Written into out where given."""
+    diffs = iter(diffs)
+    minors = next(diffs)
+    d = len(minors)
+    if out is None:
+        out = np.empty((d,) + np.shape(minors[0]))
+    if d == 2:
+        out[0] = minors[1]
+        np.negative(minors[0], out=out[1])
+        return out
+    steps, last = _laplace_plan(d)
+    for step in steps[:-1]:
+        diff = next(diffs)
+        grown, term = np.empty((len(step),) + np.shape(diff[0])), np.empty(np.shape(diff[0]))
+        for terms, into in zip(step, grown):
+            _cofactor(diff, terms, minors, into, term)
         minors = grown
-    return np.stack([-minors[k] if j % 2 else minors[k] for j, k in enumerate(last)])
+        del diff
+    if prefix is not None:
+        minors = minors.take(prefix, axis=-2)
+    row = next(diffs)
+    term = np.empty(np.shape(row[0]))
+    for j, k in enumerate(last):
+        _cofactor(row, steps[-1][k], minors, out[j], term)
+        if j % 2:
+            np.negative(out[j], out=out[j])
+    return out
 
 
-def _directions(coords: np.ndarray, cols: np.ndarray):
-    """Direction (d, P, S) of the min-norm point of aff(S) for the S subsets
-    cols (k, S) of the rows coords (d, P, n) of P instances: the row, a
-    chord's midpoint, Cramer's rule on a triangle's edge Gram system (d =
-    4), or the hyperplane normal of d rows.  Unnormalized; a degenerate
-    subset gives a zero or arbitrary direction, still a valid candidate.
-    A normal's differences are gathered, contiguous, from all the row
-    differences, so each cofactor product runs on whole arrays."""
-    d, P, n = coords.shape
-    k = len(cols)
-    if k == 1:
-        return coords
-    if k == d:
-        diffs = (coords[:, :, None, :] - coords[:, :, :, None]).reshape(d, P, n * n)
-        return _normals([diffs.take(cols[0] * n + col, axis=2) for col in cols[1:]])
-    pts = coords.take(cols, axis=2)
-    if k == 2:
-        return pts[:, :, 0] + pts[:, :, 1]
-    a, u, v = pts[:, :, 0], pts[:, :, 1] - pts[:, :, 0], pts[:, :, 2] - pts[:, :, 0]
-    uu, uv, vv, au, av = _dot(u, u), _dot(u, v), _dot(v, v), _dot(a, u), _dot(a, v)
-    return (uu * vv - uv * uv) * a + (av * uv - au * vv) * u + (au * uv - av * uu) * v
+def _directions(rows: np.ndarray, sizes: tuple) -> np.ndarray:
+    """Directions (d, P, S) of the min-norm points of aff(T) for the row
+    subsets T of the given sizes (`_subset_index` order, each d-row normal
+    once) of the rows (d, n, P) of P instances: the row, a chord's
+    midpoint, Cramer's rule on a triangle's edge Gram system (d = 4), or
+    the hyperplane normal of d rows.  Unnormalized; a degenerate subset
+    gives a zero or arbitrary direction, still a valid candidate.  Built
+    subset-major, so a gather copies each row's P coordinates whole and a
+    normal's minors run on contiguous arrays, then transposed once."""
+    d, n, P = rows.shape
+    cols = _subset_index(n, sizes)[1]
+    out = np.empty((d, sum(col.shape[1] for col in cols), P))
+    at = 0
+    for k, col in zip(sizes, cols):
+        block = out[:, at:at + col.shape[1]]
+        at += col.shape[1]
+        if k == 1:
+            block[...] = rows
+        elif k == d:
+            heads, last, prefix = _facet_plan(n, d)
+            diffs = (rows[:, None] - rows[:, :, None]).reshape(d, n * n, P)
+            _normals((diffs.take(index, axis=1) for index in heads + (last,)), prefix, block)
+        elif k == 2:
+            pts = rows.take(col, axis=1)
+            np.add(pts[:, 0], pts[:, 1], out=block)
+        else:
+            pts = rows.take(col, axis=1)
+            a, u, v = pts[:, 0], pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+            uu, uv, vv, au, av = _dot(u, u), _dot(u, v), _dot(v, v), _dot(a, u), _dot(a, v)
+            block[...] = (uu * vv - uv * uv) * a + (av * uv - au * vv) * u + (au * uv - av * uu) * v
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
 def _max_min(mats: np.ndarray, sizes: tuple):
     """(value, center, candidate) of max over y of min_i <a_i, y> for a
     stack (B, n, d), y over the `_directions` of the row subsets of the
-    given sizes (ending at d, whose normals count both ways); a zero
-    direction scores 0.  Elementwise operations and one matrix product per
-    instance, so a result does not depend on its stack; sliced to at most
-    _SCAN_PAIRS (instance, candidate) pairs (an empty stack gives empty ones),
-    each slice's rows gathered coordinate-major and contiguous."""
+    given sizes, ending at d, whose normals count both ways; a zero
+    direction scores 0.  One product per instance scores each direction
+    once: a normal's min over the rows is its value, minus its max that of
+    its negation, whose candidate comes after all the others' (as in
+    `_subset_index`) and wins only where strictly better, as argmax's first
+    maximum.  Elementwise operations and one matrix product per instance,
+    so a result does not depend on its stack; sliced to at most
+    _SCAN_PAIRS (instance, direction) pairs (an empty stack gives empty
+    ones)."""
     B, n, d = mats.shape
-    combos, cols = _subset_index(n, sizes)
-    C = len(combos)
-    step, found = max(1, _SCAN_PAIRS // C), []
-    for lo in range(0, max(B, 1), step):
-        part = mats[lo:lo + step]
-        coords = np.ascontiguousarray(part.transpose(2, 0, 1))
-        dirs = [_directions(coords, c) for c in cols]
-        w = np.concatenate(dirs + [-dirs[-1]], axis=2)
-        length = np.maximum(np.sqrt(_dot(w, w)), _TINY_LENGTH)
-        value = (part @ w.transpose(1, 0, 2)).min(axis=1) / length
-        win = value.argmax(axis=1)
-        at = np.arange(0, len(part) * C, C) + win
-        found.append((value.take(at), w.reshape(d, -1).take(at, axis=1) / length.take(at), win))
+    S = sum(math.comb(n, k) for k in sizes)
+    step = max(1, _SCAN_PAIRS // S)
+    found = [_scan_slice(mats[lo:lo + step], sizes, S - math.comb(n, d))
+             for lo in range(0, max(B, 1), step)]
     value, centers, wins = found[0] if len(found) == 1 else (
         np.concatenate(x, axis=-1) for x in zip(*found))
     return value, centers.T, wins
+
+
+def _scan_slice(part: np.ndarray, sizes: tuple, normal: int):
+    """(value, center (d, P), candidate) of `_max_min` on one slice (P, n,
+    d), whose d-row normals are the directions from `normal` on.  Its
+    arrays are freed before the next slice's are made."""
+    n = part.shape[1]
+    w = _directions(np.ascontiguousarray(part.transpose(2, 1, 0)), sizes)
+    S = w.shape[2]
+    length = np.maximum(np.sqrt(_dot(w, w)), _TINY_LENGTH)
+    # Rows outermost, so the min and max over them run on whole slabs.
+    dots = np.empty((n, len(part), S))
+    np.matmul(part, w.transpose(1, 0, 2), out=dots.transpose(1, 0, 2))
+    value = dots.min(axis=0) / length
+    # Minus the values of the negated normals.
+    flipped = dots[:, :, normal:].max(axis=0) / length[:, normal:]
+    lanes = np.arange(len(part))
+    win, back = value.argmax(axis=1), flipped.argmin(axis=1)
+    best, other = value[lanes, win], -flipped[lanes, back]
+    neg = other > best
+    col = np.where(neg, normal + back, win)
+    centers = w[:, lanes, col] / length[lanes, col]
+    return (np.where(neg, other, best), np.where(neg, -centers, centers),
+            np.where(neg, S + back, win))
 
 
 def _orthogonalize(Q: np.ndarray, v: np.ndarray):

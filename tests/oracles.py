@@ -26,7 +26,10 @@ package ran before its stacked NNLS kernel, and `strictly_feasible_scipy`
 the Wendel decision on it.  `solve_routed_nnls_first` is the routed
 solve as it ran before the facet scan decided the hull side: the NNLS on
 every instance first, then `instance_rho`, a scalar solve per instance
-with its own first-cap test.  None of them is on a production path.
+with its own first-cap test.  `max_min_two_way` is the max-min scan as
+it ran before each normal was scored once: every normal scored again as
+a negated copy, each normal's minors expanded on their own
+(`laplace_normals`).  None of them is on a production path.
 """
 
 from __future__ import annotations
@@ -666,3 +669,66 @@ def af_check_per_instance(cfg: harness.ExperimentConfig) -> dict:
     q = len(qualify_idx)
     return {"check": "feasible-witness", "qualifying": q, "violations": violations,
             "phi": phi, "status": harness._status(q, violations)}
+
+
+def laplace_normals(diffs) -> np.ndarray:
+    """Normals (d, ...) of the hyperplanes through d points from their d-1
+    differences, each minor expanded on its own (no prefix shared) into a
+    new array per product, the odd coordinates negated by a copy: the
+    reference for `sic._normals`."""
+    steps, last = sic._laplace_plan(len(diffs[0]))
+    minors = list(diffs[0])
+    for row, step in zip(diffs[1:], steps):
+        grown = []
+        for (c, k), *rest in step:
+            minor = row[c] * minors[k]
+            for t, (c, k) in enumerate(rest, 1):
+                minor = minor - row[c] * minors[k] if t % 2 else minor + row[c] * minors[k]
+            grown.append(minor)
+        minors = grown
+    return np.stack([-minors[k] if j % 2 else minors[k] for j, k in enumerate(last)])
+
+
+def _directions_two_way(coords: np.ndarray, cols: np.ndarray):
+    """Direction (d, P, S) of the min-norm point of aff(S) for the S subsets
+    cols (k, S) of the rows coords (d, P, n) of P instances, instance-major:
+    every difference gathered per subset from all the row differences."""
+    d, P, n = coords.shape
+    k = len(cols)
+    if k == 1:
+        return coords
+    if k == d:
+        diffs = (coords[:, :, None, :] - coords[:, :, :, None]).reshape(d, P, n * n)
+        return laplace_normals([diffs.take(cols[0] * n + col, axis=2) for col in cols[1:]])
+    pts = coords.take(cols, axis=2)
+    if k == 2:
+        return pts[:, :, 0] + pts[:, :, 1]
+    a, u, v = pts[:, :, 0], pts[:, :, 1] - pts[:, :, 0], pts[:, :, 2] - pts[:, :, 0]
+    uu, uv, vv, au, av = _dot(u, u), _dot(u, v), _dot(v, v), _dot(a, u), _dot(a, v)
+    return (uu * vv - uv * uv) * a + (av * uv - au * vv) * u + (au * uv - av * uu) * v
+
+
+def max_min_two_way(mats: np.ndarray, sizes: tuple, pairs: int = 1 << 13):
+    """`sic._max_min` as a scan of every candidate of `sic._subset_index`:
+    each d-row normal scored twice, as itself and as a negated copy
+    concatenated after all the directions, one product and one min over
+    the rows for both, argmax's first maximum the winner.  Sliced to at
+    most `pairs` (instance, candidate) pairs.  The reference the one-pass
+    scan must match bit for bit."""
+    B, n, d = mats.shape
+    combos, cols = sic._subset_index(n, sizes)
+    C = len(combos)
+    step, found = max(1, pairs // C), []
+    for lo in range(0, max(B, 1), step):
+        part = mats[lo:lo + step]
+        coords = np.ascontiguousarray(part.transpose(2, 0, 1))
+        dirs = [_directions_two_way(coords, c) for c in cols]
+        w = np.concatenate(dirs + [-dirs[-1]], axis=2)
+        length = np.maximum(np.sqrt(_dot(w, w)), sic._TINY_LENGTH)
+        value = (part @ w.transpose(1, 0, 2)).min(axis=1) / length
+        win = value.argmax(axis=1)
+        at = np.arange(0, len(part) * C, C) + win
+        found.append((value.take(at), w.reshape(d, -1).take(at, axis=1) / length.take(at), win))
+    value, centers, wins = found[0] if len(found) == 1 else (
+        np.concatenate(x, axis=-1) for x in zip(*found))
+    return value, centers.T, wins

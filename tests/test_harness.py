@@ -612,7 +612,7 @@ class TestFeasibleWitness:
 
 
 class TestProductTail:
-    def test_sorted_counts_are_the_mean_of_each_comparison(self):
+    def test_counts_are_the_mean_of_each_comparison(self):
         # The same draws as the check, counted one grid point at a time.
         cfg = ExperimentConfig(kind="property-suite", m=1, n=3, master_seed=5)
         gen = harness._prop_stream(5, 5, 0).generator()

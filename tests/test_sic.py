@@ -5,7 +5,7 @@ import pytest
 
 from scipy.spatial import ConvexHull
 
-from lpcond import sic
+from lpcond import convexgeom, harness, samplers, sic
 from lpcond.errors import ConvergenceError, DegenerateHullError, InstanceTooLargeError
 from lpcond.lp import FeasibilityClass
 from lpcond.sic import (
@@ -20,7 +20,9 @@ from oracles import (
     DegenerateSubsetError,
     circumcap,
     gordan_classify,
+    laplace_normals,
     least_distance_scipy,
+    max_min_two_way,
     solve_routed_nnls_first,
     strictly_feasible_scipy,
 )
@@ -382,6 +384,99 @@ class TestFacetScan:
         rho, center, _ = sic_rho(mat)
         assert rho == pytest.approx(math.pi / 2, abs=1e-12)
         assert abs(center @ p) <= 1e-12
+
+
+def workload_stack(kind: str, seed: int) -> np.ndarray:
+    """The stack a benchmark command scans, drawn as it draws it: exp-mean's
+    and exp-tail's first block (m = 3, n = 12, N = 256; m = 2, n = 5, N =
+    2048), the property suite's (6000, 3, 2) pool, exp-wendel's 128
+    streams of 9 rows on S^3."""
+    if kind in ("mean", "tail"):
+        m, n, N = (3, 12, 256) if kind == "mean" else (2, 5, 2048)
+        cfg = harness.ExperimentConfig(kind="expectation", m=m, n=n, N=N, master_seed=seed)
+        params = harness.params_from_config(cfg)
+        center = harness.resolve_center(cfg, params)
+        return next(harness.sample_blocks(cfg, params, center, 0, N))[1]
+    if kind == "props":
+        return sic.unit_rows(harness._uniform_instances(seed, 1, 1, 3, 6000))
+    indices = samplers.stream_indices(samplers.PURPOSE_WENDEL, 0, 128)
+    return samplers.uniform_sphere_batch(3, seed, indices, 9)
+
+
+class TestOnePassScan:
+    """`_max_min` scores each normal once, from shared minors; the two-way
+    scan it replaced (`max_min_two_way`) is its reference, bit for bit:
+    value, center and winning candidate."""
+
+    @staticmethod
+    def assert_two_way(mats, sizes):
+        got, want = sic._max_min(mats, sizes), max_min_two_way(mats, sizes)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind, k, sizes", [
+        ("mean", 12, (4,)), ("tail", 5, (1, 2, 3)), ("tail", 5, (3,)),
+        ("props", 3, (1, 2)), ("props", 3, (2,)),
+        ("wendel", 5, (4,)), ("wendel", 7, (4,)), ("wendel", 9, (4,))])
+    def test_workload_stacks(self, kind, k, sizes, seed):
+        mats = np.ascontiguousarray(workload_stack(kind, seed)[:, :k])
+        self.assert_two_way(mats, sizes)
+
+    @pytest.mark.parametrize("n, d", [(5, 3), (6, 4), (12, 4)])
+    def test_flat_hull(self, n, d):
+        # Every row on the great sphere x_{d-1} = 0: each d-row normal is
+        # a multiple of e_{d-1} and scores exactly 0 both ways, so the
+        # normal itself wins, not its negation.
+        rng = np.random.default_rng([n, d])
+        mats = unit_rows(rng.standard_normal((40, n, d)))
+        mats[:, :, -1] = 0.0
+        mats = unit_rows(mats)
+        value, _, wins = self.assert_two_way(mats, (d,))
+        assert not value.any() and (wins < math.comb(n, d)).all()
+        self.assert_two_way(mats, tuple(range(1, d + 1)))
+
+    @pytest.mark.parametrize("family", ["duplicate-rows", "antipodal-pairs"])
+    @pytest.mark.parametrize("n, d", [(3, 2), (6, 3), (8, 4), (12, 4)])
+    def test_duplicate_and_antipodal_rows(self, family, n, d):
+        rng = np.random.default_rng([n, d, len(family)])
+        mats = np.array([inst.matrix for inst in TestStackRho.family_stack(rng, family, n, d, 40)])
+        self.assert_two_way(mats, (d,))
+        if math.comb(n, d) <= sic._SCAN_SUBSETS:
+            self.assert_two_way(mats, tuple(range(1, d + 1)))
+
+    def test_a_normal_tied_with_its_negation_wins_as_itself(self):
+        # Rows a, b, -a, -b: each chord's normal scores min = -max, so every
+        # normal ties with its negation, and the positive half must win.
+        rng = np.random.default_rng(3)
+        half = unit_rows(rng.standard_normal((50, 2, 2)))
+        mats = np.concatenate([half, -half], axis=1)
+        value, _, wins = self.assert_two_way(mats, (2,))
+        assert (wins < math.comb(4, 2)).all() and (value < 0.0).all()
+
+    @pytest.mark.parametrize("n, sizes", [(12, (4,)), (5, (1, 2, 3)), (3, (1, 2))])
+    def test_empty_stack(self, n, sizes):
+        value, centers, wins = self.assert_two_way(np.zeros((0, n, sizes[-1])), sizes)
+        assert value.shape == wins.shape == (0,) and centers.shape == (0, sizes[-1])
+
+    @pytest.mark.parametrize("B, n, sizes", [(17, 12, (4,)), (1000, 5, (1, 2, 3)), (2001, 3, (1, 2))])
+    def test_a_stack_that_is_not_a_multiple_of_the_slice(self, B, n, sizes):
+        assert B % max(1, sic._SCAN_PAIRS // sum(math.comb(n, k) for k in sizes))
+        rng = np.random.default_rng(B)
+        self.assert_two_way(unit_rows(rng.standard_normal((B, n, sizes[-1]))), sizes)
+
+    @pytest.mark.parametrize("k, d", [(3, 2), (5, 3), (6, 4), (4, 3)])
+    def test_cone_facets_unchanged(self, monkeypatch, k, d):
+        rng = np.random.default_rng([k, d])
+        gens = unit_rows(rng.standard_normal((64, k, d)))
+        gens[:8, :, -1] = 0.0  # flat cones: no facet
+        gens[8:16, 1] = gens[8:16, 0]  # a repeated generator
+        gens = unit_rows(gens)
+        got = convexgeom.cone_facets(gens)
+        monkeypatch.setattr(sic, "_normals", laplace_normals)
+        assert got.tobytes() == convexgeom.cone_facets(gens).tobytes()
 
 
 class TestStackRho:
